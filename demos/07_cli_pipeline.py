@@ -13,7 +13,6 @@ The `cnsflow` entry point exposes the library as subcommands:
 
 Reruns with the same config produce byte-identical CSVs (exercised below).
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O failure.
-The CNS_THREADS environment variable caps worker threads.
 """
 
 import tempfile

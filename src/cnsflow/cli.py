@@ -13,7 +13,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -159,14 +158,6 @@ def build_reg_config(cfg: dict) -> RegularityConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def worker_count() -> int:
-    """Worker cap from CNS_THREADS (defaults to 1)."""
-    try:
-        return max(1, int(os.environ.get("CNS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # CSV helpers
 # ---------------------------------------------------------------------------
@@ -254,11 +245,8 @@ def cmd_simulate(args) -> int:
     cfg = parse_config(args.config)
     sim, params = build_sim_config(cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    traj = simulate(sim, params=params)
-    write_trajectory(out, traj, extra_meta={"run_log": traj.run_log}
-                     if hasattr(traj, "run_log") else None)
+    simulate(sim, params=params, out_dir=out)
     write_manifest(out, args.config, sim,
                    {"simulate": time.perf_counter() - t0},
                    {"trajectory": out})
@@ -419,6 +407,10 @@ def cmd_pipeline(args) -> int:
     cfg = parse_config(args.config)
     sim, params = build_sim_config(cfg)
     reg = build_reg_config(cfg)
+    # parsed before the run, so a malformed value is a config error
+    flag_stride = config_get(cfg, "pipeline.flag_stride", int,
+                             max(1, sim.grid_n // 4))
+    radii = config_get(cfg, "pipeline.radii", _float_list, None)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     phase_seconds = {}
@@ -442,9 +434,9 @@ def cmd_pipeline(args) -> int:
     t_last = float(traj.times[-1])
     center = (L / 2.0,) * 3
     span = t_last - float(traj.times[0])
-    r_cap = min(L / 8.0, 0.95 * span**0.5)
-    radii = config_get(cfg, "pipeline.radii", _float_list,
-                       (0.5 * r_cap, r_cap))
+    if radii is None:
+        r_cap = min(L / 8.0, 0.95 * span**0.5)
+        radii = (0.5 * r_cap, r_cap)
 
     def quantities():
         rows = []
@@ -478,9 +470,7 @@ def cmd_pipeline(args) -> int:
     outputs["lei"] = out / "lei.csv"
 
     def flags():
-        stride = config_get(cfg, "pipeline.flag_stride", int,
-                            max(1, sim.grid_n // 4))
-        centers = _candidate_centers(traj, stride)
+        centers = _candidate_centers(traj, flag_stride)
         fs = flag_sweep(traj, centers, radii, reg, params=params,
                         criterion="thm13")
         write_csv(out / "flags.csv", FLAG_COLUMNS, _flag_rows(fs))

@@ -10,8 +10,9 @@ interpolant of the spatial integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,8 +42,10 @@ def _check_finite(values: np.ndarray, what: str = "field") -> None:
 class Grid:
     """Uniform periodic grid on [0, L)^3 with N cells per axis.
 
-    Holds the Fourier wavenumbers, the squared-wavenumber symbol and the
-    2/3-rule dealiasing mask used by every spectral operation.
+    Also the spectral operator layer: real transforms onto the half
+    spectrum (last axis 0..N/2), the Fourier symbols every spectral
+    operation uses (built on first use and cached), one Leray projection
+    and one Poisson solve.
     """
 
     def __init__(self, n: int, box_length: float, dt: float = 1.0):
@@ -54,23 +57,60 @@ class Grid:
         self.box_length = float(box_length)
         self.dt = float(dt)
         self.h = self.box_length / self.n
-
-        k1 = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
-        self.kx = k1.reshape(-1, 1, 1)
-        self.ky = k1.reshape(1, -1, 1)
-        self.kz = k1.reshape(1, 1, -1)
-        self.k_sq = self.kx**2 + self.ky**2 + self.kz**2
-        k_max = np.max(np.abs(k1))
-        self.dealias_mask = (
-            (np.abs(self.kx) <= (2.0 / 3.0) * k_max)
-            & (np.abs(self.ky) <= (2.0 / 3.0) * k_max)
-            & (np.abs(self.kz) <= (2.0 / 3.0) * k_max)
-        )
         x1 = self.h * np.arange(self.n)
         self.x = x1.reshape(-1, 1, 1)
         self.y = x1.reshape(1, -1, 1)
         self.z = x1.reshape(1, 1, -1)
         self.cell_volume = self.h**3
+
+    # -- spectral operator layer --------------------------------------------
+    def rfftn(self, values: np.ndarray) -> np.ndarray:
+        """Half-spectrum transform of real samples (last three axes)."""
+        return np.fft.rfftn(values, axes=(-3, -2, -1))
+
+    def irfftn(self, hat: np.ndarray) -> np.ndarray:
+        """Real N^3 samples of a half spectrum (inverse of ``rfftn``)."""
+        return np.fft.irfftn(hat, s=(self.n,) * 3, axes=(-3, -2, -1))
+
+    @cached_property
+    def _k_full(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        k1 = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
+        kz = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.h)
+        return k1.reshape(-1, 1, 1), k1.reshape(1, -1, 1), kz.reshape(1, 1, -1)
+
+    @cached_property
+    def k(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """First-derivative wavenumbers with the Nyquist entry zeroed (the
+        odd symbol i k has no real Nyquist mode)."""
+        k_nyq = np.max(np.abs(self._k_full[0]))
+        return tuple(np.where(np.abs(k) < k_nyq, k, 0.0) for k in self._k_full)
+
+    @cached_property
+    def k_sq(self) -> np.ndarray:
+        """|k|^2, Nyquist modes included."""
+        return sum(k**2 for k in self._k_full)
+
+    @cached_property
+    def inv_k_sq(self) -> np.ndarray:
+        """1/|k|^2, with 0 at k = 0 (the zero-mean inverse Laplacian)."""
+        return np.divide(1.0, self.k_sq, out=np.zeros_like(self.k_sq),
+                         where=self.k_sq > 0)
+
+    @cached_property
+    def dealias_mask(self) -> np.ndarray:
+        """2/3-rule mask."""
+        lim = (2.0 / 3.0) * np.max(np.abs(self._k_full[0]))
+        kx, ky, kz = (np.abs(k) <= lim for k in self._k_full)
+        return kx & ky & kz
+
+    def project_hat(self, u_hat: np.ndarray) -> np.ndarray:
+        """Leray projection u - k (k . u)/|k|^2 of a (3, ...) half spectrum."""
+        phi = sum(k * h for k, h in zip(self.k, u_hat)) * self.inv_k_sq
+        return np.stack([h - k * phi for k, h in zip(self.k, u_hat)])
+
+    def poisson_hat(self, rhs_hat: np.ndarray) -> np.ndarray:
+        """Zero-mean periodic solution of -Delta p = rhs, in Fourier space."""
+        return rhs_hat * self.inv_k_sq
 
     def __eq__(self, other) -> bool:
         return (
@@ -162,70 +202,46 @@ class ParabolicCylinder:
 # spectral calculus
 # ---------------------------------------------------------------------------
 
-def _spectral_derivative(grid: Grid, values: np.ndarray, axis: int) -> np.ndarray:
-    k = (grid.kx, grid.ky, grid.kz)[axis]
-    return np.real(np.fft.ifftn(1j * k * np.fft.fftn(values)))
-
-
 def gradient(f: ScalarField) -> VectorField:
     """Spectral gradient; exact for band-limited fields."""
-    _check_finite(f.values, "gradient input")
-    fh = np.fft.fftn(f.values)
     g = f.grid
-    comps = [np.real(np.fft.ifftn(1j * k * fh)) for k in (g.kx, g.ky, g.kz)]
-    return VectorField.from_arrays(g, *comps)
+    fh = g.rfftn(f.values)
+    return VectorField.from_arrays(g, *(g.irfftn(1j * k * fh) for k in g.k))
 
 
 def divergence(v: VectorField) -> ScalarField:
     g = v.grid
-    out = np.zeros((g.n,) * 3)
-    for axis, comp in enumerate(v.components):
-        _check_finite(comp.values, "divergence input")
-        out = out + _spectral_derivative(g, comp.values, axis)
-    return ScalarField(g, out)
+    div_hat = sum(1j * k * g.rfftn(c.values) for k, c in zip(g.k, v.components))
+    return ScalarField(g, g.irfftn(div_hat))
 
 
 def laplacian(f: ScalarField) -> ScalarField:
-    _check_finite(f.values, "laplacian input")
     g = f.grid
-    return ScalarField(g, np.real(np.fft.ifftn(-g.k_sq * np.fft.fftn(f.values))))
+    return ScalarField(g, g.irfftn(-g.k_sq * g.rfftn(f.values)))
 
 
 def hessian_components(f: ScalarField) -> dict[tuple[int, int], np.ndarray]:
-    """All nine second derivatives d_i d_j f (symmetric; computed once per pair)."""
+    """All nine second derivatives d_i d_j f (symmetric; computed once per
+    pair); the diagonal keeps the Nyquist modes, like the Laplacian."""
     g = f.grid
-    fh = np.fft.fftn(f.values)
-    ks = (g.kx, g.ky, g.kz)
+    fh = g.rfftn(f.values)
     out = {}
     for i in range(3):
         for j in range(i, 3):
-            arr = np.real(np.fft.ifftn(-ks[i] * ks[j] * fh))
-            out[(i, j)] = arr
-            out[(j, i)] = arr
+            sym = -g._k_full[i] ** 2 if i == j else -g.k[i] * g.k[j]
+            out[(i, j)] = out[(j, i)] = g.irfftn(sym * fh)
     return out
 
 
 def leray_project(v: VectorField) -> VectorField:
     """Remove the gradient part: P u = u - grad(Delta^-1 div u)."""
     g = v.grid
-    hats = []
-    for comp in v.components:
-        _check_finite(comp.values, "projection input")
-        hats.append(np.fft.fftn(comp.values))
-    ks = (g.kx, g.ky, g.kz)
-    div_hat = sum(1j * k * h for k, h in zip(ks, hats))
-    inv_ksq = np.zeros_like(g.k_sq)
-    nonzero = g.k_sq > 0
-    inv_ksq[nonzero] = 1.0 / g.k_sq[nonzero]
-    phi_hat = div_hat * inv_ksq
-    # subtract the gradient part: u_j - k_j (k . u)/|k|^2 with k.u = -i div
-    comps = [np.real(np.fft.ifftn(h + 1j * k * phi_hat)) for k, h in zip(ks, hats)]
-    return VectorField.from_arrays(g, *comps)
+    return VectorField.from_arrays(g, *g.irfftn(g.project_hat(g.rfftn(v.as_array()))))
 
 
 def dealias(grid: Grid, values: np.ndarray) -> np.ndarray:
     """2/3-rule truncation of a physical-space array."""
-    return np.real(np.fft.ifftn(grid.dealias_mask * np.fft.fftn(values)))
+    return grid.irfftn(grid.dealias_mask * grid.rfftn(values))
 
 
 def spectral_upsample(grid: Grid, values: np.ndarray, factor: int) -> np.ndarray:
@@ -245,12 +261,24 @@ def spectral_upsample(grid: Grid, values: np.ndarray, factor: int) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 def ball_mask(grid: Grid, x0: Sequence[float], radius: float) -> np.ndarray:
-    """Binary in/out mask of B_r(x0) under the minimum-image convention."""
+    """Binary in/out mask of B_r(x0) under the minimum-image convention.
+
+    A grid-point centre gets the integer-offset stencil |offset|^2 <
+    (r/h)^2 (rounded when integer to rounding), the same at every grid
+    point; other centres use floating minimum-image distances."""
     if 2.0 * radius > 0.5 * grid.box_length:
         raise CylinderRangeError(
             f"ball radius {radius} exceeds box_length/4 = {grid.box_length / 4}"
         )
-    return grid.min_image_distance_sq(x0) < radius**2
+    index = np.asarray(x0, dtype=float) / grid.h
+    if np.any(np.abs(index - np.round(index)) > 1e-9):
+        return grid.min_image_distance_sq(x0) < radius**2
+    q = (radius / grid.h) ** 2
+    q = round(q) if abs(q - round(q)) < 1e-9 else q
+    n = grid.n
+    ox, oy, oz = (((np.arange(n) - int(i) + n // 2) % n - n // 2) ** 2
+                  for i in np.round(index))
+    return ox[:, None, None] + oy[None, :, None] + oz[None, None, :] < q
 
 
 #: Fixed integrand catalog: name -> (state, power) -> pointwise array.

@@ -16,13 +16,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .energy import _smoothstep
 from .grid_fields import (
     CylinderRangeError,
     Grid,
     ScalarField,
-    _check_finite,
-    ball_mask,
-    gradient,
     spectral_upsample,
 )
 
@@ -30,23 +28,33 @@ from .grid_fields import (
 MAX_SOURCE_CELLS = 40**3
 
 
+def _force_hats(grid: Grid, u, n, gp, weight=1.0) -> list:
+    """Half-spectrum transforms of g_i = sum_j d_j(weight u_i u_j) +
+    weight n grad_phi_i, the field whose divergence drives the pressure."""
+    k = grid.k
+    g = [0.0, 0.0, 0.0]
+    for i in range(3):
+        for j in range(i, 3):
+            prod = grid.rfftn(weight * u[i] * u[j])
+            g[i] = g[i] + 1j * k[j] * prod
+            if j != i:
+                g[j] = g[j] + 1j * k[i] * prod
+        if np.any(gp[i]):
+            g[i] = g[i] + grid.rfftn(weight * n * gp[i])
+    return g
+
+
+def _poisson_div(grid: Grid, g_hat) -> np.ndarray:
+    """Zero-mean periodic solve of -Delta p = div g, with g dealiased."""
+    div_hat = sum(1j * k * h for k, h in zip(grid.k, g_hat))
+    return grid.irfftn(grid.poisson_hat(grid.dealias_mask * div_hat))
+
+
 def solve_pressure(s, params=None) -> ScalarField:
     """Zero-mean periodic solve of -Delta P = d_i d_j (u_i u_j) + div(n grad_phi)."""
     grid = s.grid
-    ks = (grid.kx, grid.ky, grid.kz)
-    rhs_hat = np.zeros((grid.n,) * 3, dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            prod_hat = grid.dealias_mask * np.fft.fftn(s.u[i] * s.u[j])
-            rhs_hat += -ks[i] * ks[j] * prod_hat
-    if params is not None:
-        gp = params.grad_phi_arrays(grid)
-        for j in range(3):
-            rhs_hat += 1j * ks[j] * (grid.dealias_mask * np.fft.fftn(s.n * gp[j]))
-    p_hat = np.zeros_like(rhs_hat)
-    nz = grid.k_sq > 0
-    p_hat[nz] = rhs_hat[nz] / grid.k_sq[nz]
-    return ScalarField(grid, np.real(np.fft.ifftn(p_hat)))
+    gp = params.grad_phi_arrays(grid) if params is not None else np.zeros_like(s.u)
+    return ScalarField(grid, _poisson_div(grid, _force_hats(grid, s.u, s.n, gp)))
 
 
 def quintic_bump(dist: np.ndarray, rho: float) -> np.ndarray:
@@ -56,9 +64,7 @@ def quintic_bump(dist: np.ndarray, rho: float) -> np.ndarray:
     accurate on moderate grids.
     """
     s = np.clip((np.asarray(dist, dtype=float) - 0.5 * rho) / (0.5 * rho), 0.0, 1.0)
-    return 1.0 - s**5 * (
-        126.0 + s * (-420.0 + s * (540.0 + s * (-315.0 + 70.0 * s)))
-    )
+    return 1.0 - _smoothstep(s)
 
 
 def eval_field_at(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -173,12 +179,8 @@ def decompose_local(s, x0: Sequence[float], rho: float, params=None,
 
     # g_i = sum_j d_j(eta w_i w_j) + eta n grad_phi_i  (one derivative kept;
     # the other acts on the kernel inside the sum)
-    g = np.empty_like(s.u)
-    for i in range(3):
-        acc = np.zeros((grid.n,) * 3)
-        for j in range(3):
-            acc += gradient(ScalarField(grid, eta * w[i] * w[j])).as_array()[j]
-        g[i] = acc + eta * s.n * gp[i]
+    g_hat = _force_hats(grid, w, s.n, gp, weight=eta)
+    g = grid.irfftn(np.stack(g_hat))
 
     fine = Grid(grid.n * upsample, grid.box_length) if upsample > 1 else grid
     g_fine = np.array([spectral_upsample(grid, g[i], upsample) for i in range(3)])
@@ -195,18 +197,7 @@ def decompose_local(s, x0: Sequence[float], rho: float, params=None,
 
     # grid values of P1: zero-mean periodic solve of -Delta P1 = div g,
     # with the same dealiased-product convention as the global pressure
-    ks = (grid.kx, grid.ky, grid.kz)
-    rhs_hat = np.zeros((grid.n,) * 3, dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            prod_hat = grid.dealias_mask * np.fft.fftn(eta * w[i] * w[j])
-            rhs_hat += -ks[i] * ks[j] * prod_hat
-    for j in range(3):
-        rhs_hat += 1j * ks[j] * (grid.dealias_mask * np.fft.fftn(eta * s.n * gp[j]))
-    p1_hat = np.zeros_like(rhs_hat)
-    nz = grid.k_sq > 0
-    p1_hat[nz] = rhs_hat[nz] / grid.k_sq[nz]
-    p1 = np.real(np.fft.ifftn(p1_hat))
+    p1 = _poisson_div(grid, g_hat)
     p2 = s.p - p1
 
     return PressureDecomposition(
@@ -288,20 +279,20 @@ def riesz_potential(f: ScalarField, alpha: float, mask: np.ndarray,
 
     out_vals = np.empty(len(tgt))
     chunk = max(1, int(2e6 // max(1, len(src))))
+    tiny = 0.5 * grid.h * 1e-6
     for a0 in range(0, len(tgt), chunk):
         t = tgt[a0:a0 + chunk]
         d = t[:, None, :] - src[None, :, :]
         d -= L * np.round(d / L)
         r = np.sqrt(np.sum(d * d, axis=2))
         with np.errstate(divide="ignore"):
-            k = np.where(r > 0.5 * grid.h * 1e-6, r ** (alpha - 3.0), 0.0)
-        out_vals[a0:a0 + chunk] = np.sum(k * fv[None, :], axis=1) * vol
-    # analytic self-cell for targets coinciding with source cells
-    d2 = np.sum((tgt[:, None, :] - src[None, :, :]) ** 2, axis=2)
-    hit = np.argmin(d2, axis=1)
-    coincident = d2[np.arange(len(tgt)), hit] < (0.5 * grid.h * 1e-6) ** 2
-    out_vals[coincident] += self_weight * fv[hit[coincident]]
-
+            k = np.where(r > tiny, r ** (alpha - 3.0), 0.0)
+        vals = np.sum(k * fv[None, :], axis=1) * vol
+        # analytic self-cell for targets coinciding with a source cell
+        hit = np.argmin(r, axis=1)
+        coincident = r[np.arange(len(t)), hit] < tiny
+        vals[coincident] += self_weight * fv[hit[coincident]]
+        out_vals[a0:a0 + chunk] = vals
     out = np.zeros((grid.n,) * 3)
     out[target_mask] = out_vals
     return ScalarField(grid, out)

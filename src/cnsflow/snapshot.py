@@ -21,13 +21,18 @@ MAGIC = b"CNS1"
 
 
 def write_snapshot(path, state: State) -> None:
+    """Write one CNS1 snapshot to a temporary file, then move it into
+    place, so ``path`` never holds a partial snapshot."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
     g = state.grid
-    with open(path, "wb") as f:
+    with open(tmp, "wb") as f:
         f.write(MAGIC)
         f.write(np.array([g.n], dtype="<u4").tobytes())
         f.write(np.array([g.box_length, state.time], dtype="<f8").tobytes())
         for arr in (state.n, state.c, state.u[0], state.u[1], state.u[2], state.p):
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    os.replace(tmp, path)
 
 
 def read_snapshot(path, dt: float = 1.0) -> State:
@@ -59,6 +64,13 @@ def write_trajectory(out_dir, traj: Trajectory, extra_meta: Optional[dict] = Non
     out.mkdir(parents=True, exist_ok=True)
     for i, s in enumerate(traj.states):
         write_snapshot(out / snapshot_name(i), s)
+    write_trajectory_meta(out, traj, extra_meta)
+
+
+def write_trajectory_meta(out_dir, traj: Trajectory,
+                          extra_meta: Optional[dict] = None) -> None:
+    """Write ``trajectory.json`` (times and norms) through a temporary
+    file; written after the snapshots, it marks the trajectory complete."""
     norms = traj.initial_norms
     meta = {
         "format": "CNS1",
@@ -75,8 +87,11 @@ def write_trajectory(out_dir, traj: Trajectory, extra_meta: Optional[dict] = Non
     }
     if extra_meta:
         meta.update(extra_meta)
-    with open(out / "trajectory.json", "w") as f:
+    path = Path(out_dir) / "trajectory.json"
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w") as f:
         json.dump(meta, f, indent=1, sort_keys=True)
+    os.replace(tmp, path)
 
 
 def read_trajectory(in_dir, params=None) -> Trajectory:

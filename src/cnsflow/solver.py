@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid_fields import Grid, dealias, gradient, leray_project, ScalarField, VectorField
-from .state import InitialNorms, State, Trajectory
-
-NEG_TOL = 1e-12
+from .grid_fields import Grid, VectorField, _check_finite
+from .pressure import solve_pressure
+from .snapshot import read_snapshot, snapshot_name, write_snapshot, write_trajectory_meta
+from .state import State, Trajectory
 
 
 class CFLError(RuntimeError):
@@ -82,10 +83,11 @@ class PhysParams:
             raise ValueError("kappa must be nondecreasing and convex on [0, c0_max]")
 
     # -- cached norms -------------------------------------------------------
-    @property
-    def chi_norm(self) -> float:
+    def _c2_norm(self, coeffs) -> float:
+        """Sum over the polynomial and its first two derivatives of the
+        sup norm on [0, c0_max]."""
         s = np.linspace(0.0, max(self.c0_max, 1e-12), 1000)
-        c = np.asarray(self.chi_coeffs)
+        c = np.asarray(coeffs, dtype=float)
         total = 0.0
         for _ in range(3):
             total += float(np.max(np.abs(np.polynomial.polynomial.polyval(s, c))))
@@ -93,14 +95,12 @@ class PhysParams:
         return total
 
     @property
+    def chi_norm(self) -> float:
+        return self._c2_norm(self.chi_coeffs)
+
+    @property
     def kappa_norm(self) -> float:
-        s = np.linspace(0.0, max(self.c0_max, 1e-12), 1000)
-        c = np.array([0.0] + [self.theta0 * a for a in self.chi_coeffs])
-        total = 0.0
-        for _ in range(3):
-            total += float(np.max(np.abs(np.polynomial.polynomial.polyval(s, c))))
-            c = _polyder(c) if len(c) > 1 else np.zeros(1)
-        return total
+        return self._c2_norm([0.0] + [self.theta0 * a for a in self.chi_coeffs])
 
     @property
     def gradphi_max(self) -> float:
@@ -116,99 +116,93 @@ class PhysParams:
         return out
 
 
-def _rhs_hats(grid: Grid, n, c, u, params: PhysParams):
-    """Fourier transforms of the explicit (non-diffusive) tendencies."""
+def _rhs_hats(grid: Grid, n, c, u, c_hat, u_hat, params: PhysParams):
+    """Half-spectrum transforms of the explicit (non-diffusive) tendencies;
+    derivatives come from the hats of c and u, and each product is
+    dealiased by masking its forward transform."""
+    k, mask = grid.k, grid.dealias_mask
     gp = params.grad_phi_arrays(grid)
-    chi_c = params.chi_eval(np.maximum(c, 0.0))
-    kappa_c = params.kappa_eval(np.maximum(c, 0.0))
-    grad_c = gradient(ScalarField(grid, c)).as_array()
+    c_pos = np.maximum(c, 0.0)
+    chi_c = params.chi_eval(c_pos)
+    kappa_c = params.kappa_eval(c_pos)
+    grad_c = [grid.irfftn(1j * ki * c_hat) for ki in k]
 
     # n: divergence-form flux of advection + chemotaxis
-    flux = np.array([dealias(grid, n * u[i] + chi_c * n * grad_c[i]) for i in range(3)])
-    ks = (grid.kx, grid.ky, grid.kz)
-    fn_hat = -sum(1j * k * np.fft.fftn(flux[i]) for i, k in enumerate(ks))
+    fn_hat = -sum(1j * ki * mask * grid.rfftn(n * u[i] + chi_c * n * grad_c[i])
+                  for i, ki in enumerate(k))
 
     # c: advection + consumption
-    adv_c = dealias(grid, sum(u[i] * grad_c[i] for i in range(3)))
-    fc_hat = np.fft.fftn(-adv_c - dealias(grid, kappa_c * n))
+    adv_c = u[0] * grad_c[0] + u[1] * grad_c[1] + u[2] * grad_c[2]
+    fc_hat = -grid.rfftn(adv_c + kappa_c * n) * mask
 
     # u: advection + buoyancy
     fu_hat = []
     for j in range(3):
-        grad_uj = gradient(ScalarField(grid, u[j])).as_array()
-        adv = dealias(grid, sum(u[i] * grad_uj[i] for i in range(3)))
-        fu_hat.append(np.fft.fftn(-adv - dealias(grid, n * gp[j])))
-    return fn_hat, fc_hat, fu_hat
+        adv = sum(u[i] * grid.irfftn(1j * ki * u_hat[j]) for i, ki in enumerate(k))
+        fu_hat.append(-grid.rfftn(adv + n * gp[j]) * mask)
+    return fn_hat, fc_hat, np.stack(fu_hat)
 
 
-def _project_hats(grid: Grid, u_hats):
-    ks = (grid.kx, grid.ky, grid.kz)
-    div_hat = sum(1j * k * h for k, h in zip(ks, u_hats))
-    inv = np.zeros_like(grid.k_sq)
-    nz = grid.k_sq > 0
-    inv[nz] = 1.0 / grid.k_sq[nz]
-    phi = div_hat * inv
-    return [h + 1j * k * phi for k, h in zip(ks, u_hats)]
+def advance(grid: Grid, n, c, u, params: PhysParams, dt: float, order: int = 1):
+    """One IMEX step on raw arrays: returns (n, c, u, step_log).
 
-
-def step(s: State, params: PhysParams, dt: float, order: int = 1) -> State:
-    """One IMEX step; returns a new State with a ``step_log`` dict attached.
-
+    Makes 29 real transforms at order 1 and 54 at order 2, from the
+    physical arrays alone (no transform is carried between steps).
     Diffusion uses the exact integrating factor exp(-|k|^2 dt); the
-    velocity is re-projected divergence-free; c is clamped to [0, c0_max]
-    and n at zero, with the clamped mass logged.
+    velocity is re-projected divergence-free; c is clamped to
+    [0, c0_max] and n at zero, with the clamped mass logged.  The new
+    arrays are checked for finiteness once.
     """
-    grid = s.grid
-    max_u = float(np.max(np.sqrt(np.sum(s.u**2, axis=0))))
+    max_u = float(np.max(np.sqrt(np.sum(u**2, axis=0))))
     cfl = max_u * dt / grid.h
     if cfl > 0.5:
         raise CFLError(cfl, 0.5 * grid.h / max_u)
-
-    E = np.exp(-grid.k_sq * dt)
-    n_hat = np.fft.fftn(s.n)
-    c_hat = np.fft.fftn(s.c)
-    u_hats = [np.fft.fftn(comp) for comp in s.u]
-
-    fn, fc, fu = _rhs_hats(grid, s.n, s.c, s.u, params)
-    if order == 1:
-        n_new = E * (n_hat + dt * fn)
-        c_new = E * (c_hat + dt * fc)
-        u_new = [E * (h + dt * f) for h, f in zip(u_hats, fu)]
-    elif order == 2:
-        # Heun on the integrating-factor variables
-        n_pred = np.real(np.fft.ifftn(E * (n_hat + dt * fn)))
-        c_pred = np.real(np.fft.ifftn(E * (c_hat + dt * fc)))
-        u_pred_h = _project_hats(grid, [E * (h + dt * f) for h, f in zip(u_hats, fu)])
-        u_pred = np.array([np.real(np.fft.ifftn(h)) for h in u_pred_h])
-        fn2, fc2, fu2 = _rhs_hats(grid, np.maximum(n_pred, 0.0),
-                                  np.clip(c_pred, 0.0, params.c0_max), u_pred, params)
-        n_new = E * n_hat + 0.5 * dt * (E * fn + fn2)
-        c_new = E * c_hat + 0.5 * dt * (E * fc + fc2)
-        u_new = [E * h + 0.5 * dt * (E * f + f2)
-                 for h, f, f2 in zip(u_hats, fu, fu2)]
-    else:
+    if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
 
-    u_new = _project_hats(grid, u_new)
-    u_arr = np.array([np.real(np.fft.ifftn(h)) for h in u_new])
-    n_arr = np.real(np.fft.ifftn(n_new))
-    c_arr = np.real(np.fft.ifftn(c_new))
+    E = np.exp(-grid.k_sq * dt)
+    n_hat, c_hat = grid.rfftn(n), grid.rfftn(c)
+    u_hat = grid.rfftn(u)
+    fn, fc, fu = _rhs_hats(grid, n, c, u, c_hat, u_hat, params)
+    n_new = E * (n_hat + dt * fn)
+    c_new = E * (c_hat + dt * fc)
+    u_new = E * (u_hat + dt * fu)
+    if order == 2:
+        # Heun on the integrating-factor variables
+        u_pred_hat = grid.project_hat(u_new)
+        n_pred = np.maximum(grid.irfftn(n_new), 0.0)
+        c_pred = np.clip(grid.irfftn(c_new), 0.0, params.c0_max)
+        fn2, fc2, fu2 = _rhs_hats(grid, n_pred, c_pred, grid.irfftn(u_pred_hat),
+                                  grid.rfftn(c_pred), u_pred_hat, params)
+        n_new = E * n_hat + 0.5 * dt * (E * fn + fn2)
+        c_new = E * c_hat + 0.5 * dt * (E * fc + fc2)
+        u_new = E * u_hat + 0.5 * dt * (E * fu + fu2)
 
-    vol = grid.cell_volume
-    clamp_mass = float(-np.sum(np.minimum(n_arr, 0.0)) * vol)
+    u_arr = grid.irfftn(grid.project_hat(u_new))
+    n_arr = grid.irfftn(n_new)
+    c_arr = grid.irfftn(c_new)
+    for name, arr in (("n", n_arr), ("c", c_arr), ("u", u_arr)):
+        _check_finite(arr, name)
+
+    clamp_mass = float(-np.sum(np.minimum(n_arr, 0.0)) * grid.cell_volume)
     c_overshoot = max(0.0, float(np.max(c_arr)) - params.c0_max)
-    n_arr = np.maximum(n_arr, 0.0)
-    c_arr = np.clip(c_arr, 0.0, params.c0_max)
+    step_log = {"clamp_mass": clamp_mass, "c_overshoot_preclamp": c_overshoot, "cfl": cfl}
+    return np.maximum(n_arr, 0.0), np.clip(c_arr, 0.0, params.c0_max), u_arr, step_log
 
-    from .pressure import solve_pressure
 
-    new = State(grid, n_arr, c_arr, u_arr, np.zeros_like(n_arr), s.time + dt)
-    new.p = solve_pressure(new, params).values
-    new.step_log = {
-        "clamp_mass": clamp_mass,
-        "c_overshoot_preclamp": c_overshoot,
-        "cfl": cfl,
-    }
+def _with_pressure(grid: Grid, n, c, u, time: float, params: PhysParams) -> State:
+    s = State(grid, n, c, u, np.zeros_like(n), time)
+    s.p = solve_pressure(s, params).values
+    return s
+
+
+def step(s: State, params: PhysParams, dt: float, order: int = 1) -> State:
+    """One IMEX step (``advance``: 29 real transforms at order 1, 54 at
+    order 2), then the pressure solve; returns a new State with P and a
+    ``step_log`` dict attached."""
+    n, c, u, step_log = advance(s.grid, s.n, s.c, s.u, params, dt, order)
+    new = _with_pressure(s.grid, n, c, u, s.time + dt, params)
+    new.step_log = step_log
     return new
 
 
@@ -266,11 +260,8 @@ def initial_state(cfg: SimulationConfig, params: PhysParams) -> State:
         c = np.clip(c0 * (0.75 + 0.25 * amp * _band_limited(rng, grid, modes)),
                     0.0, c0)
         raw = np.array([amp * _band_limited(rng, grid, modes) for _ in range(3)])
-        proj = leray_project(VectorField.from_arrays(grid, *raw))
-        u = proj.as_array()
+        u = grid.irfftn(grid.project_hat(grid.rfftn(raw)))
     elif preset == "restart":
-        from .snapshot import read_snapshot
-
         s = read_snapshot(cfg.init["path"], dt=cfg.dt)
         if s.grid.n != grid.n or s.grid.box_length != grid.box_length:
             raise ValueError("restart snapshot grid does not match config")
@@ -278,26 +269,29 @@ def initial_state(cfg: SimulationConfig, params: PhysParams) -> State:
     else:
         raise ValueError(f"unknown init preset {preset!r}")
 
-    st = State(grid, n, c, u, np.zeros(shape), cfg.start_time)
-    from .pressure import solve_pressure
-
-    st.p = solve_pressure(st, params).values
-    return st
+    return _with_pressure(grid, n, c, u, cfg.start_time, params)
 
 
 def _band_limited(rng, grid: Grid, modes: int) -> np.ndarray:
-    """Random real field supported on |k_i| <= modes wavenumber indices."""
-    out = np.zeros((grid.n,) * 3)
-    x, y, z = grid.coords()
-    k0 = 2.0 * np.pi / grid.box_length
-    for kx in range(-modes, modes + 1):
-        for ky in range(-modes, modes + 1):
-            for kz in range(-modes, modes + 1):
-                if kx == ky == kz == 0:
-                    continue
-                a, b = rng.normal(size=2) / (1.0 + kx * kx + ky * ky + kz * kz)
-                phase = k0 * (kx * x + ky * y + kz * z)
-                out += a * np.cos(phase) + b * np.sin(phase)
+    """Random real field supported on |k_i| <= modes wavenumber indices.
+
+    Each mode k != 0 draws (a, b) in the order kx, ky, kz (outer to inner)
+    and contributes a cos(k.x) + b sin(k.x) = Re[(a - i b) e^{i k.x}].  The
+    sum is one inverse real FFT of the Hermitian part of those
+    coefficients, which gives the real part.
+    """
+    m = np.arange(-modes, modes + 1)
+    kx, ky, kz = (a.ravel() for a in np.meshgrid(m, m, m, indexing="ij"))
+    keep = (kx != 0) | (ky != 0) | (kz != 0)
+    kx, ky, kz = kx[keep], ky[keep], kz[keep]
+    ab = rng.normal(size=(len(kx), 2)) / (1.0 + kx * kx + ky * ky + kz * kz)[:, None]
+    coeff = 0.5 * (ab[:, 0] - 1j * ab[:, 1])
+    n = grid.n
+    full = np.zeros((n, n, n), dtype=complex)
+    # add.at: with 2 modes + 1 > N, aliased modes share a grid wavenumber
+    np.add.at(full, (kx % n, ky % n, kz % n), coeff)
+    np.add.at(full, (-kx % n, -ky % n, -kz % n), np.conj(coeff))
+    out = n**3 * grid.irfftn(full[..., : n // 2 + 1])
     return out / max(1.0, float(np.max(np.abs(out))))
 
 
@@ -305,8 +299,11 @@ def simulate(cfg: SimulationConfig, params: Optional[PhysParams] = None,
              out_dir=None) -> Trajectory:
     """Run the solver and collect snapshots every ``output_stride`` steps.
 
-    When ``out_dir`` is given, snapshots are persisted in the CNS1 format
-    as the run proceeds.
+    Steps run on raw arrays (``advance``); a State, with its pressure
+    solved, is built only for the initial and every kept snapshot.  When
+    ``out_dir`` is given, each kept snapshot is written in the CNS1 format
+    as soon as it is produced, and ``trajectory.json`` (with the run log)
+    is written last, so it exists only for a run that finished.
     """
     if params is None:
         params = PhysParams(
@@ -315,28 +312,41 @@ def simulate(cfg: SimulationConfig, params: Optional[PhysParams] = None,
             gravity=cfg.gravity,
             c0_max=float(cfg.init.get("c0", 1.0)),
         )
+    out = None
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        # a marker left by an earlier run must not vouch for this one
+        (out / "trajectory.json").unlink(missing_ok=True)
+    states = []
+
+    def keep(state: State) -> None:
+        if out is not None:
+            write_snapshot(out / snapshot_name(len(states)), state)
+        states.append(state)
+
     s = initial_state(cfg, params)
-    states = [s]
+    keep(s)
+    grid, n, c, u, t = s.grid, s.n, s.c, s.u, s.time
     n_steps = int(round((cfg.t_end - cfg.start_time) / cfg.dt))
-    mass0 = float(np.sum(s.n) * s.grid.cell_volume)
+    mass0 = float(np.sum(n) * grid.cell_volume)
     run_log = {"clamp_mass_total": 0.0, "c_overshoot_max": 0.0, "mass_drift_max": 0.0}
     for i in range(1, n_steps + 1):
-        s = step(s, params, cfg.dt, order=cfg.order)
-        run_log["clamp_mass_total"] += s.step_log["clamp_mass"]
+        n, c, u, step_log = advance(grid, n, c, u, params, cfg.dt, order=cfg.order)
+        t = t + cfg.dt
+        run_log["clamp_mass_total"] += step_log["clamp_mass"]
         run_log["c_overshoot_max"] = max(
-            run_log["c_overshoot_max"], s.step_log["c_overshoot_preclamp"]
+            run_log["c_overshoot_max"], step_log["c_overshoot_preclamp"]
         )
         if mass0 > 0:
-            mass = float(np.sum(s.n) * s.grid.cell_volume)
+            mass = float(np.sum(n) * grid.cell_volume)
             # drift before crediting back the clamped (negative) mass
             drift = abs(mass - run_log["clamp_mass_total"] - mass0) / mass0
             run_log["mass_drift_max"] = max(run_log["mass_drift_max"], drift)
         if i % cfg.output_stride == 0 or i == n_steps:
-            states.append(s)
+            keep(_with_pressure(grid, n, c, u, t, params))
     traj = Trajectory(states, params=params)
     traj.run_log = run_log
-    if out_dir is not None:
-        from .snapshot import write_trajectory
-
-        write_trajectory(out_dir, traj)
+    if out is not None:
+        write_trajectory_meta(out, traj, extra_meta={"run_log": run_log})
     return traj

@@ -16,7 +16,6 @@ from cnsflow.cli import (
     main,
     parse_config,
     read_csv,
-    worker_count,
 )
 
 CONFIG_TEXT = """\
@@ -79,15 +78,6 @@ def test_parse_config_rejects_garbage(tmp_path):
         parse_config(p)
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("CNS_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("CNS_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("CNS_THREADS", "junk")
-    assert worker_count() == 1
-
-
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -98,6 +88,15 @@ def test_missing_config_key_exits_2(workdir, tmp_path, capsys):
     code = main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert "grid.n" in capsys.readouterr().err
+
+
+def test_malformed_pipeline_key_exits_2(tmp_path, capsys):
+    p = tmp_path / "bad.cfg"
+    p.write_text(CONFIG_TEXT + "pipeline.flag_stride = abc\n")
+    code = main(["pipeline", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "pipeline.flag_stride" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "trajectory").exists()  # failed before the run
 
 
 def test_out_of_range_cylinder_exits_3(workdir, traj_dir, tmp_path, capsys):

@@ -53,8 +53,7 @@ def test_laplacian_matches_analytic():
 def test_hessian_trace_is_laplacian():
     g = Grid(32, 1.0)
     rng = np.random.default_rng(1)
-    f = np.real(np.fft.ifftn(np.fft.fftn(rng.normal(size=(32,) * 3))
-                             * g.dealias_mask))
+    f = dealias(g, rng.normal(size=(32,) * 3))
     hess = hessian_components(ScalarField(g, f))
     trace = hess[(0, 0)] + hess[(1, 1)] + hess[(2, 2)]
     lap = laplacian(ScalarField(g, f)).values
@@ -106,6 +105,43 @@ def test_dealias_is_a_projection():
     assert np.max(np.abs(dealias(g, once) - once)) < 1e-12
 
 
+def test_operators_match_complex_fft_formulas():
+    """Each half-spectrum operator against its full complex-FFT formula,
+    on white noise, which has energy on every Nyquist plane."""
+    N, L = 16, 2.0
+    g = Grid(N, L)
+    rng = np.random.default_rng(6)
+    f = rng.normal(size=(N,) * 3)
+    w = rng.normal(size=(N,) * 3)
+    u = rng.normal(size=(3, N, N, N))
+    m = np.fft.fftfreq(N, 1.0 / N)
+    k1 = 2.0 * np.pi / L * m
+    kd = 2.0 * np.pi / L * np.where(np.abs(m) == N // 2, 0.0, m)
+    shapes = ((-1, 1, 1), (1, -1, 1), (1, 1, -1))
+    kf = [k1.reshape(s) for s in shapes]
+    ks = [kd.reshape(s) for s in shapes]  # first-derivative symbols
+    k_sq = kf[0] ** 2 + kf[1] ** 2 + kf[2] ** 2
+    inv = np.where(k_sq > 0, 1.0 / np.where(k_sq > 0, k_sq, 1.0), 0.0)
+    mask = np.abs(m) <= N / 3.0
+    mask = mask.reshape(shapes[0]) & mask.reshape(shapes[1]) & mask.reshape(shapes[2])
+
+    def real_ifft(hat):
+        return np.real(np.fft.ifftn(hat))
+
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+
+    fh = np.fft.fftn(f)
+    grad = gradient(ScalarField(g, f)).as_array()
+    assert all(close(grad[i], real_ifft(1j * ks[i] * fh)) for i in range(3))
+    uh = [np.fft.fftn(c) for c in u]
+    phi = (ks[0] * uh[0] + ks[1] * uh[1] + ks[2] * uh[2]) * inv
+    proj = leray_project(VectorField.from_arrays(g, *u)).as_array()
+    assert all(close(proj[i], real_ifft(uh[i] - ks[i] * phi)) for i in range(3))
+    assert close(g.irfftn(g.poisson_hat(g.rfftn(f))), real_ifft(fh * inv))
+    assert close(dealias(g, f * w), real_ifft(mask * np.fft.fftn(f * w)))
+
+
 def test_spectral_upsample_preserves_coarse_samples():
     g = Grid(16, 1.0)
     f, _, _ = trig_field(g)
@@ -127,6 +163,27 @@ def test_ball_mask_volume():
     vol = np.sum(mask) * g.cell_volume
     exact = 4.0 * np.pi / 3.0 * r**3
     assert abs(vol - exact) / exact < 0.02
+
+
+@pytest.mark.parametrize("n, box, radius", [
+    (48, 1.0, 1.0 / 8.0),
+    (32, 2.0 * np.pi, 3.0 * 2.0 * np.pi / 32),
+    (48, 1.0, 1.0 / 16.0),
+])
+def test_ball_mask_same_stencil_at_every_grid_centre(n, box, radius):
+    """Cells exactly on the sphere fall on the same side at every grid
+    point; the centres run through every index on each axis."""
+    g = Grid(n, box)
+    base = ball_mask(g, (0.0, 0.0, 0.0), radius)
+    q = round((radius / g.h) ** 2)
+    off = np.arange(-n // 2, n // 2)
+    lattice = np.sum(off[:, None, None] ** 2 + off[None, :, None] ** 2
+                     + off[None, None, :] ** 2 < q)
+    assert np.sum(base) == lattice
+    for i in range(n):
+        idx = (i, (5 * i + 3) % n, (11 * i + 7) % n)
+        mask = ball_mask(g, tuple(j * g.h for j in idx), radius)
+        assert np.array_equal(mask, np.roll(base, idx, axis=(0, 1, 2))), idx
 
 
 def test_ball_mask_radius_cap():

@@ -1,6 +1,8 @@
 """Pressure solve, local decomposition, Riesz potentials, and the harmonic
 interior estimates, checked against closed forms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,42 @@ def test_riesz_uniform_ball_closed_form():
     got = out.values[32, 32, 32]
     exact = 2.0 * np.pi * R**2
     assert abs(got - exact) / exact < 0.01
+
+
+def test_riesz_matches_direct_sum_with_self_cell():
+    """Against the direct periodic sum over the support, skipping the
+    coincident cell and adding its closed-form ball integral."""
+    g = Grid(16, 1.0)
+    mask = ball_mask(g, (0.5, 0.5, 0.5), 0.2)
+    f = ScalarField(g, np.random.default_rng(8).normal(size=(16,) * 3))
+    alpha = 1.5
+    got = riesz_potential(f, alpha, mask).values[mask]
+    xs, ys, zs = np.broadcast_arrays(*g.coords())
+    pts = np.stack([xs[mask], ys[mask], zs[mask]], axis=1)
+    fv = f.values[mask]
+    d = pts[:, None, :] - pts[None, :, :]
+    d -= np.round(d)  # unit box
+    r = np.sqrt(np.sum(d * d, axis=2))
+    with np.errstate(divide="ignore"):
+        kernel = np.where(r > 0, r ** (alpha - 3.0), 0.0)
+    a = (3.0 / (4.0 * np.pi)) ** (1.0 / 3.0) * g.h
+    ref = kernel @ fv * g.cell_volume + 4.0 * np.pi * a**alpha / alpha * fv
+    assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def test_riesz_memory_does_not_grow_with_cell_pairs():
+    # one len(tgt) x len(src) x 3 array of doubles would take 403 MB here
+    g = Grid(32, 1.0)
+    mask = np.zeros((32,) * 3, dtype=bool)
+    mask[:16, :16, :16] = True  # 4096 source and target cells
+    f = ScalarField(g, np.ones((32,) * 3))
+    tracemalloc.start()
+    try:
+        riesz_potential(f, 2.0, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 250e6
 
 
 def test_riesz_alpha_out_of_range():

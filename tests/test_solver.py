@@ -12,11 +12,15 @@ from cnsflow import (
     SimulationConfig,
     divergence,
     initial_state,
+    read_snapshot,
     simulate,
+    solve_pressure,
     step,
     write_snapshot,
+    write_trajectory,
 )
 from cnsflow.grid_fields import VectorField
+from cnsflow.solver import _band_limited
 
 
 def test_kappa_is_theta0_s_chi():
@@ -164,3 +168,70 @@ def test_unknown_preset_rejected():
     params = PhysParams(theta0=1.0, chi_coeffs=(1.0,), c0_max=1.0)
     with pytest.raises(ValueError):
         initial_state(cfg, params)
+
+
+def test_band_limited_matches_direct_mode_sum():
+    """The one-FFT construction against the direct cos/sin sum over the
+    modes, drawing the same normals in the same order."""
+    g = Grid(16, 1.0)
+    modes = 2
+    got = _band_limited(np.random.default_rng(11), g, modes)
+
+    rng = np.random.default_rng(11)
+    ref = np.zeros((g.n,) * 3)
+    x, y, z = g.coords()
+    k0 = 2.0 * np.pi / g.box_length
+    for kx in range(-modes, modes + 1):
+        for ky in range(-modes, modes + 1):
+            for kz in range(-modes, modes + 1):
+                if kx == ky == kz == 0:
+                    continue
+                a, b = rng.normal(size=2) / (1.0 + kx * kx + ky * ky + kz * kz)
+                phase = k0 * (kx * x + ky * y + kz * z)
+                ref += a * np.cos(phase) + b * np.sin(phase)
+    ref /= max(1.0, float(np.max(np.abs(ref))))
+    assert np.max(np.abs(got - ref)) < 1e-13
+
+
+def test_kept_states_carry_their_pressure():
+    cfg = SimulationConfig(
+        grid_n=16, grid_l=1.0, dt=2e-4, t_end=0.003, output_stride=4,
+        chi_coeffs=(0.5,), gravity=0.3, seed=5,
+        init={"preset": "random_smooth", "amplitude": 0.05,
+              "n_mean": 1.0, "c0": 1.0, "modes": 2},
+    )
+    params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.3, c0_max=1.0)
+    traj = simulate(cfg, params=params)
+    assert len(traj.states) == 5  # initial, steps 4, 8, 12 and the last (15)
+    for s in traj.states:
+        assert np.array_equal(s.p, solve_pressure(s, params).values)
+
+
+def test_simulate_streams_snapshots_and_commits_last(tmp_path):
+    base = dict(grid_n=16, grid_l=1.0, dt=2e-4, t_end=0.002, output_stride=5,
+                chi_coeffs=(0.5,), gravity=0.3, seed=4,
+                init={"preset": "random_smooth", "amplitude": 0.05,
+                      "n_mean": 1.0, "c0": 1.0, "modes": 2})
+    traj = simulate(SimulationConfig(**base), out_dir=tmp_path / "run")
+    write_trajectory(tmp_path / "ref", traj, extra_meta={"run_log": traj.run_log})
+    names = sorted(p.name for p in (tmp_path / "ref").iterdir())
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == names
+    for name in names:
+        assert ((tmp_path / "run" / name).read_bytes()
+                == (tmp_path / "ref" / name).read_bytes()), name
+
+
+def test_crashed_run_keeps_snapshots_without_commit_marker(tmp_path):
+    # buoyancy accelerates the flow past the CFL limit after a few steps
+    cfg = SimulationConfig(grid_n=16, grid_l=1.0, dt=1e-3, t_end=0.05,
+                           output_stride=2, gravity=2e4, chi_coeffs=(0.0,),
+                           init={"preset": "gaussian", "amplitude": 1.0, "c0": 0.0})
+    (tmp_path / "trajectory.json").write_text("{}")  # from an earlier run
+    with pytest.raises(CFLError):
+        simulate(cfg, out_dir=tmp_path)
+    snaps = sorted(tmp_path.glob("snap_*.cns"))
+    assert len(snaps) >= 2
+    assert not (tmp_path / "trajectory.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [p.name for p in snaps]
+    times = [read_snapshot(p).time for p in snaps]
+    assert times == sorted(times) and times[0] == 0.0
