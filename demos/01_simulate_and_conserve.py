@@ -15,7 +15,6 @@ maximum principle for c, and incompressibility of u.
 import numpy as np
 
 from cnsflow import PhysParams, SimulationConfig, divergence, simulate
-from cnsflow.grid_fields import VectorField
 
 cfg = SimulationConfig(
     grid_n=32, grid_l=1.0, dt=2e-4, t_end=0.03, output_stride=10,
@@ -32,7 +31,7 @@ print(f"max relative mass drift : {traj.run_log['mass_drift_max']:.3e}")
 
 mass0 = float(np.sum(traj.states[0].n) * vol)
 for s in traj.states[:: max(1, len(traj.states) // 5)]:
-    div = divergence(VectorField.from_arrays(s.grid, *s.u)).values
+    div = divergence(s.grid, s.u)
     print(f"  t = {s.time:.4f}  mass = {np.sum(s.n) * vol:.12f}"
           f"  max c = {np.max(s.c):.6f}  |div u| = {np.max(np.abs(div)):.2e}")
 

@@ -16,7 +16,6 @@ import numpy as np
 from cnsflow import (
     Grid,
     PhysParams,
-    ScalarField,
     SimulationConfig,
     ball_mask,
     cz_sanity_report,
@@ -54,7 +53,7 @@ a = 0.2
 mask = ball_mask(g, (0.5, 0.5, 0.5), a)
 center = np.zeros((64,) * 3, dtype=bool)
 center[32, 32, 32] = True
-got = riesz_potential(ScalarField(g, mask.astype(float)), 2.0, mask,
-                      target_mask=center).values[32, 32, 32]
+got = riesz_potential(g, mask.astype(float), 2.0, mask,
+                      target_mask=center)[32, 32, 32]
 print(f"I_2 of 1_B({a}) at the center: {got:.6f} "
       f"(closed form 2 pi a^2 = {2 * np.pi * a**2:.6f})")

@@ -16,8 +16,6 @@ from .grid_fields import (
     NonFiniteFieldError,
     ParabolicCylinder,
     RescaleError,
-    ScalarField,
-    VectorField,
     ball_mask,
     dealias,
     divergence,

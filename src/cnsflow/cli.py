@@ -231,6 +231,19 @@ LEI_COLUMNS = (("t",) + tuple("lhs_" + n for n in LHS_TERM_NAMES)
                + tuple("rhs_" + n for n in RHS_TERM_NAMES) + ("residual",))
 
 
+def _quantity_row(traj, x0, t0: float, r: float) -> list:
+    """One QUANTITY_COLUMNS row: the cylinder quantities at (x0, t0, r)."""
+    d = compute_quantities(traj, ParabolicCylinder(x0, t0, r)).as_dict()
+    return [t0, x0[0], x0[1], x0[2], r] + [d[name] for name in QUANTITY_COLUMNS[5:]]
+
+
+def _lei_row(traj, tf, t: float, center, omega: float) -> list:
+    """One LEI_COLUMNS row: the local energy inequality terms at time t."""
+    rep = lei_residual(traj, tf, t, center, omega)
+    return ([t] + [rep.lhs_terms[n] for n in LHS_TERM_NAMES]
+            + [rep.rhs_terms[n] for n in RHS_TERM_NAMES] + [rep.residual])
+
+
 def _read_centers(path) -> list:
     header, rows = read_csv(path)
     idx = {name: header.index(name) for name in ("x0", "x1", "x2", "t0")}
@@ -259,13 +272,7 @@ def cmd_diagnose_quantities(args) -> int:
     radii = _float_list(args.radii)
     if not radii:
         raise ConfigError("empty --radii")
-    rows = []
-    for (x0, t0), r in ((c, r) for c in centers for r in sorted(radii)):
-        Q = ParabolicCylinder(x0, t0, r)
-        q = compute_quantities(traj, Q)
-        d = q.as_dict()
-        rows.append([t0, x0[0], x0[1], x0[2], r]
-                    + [d[name] for name in QUANTITY_COLUMNS[5:]])
+    rows = [_quantity_row(traj, x0, t0, r) for x0, t0 in centers for r in sorted(radii)]
     write_csv(args.out, QUANTITY_COLUMNS, rows)
     return EXIT_OK
 
@@ -325,10 +332,7 @@ def cmd_verify_lei(args) -> int:
     center = _float_list(args.center) if args.center else (L / 2,) * 3
     omega = float(args.omega) if args.omega else L / 4.0
     t = float(args.t)
-    rep = lei_residual(traj, tf, t, center, omega)
-    row = ([t] + [rep.lhs_terms[n] for n in LHS_TERM_NAMES]
-           + [rep.rhs_terms[n] for n in RHS_TERM_NAMES] + [rep.residual])
-    write_csv(args.out, LEI_COLUMNS, [row])
+    write_csv(args.out, LEI_COLUMNS, [_lei_row(traj, tf, t, center, omega)])
     return EXIT_OK
 
 
@@ -379,13 +383,7 @@ def _parse_scales(spec: str) -> list:
 
 
 def cmd_dimension(args) -> int:
-    header, rows = read_csv(args.flags)
-    idx = {name: header.index(name) for name in ("t0", "x0", "x1", "x2")}
-    points = [
-        ((float(r[idx["x0"]]), float(r[idx["x1"]]), float(r[idx["x2"]])),
-         float(r[idx["t0"]]))
-        for r in rows
-    ]
+    points = _read_centers(args.flags)
     scales = _parse_scales(args.scales)
     out_rows = []
     if points:
@@ -439,12 +437,7 @@ def cmd_pipeline(args) -> int:
         radii = (0.5 * r_cap, r_cap)
 
     def quantities():
-        rows = []
-        for r in sorted(radii):
-            Q = ParabolicCylinder(center, t_last, r)
-            d = compute_quantities(traj, Q).as_dict()
-            rows.append([t_last, center[0], center[1], center[2], r]
-                        + [d[name] for name in QUANTITY_COLUMNS[5:]])
+        rows = [_quantity_row(traj, center, t_last, r) for r in sorted(radii)]
         write_csv(out / "quantities.csv", QUANTITY_COLUMNS, rows)
 
     phase("quantities", quantities)
@@ -461,10 +454,8 @@ def cmd_pipeline(args) -> int:
     def lei():
         bump_r = min(L / 8.0, max(radii))
         tf = smooth_bump(bump_r, min(0.5 * span, bump_r**2))
-        rep = lei_residual(traj, tf, t_last, center, L / 4.0)
-        row = ([t_last] + [rep.lhs_terms[n] for n in LHS_TERM_NAMES]
-               + [rep.rhs_terms[n] for n in RHS_TERM_NAMES] + [rep.residual])
-        write_csv(out / "lei.csv", LEI_COLUMNS, [row])
+        write_csv(out / "lei.csv", LEI_COLUMNS,
+                  [_lei_row(traj, tf, t_last, center, L / 4.0)])
 
     phase("lei", lei)
     outputs["lei"] = out / "lei.csv"

@@ -22,7 +22,7 @@ from .grid_fields import (
     integrate_cylinder,
     sup_over_time,
 )
-from .state import Trajectory, rescale_state
+from .state import Trajectory, guarded_log, rescale_state
 
 #: quantity names whose values are exactly preserved by the rescaling
 INVARIANT_NAMES = (
@@ -213,9 +213,7 @@ def log_split(traj: Trajectory, rho0: float, Q: ParabolicCylinder) -> LogSplit:
     def band_integral(selector):
         def spatial(state, mask):
             n = np.maximum(state.n[mask], 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                val = np.where(n > 0, np.abs(n * np.log(
-                    np.where(n > 0, rho0**2 * n, 1.0))) ** 1.5, 0.0)
+            val = np.abs(n * guarded_log(n, rho0**2)) ** 1.5
             return float(np.sum(val[selector(n)]) * vol)
 
         return w * cylinder_time_integral(traj, Q, spatial)

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid_fields import ball_mask, gradient, laplacian, ScalarField
+from .grid_fields import ball_mask, gradient, laplacian
 from .state import EPS_FLOOR, Trajectory
 
 
@@ -505,9 +505,8 @@ def lei_residual(traj: Trajectory, tf: TestFunction, t: float,
         # array, so discrete integration by parts is exact (the cell sum
         # of Delta psi and of u . grad psi against constants vanishes);
         # the time derivative is analytic
-        psi_sf = ScalarField(grid, psi)
-        gpsi = gradient(psi_sf).as_array()
-        hres = tf.dt_value(xrel, tm - t) + laplacian(psi_sf).values
+        gpsi = gradient(grid, psi)
+        hres = tf.dt_value(xrel, tm - t) + laplacian(grid, psi)
 
         def mid(name):
             return _interp_arrays(s0.derived(name), s1.derived(name), lam)

@@ -1,11 +1,13 @@
 """Periodic-box fields with spectral calculus and parabolic-cylinder quadrature.
 
 All fields live on a uniform N^3 grid over the torus [0, L)^3 with
-cell-centered collocation points.  Derivatives are Fourier multipliers,
-so they are exact for band-limited data.  Space-time integrals over
-parabolic cylinders use a binary ball mask (minimum-image distance)
-in space and the trapezoid rule on the piecewise-linear-in-time
-interpolant of the spatial integral.
+cell-centered collocation points, as plain arrays: (N, N, N) for a
+scalar, (3, N, N, N) for a vector.  Every spectral operator is a
+function of (grid, array) that returns an array.  Derivatives are
+Fourier multipliers, so they are exact for band-limited data.
+Space-time integrals over parabolic cylinders use a binary ball mask
+(minimum-image distance) in space and the trapezoid rule on the
+piecewise-linear-in-time interpolant of the spatial integral.
 """
 
 from __future__ import annotations
@@ -48,14 +50,13 @@ class Grid:
     and one Poisson solve.
     """
 
-    def __init__(self, n: int, box_length: float, dt: float = 1.0):
+    def __init__(self, n: int, box_length: float):
         if n < 8 or n % 2 != 0:
             raise ValueError(f"need even N >= 8, got {n}")
-        if box_length <= 0 or dt <= 0:
-            raise ValueError("box_length and dt must be positive")
+        if box_length <= 0:
+            raise ValueError("box_length must be positive")
         self.n = int(n)
         self.box_length = float(box_length)
-        self.dt = float(dt)
         self.h = self.box_length / self.n
         x1 = self.h * np.arange(self.n)
         self.x = x1.reshape(-1, 1, 1)
@@ -97,6 +98,13 @@ class Grid:
                          where=self.k_sq > 0)
 
     @cached_property
+    def inv_kd_sq(self) -> np.ndarray:
+        """1/|k|^2 of the Nyquist-zeroed ``k`` (0 where that vanishes), so
+        the projection divides by the symbol it differentiates with."""
+        kd_sq = sum(k**2 for k in self.k)
+        return np.divide(1.0, kd_sq, out=np.zeros_like(kd_sq), where=kd_sq > 0)
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask."""
         lim = (2.0 / 3.0) * np.max(np.abs(self._k_full[0]))
@@ -104,8 +112,9 @@ class Grid:
         return kx & ky & kz
 
     def project_hat(self, u_hat: np.ndarray) -> np.ndarray:
-        """Leray projection u - k (k . u)/|k|^2 of a (3, ...) half spectrum."""
-        phi = sum(k * h for k, h in zip(self.k, u_hat)) * self.inv_k_sq
+        """Leray projection u - k (k . u)/|k|^2 of a (3, ...) half spectrum,
+        with the Nyquist-zeroed ``k`` throughout, so k . (P u) = 0 exactly."""
+        phi = sum(k * h for k, h in zip(self.k, u_hat)) * self.inv_kd_sq
         return np.stack([h - k * phi for k, h in zip(self.k, u_hat)])
 
     def poisson_hat(self, rhs_hat: np.ndarray) -> np.ndarray:
@@ -117,14 +126,13 @@ class Grid:
             isinstance(other, Grid)
             and self.n == other.n
             and self.box_length == other.box_length
-            and self.dt == other.dt
         )
 
     def __hash__(self):
-        return hash((self.n, self.box_length, self.dt))
+        return hash((self.n, self.box_length))
 
     def __repr__(self):
-        return f"Grid(n={self.n}, box_length={self.box_length}, dt={self.dt})"
+        return f"Grid(n={self.n}, box_length={self.box_length})"
 
     def coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Broadcastable cell-center coordinate arrays."""
@@ -138,36 +146,6 @@ class Grid:
             d = np.mod(c - x0i + 0.5 * L, L) - 0.5 * L
             out = out + d * d
         return out
-
-
-@dataclass
-class ScalarField:
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n,) * 3:
-            raise ValueError(f"bad field shape {self.values.shape}")
-        _check_finite(self.values, "scalar field")
-
-
-@dataclass
-class VectorField:
-    grid: Grid
-    components: tuple[ScalarField, ScalarField, ScalarField]
-
-    def __post_init__(self):
-        if any(c.grid != self.grid for c in self.components):
-            raise ValueError("components must share one grid")
-
-    @classmethod
-    def from_arrays(cls, grid: Grid, ux, uy, uz) -> "VectorField":
-        return cls(grid, tuple(ScalarField(grid, a) for a in (ux, uy, uz)))
-
-    def as_array(self) -> np.ndarray:
-        """Stacked (3, N, N, N) view of the components."""
-        return np.stack([c.values for c in self.components])
 
 
 @dataclass(frozen=True)
@@ -202,29 +180,25 @@ class ParabolicCylinder:
 # spectral calculus
 # ---------------------------------------------------------------------------
 
-def gradient(f: ScalarField) -> VectorField:
-    """Spectral gradient; exact for band-limited fields."""
-    g = f.grid
-    fh = g.rfftn(f.values)
-    return VectorField.from_arrays(g, *(g.irfftn(1j * k * fh) for k in g.k))
+def gradient(g: Grid, f: np.ndarray) -> np.ndarray:
+    """Spectral gradient, shape (3, N, N, N); exact for band-limited fields."""
+    fh = g.rfftn(f)
+    return np.stack([g.irfftn(1j * k * fh) for k in g.k])
 
 
-def divergence(v: VectorField) -> ScalarField:
-    g = v.grid
-    div_hat = sum(1j * k * g.rfftn(c.values) for k, c in zip(g.k, v.components))
-    return ScalarField(g, g.irfftn(div_hat))
+def divergence(g: Grid, v: np.ndarray) -> np.ndarray:
+    """Spectral divergence of a (3, N, N, N) field."""
+    return g.irfftn(sum(1j * k * g.rfftn(c) for k, c in zip(g.k, v)))
 
 
-def laplacian(f: ScalarField) -> ScalarField:
-    g = f.grid
-    return ScalarField(g, g.irfftn(-g.k_sq * g.rfftn(f.values)))
+def laplacian(g: Grid, f: np.ndarray) -> np.ndarray:
+    return g.irfftn(-g.k_sq * g.rfftn(f))
 
 
-def hessian_components(f: ScalarField) -> dict[tuple[int, int], np.ndarray]:
+def hessian_components(g: Grid, f: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
     """All nine second derivatives d_i d_j f (symmetric; computed once per
     pair); the diagonal keeps the Nyquist modes, like the Laplacian."""
-    g = f.grid
-    fh = g.rfftn(f.values)
+    fh = g.rfftn(f)
     out = {}
     for i in range(3):
         for j in range(i, 3):
@@ -233,10 +207,10 @@ def hessian_components(f: ScalarField) -> dict[tuple[int, int], np.ndarray]:
     return out
 
 
-def leray_project(v: VectorField) -> VectorField:
-    """Remove the gradient part: P u = u - grad(Delta^-1 div u)."""
-    g = v.grid
-    return VectorField.from_arrays(g, *g.irfftn(g.project_hat(g.rfftn(v.as_array()))))
+def leray_project(g: Grid, v: np.ndarray) -> np.ndarray:
+    """Remove the gradient part of a (3, N, N, N) field:
+    P u = u - grad(Delta^-1 div u)."""
+    return g.irfftn(g.project_hat(g.rfftn(v)))
 
 
 def dealias(grid: Grid, values: np.ndarray) -> np.ndarray:

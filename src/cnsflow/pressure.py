@@ -20,7 +20,6 @@ from .energy import _smoothstep
 from .grid_fields import (
     CylinderRangeError,
     Grid,
-    ScalarField,
     spectral_upsample,
 )
 
@@ -50,11 +49,12 @@ def _poisson_div(grid: Grid, g_hat) -> np.ndarray:
     return grid.irfftn(grid.poisson_hat(grid.dealias_mask * div_hat))
 
 
-def solve_pressure(s, params=None) -> ScalarField:
-    """Zero-mean periodic solve of -Delta P = d_i d_j (u_i u_j) + div(n grad_phi)."""
+def solve_pressure(s, params=None) -> np.ndarray:
+    """Zero-mean periodic solve of -Delta P = d_i d_j (u_i u_j) + div(n grad_phi);
+    returns the (N, N, N) array P."""
     grid = s.grid
     gp = params.grad_phi_arrays(grid) if params is not None else np.zeros_like(s.u)
-    return ScalarField(grid, _poisson_div(grid, _force_hats(grid, s.u, s.n, gp)))
+    return _poisson_div(grid, _force_hats(grid, s.u, s.n, gp))
 
 
 def quintic_bump(dist: np.ndarray, rho: float) -> np.ndarray:
@@ -252,16 +252,16 @@ def harmonic_residual(decomp: PressureDecomposition, radii=None,
 # Riesz potentials
 # ---------------------------------------------------------------------------
 
-def riesz_potential(f: ScalarField, alpha: float, mask: np.ndarray,
-                    target_mask: Optional[np.ndarray] = None) -> ScalarField:
-    """I_alpha f(x) = integral of f(y) |x-y|^(alpha-3) over the masked support.
+def riesz_potential(grid: Grid, f: np.ndarray, alpha: float, mask: np.ndarray,
+                    target_mask: Optional[np.ndarray] = None) -> np.ndarray:
+    """I_alpha f(x) = integral of f(y) |x-y|^(alpha-3) over the masked support,
+    as an (N, N, N) array that is zero off ``target_mask`` (default ``mask``).
 
     Direct midpoint quadrature; the coincident cell uses the closed-form
     kernel integral over the volume-equivalent ball.
     """
     if not 0.0 < alpha < 3.0:
         raise ValueError(f"alpha must lie in (0, 3), got {alpha}")
-    grid = f.grid
     if int(np.sum(mask)) > MAX_SOURCE_CELLS:
         raise CylinderRangeError("masked support exceeds the source-cell cap")
     if target_mask is None:
@@ -270,7 +270,7 @@ def riesz_potential(f: ScalarField, alpha: float, mask: np.ndarray,
     L = grid.box_length
     xs, ys, zs = np.broadcast_arrays(*grid.coords())
     src = np.stack([xs[mask], ys[mask], zs[mask]], axis=1)
-    fv = f.values[mask]
+    fv = f[mask]
     tgt = np.stack([xs[target_mask], ys[target_mask], zs[target_mask]], axis=1)
 
     # volume-equivalent ball radius of one cell
@@ -295,7 +295,7 @@ def riesz_potential(f: ScalarField, alpha: float, mask: np.ndarray,
         out_vals[a0:a0 + chunk] = vals
     out = np.zeros((grid.n,) * 3)
     out[target_mask] = out_vals
-    return ScalarField(grid, out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .grid_fields import (
     cylinder_time_integral,
     integrate_cylinder,
 )
-from .state import Trajectory
+from .state import Trajectory, guarded_log
 
 
 def gamma_window(delta0: float) -> tuple[float, float]:
@@ -238,8 +238,7 @@ def _sup_in_time_bundle(traj: Trajectory, Q: ParabolicCylinder,
     for i in sel:
         s = traj.states[i]
         n = np.maximum(s.n[mask], 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nln = np.where(n > 0, np.abs(n * np.log(np.where(n > 0, w * n, 1.0))), 0.0)
+        nln = np.abs(n * guarded_log(n, w))
         total = float(
             np.sum(n + nln) * vol
             + np.sum(s.derived("grad_sqrt_c")[..., mask] ** 2) * vol
@@ -290,8 +289,7 @@ def flag_thm16(traj: Trajectory, z0, cfg: RegularityConfig, params=None,
     else:
         def cubic_density(state, mask):
             n = np.maximum(state.n[mask], 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lnw = np.where(n > 0, np.abs(np.log(np.where(n > 0, w * n, 1.0))), 0.0)
+            lnw = np.abs(guarded_log(n, w))
             return float(np.sum(n**1.5 * (lnw + 1.0) ** 1.5) * vol)
 
         dens = rho0**-2 * cylinder_time_integral(traj, Q, cubic_density)

@@ -35,7 +35,7 @@ def write_snapshot(path, state: State) -> None:
     os.replace(tmp, path)
 
 
-def read_snapshot(path, dt: float = 1.0) -> State:
+def read_snapshot(path) -> State:
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != MAGIC:
@@ -49,7 +49,7 @@ def read_snapshot(path, dt: float = 1.0) -> State:
             if len(buf) != 8 * count:
                 raise ValueError(f"{path}: truncated snapshot")
             arrays.append(np.frombuffer(buf, dtype="<f8").reshape(n, n, n).copy())
-    grid = Grid(n, float(box_length), dt)
+    grid = Grid(n, float(box_length))
     nn, c, u1, u2, u3, p = arrays
     return State(grid, nn, c, np.stack([u1, u2, u3]), p, float(t))
 
@@ -76,7 +76,7 @@ def write_trajectory_meta(out_dir, traj: Trajectory,
         "format": "CNS1",
         "count": len(traj.states),
         "times": [s.time for s in traj.states],
-        "grid": {"n": traj.grid.n, "box_length": traj.grid.box_length, "dt": traj.grid.dt},
+        "grid": {"n": traj.grid.n, "box_length": traj.grid.box_length},
         "initial_norms": {
             "n_l1": norms.n_l1,
             "c0_max": norms.c0_max,
@@ -100,7 +100,6 @@ def read_trajectory(in_dir, params=None) -> Trajectory:
     if meta_path.exists():
         with open(meta_path) as f:
             meta = json.load(f)
-        dt = meta["grid"]["dt"]
         count = meta["count"]
         paths = [src / snapshot_name(i) for i in range(count)]
         norms = InitialNorms(**meta["initial_norms"])
@@ -108,7 +107,6 @@ def read_trajectory(in_dir, params=None) -> Trajectory:
         paths = sorted(src.glob("snap_*.cns"))
         if not paths:
             raise FileNotFoundError(f"no snapshots under {src}")
-        dt = 1.0
         norms = None
-    states = [read_snapshot(p, dt=dt) for p in paths]
+    states = [read_snapshot(p) for p in paths]
     return Trajectory(states, params=params, initial_norms=norms)

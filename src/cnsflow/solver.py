@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid_fields import Grid, VectorField, _check_finite
+from .grid_fields import Grid, _check_finite
 from .pressure import solve_pressure
 from .snapshot import read_snapshot, snapshot_name, write_snapshot, write_trajectory_meta
 from .state import State, Trajectory
@@ -42,14 +42,14 @@ class PhysParams:
     chi is a polynomial in the oxygen concentration (coefficients low to
     high); the consumption rate is tied to it by kappa(s) = theta0 * s * chi(s).
     The buoyancy force is -n grad_phi with constant grad_phi = (0, 0, -gravity)
-    unless an explicit field is supplied.
+    unless an explicit (3, N, N, N) field is supplied.
     """
 
     theta0: float = 1.0
     chi_coeffs: tuple[float, ...] = (1.0,)
     gravity: float = 0.0
     c0_max: float = 1.0
-    grad_phi_field: Optional[VectorField] = None
+    grad_phi_field: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.theta0 <= 0:
@@ -105,12 +105,12 @@ class PhysParams:
     @property
     def gradphi_max(self) -> float:
         if self.grad_phi_field is not None:
-            return float(np.max(np.sqrt(np.sum(self.grad_phi_field.as_array() ** 2, axis=0))))
+            return float(np.max(np.sqrt(np.sum(self.grad_phi_field**2, axis=0))))
         return abs(self.gravity)
 
     def grad_phi_arrays(self, grid: Grid) -> np.ndarray:
         if self.grad_phi_field is not None:
-            return self.grad_phi_field.as_array()
+            return self.grad_phi_field
         out = np.zeros((3, grid.n, grid.n, grid.n))
         out[2] = -self.gravity
         return out
@@ -192,7 +192,7 @@ def advance(grid: Grid, n, c, u, params: PhysParams, dt: float, order: int = 1):
 
 def _with_pressure(grid: Grid, n, c, u, time: float, params: PhysParams) -> State:
     s = State(grid, n, c, u, np.zeros_like(n), time)
-    s.p = solve_pressure(s, params).values
+    s.p = solve_pressure(s, params)
     return s
 
 
@@ -227,7 +227,7 @@ class SimulationConfig:
 
 
 def initial_state(cfg: SimulationConfig, params: PhysParams) -> State:
-    grid = Grid(cfg.grid_n, cfg.grid_l, cfg.dt)
+    grid = Grid(cfg.grid_n, cfg.grid_l)
     shape = (grid.n,) * 3
     preset = cfg.init.get("preset", "zero")
     n = np.zeros(shape)
@@ -262,7 +262,7 @@ def initial_state(cfg: SimulationConfig, params: PhysParams) -> State:
         raw = np.array([amp * _band_limited(rng, grid, modes) for _ in range(3)])
         u = grid.irfftn(grid.project_hat(grid.rfftn(raw)))
     elif preset == "restart":
-        s = read_snapshot(cfg.init["path"], dt=cfg.dt)
+        s = read_snapshot(cfg.init["path"])
         if s.grid.n != grid.n or s.grid.box_length != grid.box_length:
             raise ValueError("restart snapshot grid does not match config")
         return s

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,6 +20,12 @@ from .grid_fields import (
 #: Floor added under square roots so gradients of sqrt(n), sqrt(c) stay finite
 #: at vacuum; perturbs the diagnostic integrals far below test tolerances.
 EPS_FLOOR = 1e-14
+
+
+def guarded_log(n: np.ndarray, w: float) -> np.ndarray:
+    """log(w n) where n > 0 and 0 elsewhere, so n log(w n) is 0 at n = 0."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.where(n > 0, w * n, 1.0))
 
 
 class State:
@@ -46,11 +52,6 @@ class State:
             _check_finite(getattr(self, name), name)
         self._cache: dict[str, np.ndarray] = {}
 
-    def _scalar(self, values) -> "ScalarFieldView":
-        from .grid_fields import ScalarField
-
-        return ScalarField(self.grid, values)
-
     def derived(self, name: str) -> np.ndarray:
         if name in self._cache:
             return self._cache[name]
@@ -65,7 +66,7 @@ class State:
         if name == "grad_u_sq":
             out = np.zeros((g.n,) * 3)
             for comp in self.u:
-                gv = gradient(self._scalar(comp)).as_array()
+                gv = gradient(g, comp)
                 out += np.sum(gv**2, axis=0)
             return out
         if name == "sqrt_n":
@@ -73,7 +74,7 @@ class State:
         if name == "sqrt_n_floored":
             return np.sqrt(np.maximum(self.n, 0.0) + EPS_FLOOR)
         if name == "grad_sqrt_n":
-            return gradient(self._scalar(self.derived("sqrt_n_floored"))).as_array()
+            return gradient(g, self.derived("sqrt_n_floored"))
         if name == "grad_sqrt_n_sq":
             return np.sum(self.derived("grad_sqrt_n") ** 2, axis=0)
         if name == "sqrt_c":
@@ -81,26 +82,24 @@ class State:
         if name == "sqrt_c_floored":
             return np.sqrt(np.maximum(self.c, 0.0) + EPS_FLOOR)
         if name == "grad_sqrt_c":
-            return gradient(self._scalar(self.derived("sqrt_c_floored"))).as_array()
+            return gradient(g, self.derived("sqrt_c_floored"))
         if name == "abs_grad_sqrt_c":
             return np.sqrt(np.sum(self.derived("grad_sqrt_c") ** 2, axis=0))
         if name == "hess_sqrt_c_sq":
-            hess = hessian_components(self._scalar(self.derived("sqrt_c_floored")))
+            hess = hessian_components(g, self.derived("sqrt_c_floored"))
             return sum(hess[(i, j)] ** 2 for i in range(3) for j in range(3))
         if name == "lap_sqrt_c":
-            return laplacian(self._scalar(self.derived("sqrt_c_floored"))).values
+            return laplacian(g, self.derived("sqrt_c_floored"))
         if name == "grad_c":
-            return gradient(self._scalar(self.c)).as_array()
+            return gradient(g, self.c)
         if name == "grad_sqrt_n1_sq":
             root = np.sqrt(np.maximum(self.n, 0.0) + 1.0)
-            return np.sum(gradient(self._scalar(root)).as_array() ** 2, axis=0)
+            return np.sum(gradient(g, root) ** 2, axis=0)
         if name == "abs_p":
             return np.abs(self.p)
         if name == "n_ln_n":
             n = np.maximum(self.n, 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.where(n > 0.0, n * np.log(np.where(n > 0.0, n, 1.0)), 0.0)
-            return out
+            return n * guarded_log(n, 1.0)
         if name == "abs_n_ln_n":
             return np.abs(self.derived("n_ln_n"))
         if name == "entropy_quartic":
@@ -182,7 +181,7 @@ def rescale_state(traj: Trajectory, rho0: float) -> Trajectory:
     """
     _dyadic_exponent(rho0)
     g = traj.grid
-    new_grid = Grid(g.n, g.box_length / rho0, g.dt / rho0**2)
+    new_grid = Grid(g.n, g.box_length / rho0)
     states = [
         State(
             new_grid,

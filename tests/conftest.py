@@ -13,6 +13,12 @@ from cnsflow import (
 )
 
 
+def pytest_collection_modifyitems(items):
+    # the demos run in child processes of up to ~2.5 GB; run them first,
+    # before the session fixtures below fill this process's memory
+    items.sort(key=lambda item: "test_demos.py" not in item.nodeid)
+
+
 @pytest.fixture(scope="session")
 def smooth_params():
     return PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.5, c0_max=1.0)

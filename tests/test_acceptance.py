@@ -10,7 +10,6 @@ from cnsflow import (
     ParabolicCylinder,
     PhysParams,
     RegularityConfig,
-    ScalarField,
     ScaleRecord,
     SimulationConfig,
     State,
@@ -45,7 +44,6 @@ from cnsflow import (
     vitali_subcover,
 )
 from cnsflow.cli import main as cli_main
-from cnsflow.grid_fields import VectorField
 
 from conftest import make_constant_u_traj
 
@@ -77,7 +75,7 @@ def test_criterion_01_solver_conservation_structure(capsys):
         s = step(s, params, cfg.dt)
         mass = float(np.sum(s.n) * s.grid.cell_volume)
         drift_max = max(drift_max, abs(mass - mass0) / mass0)
-        div = divergence(VectorField.from_arrays(s.grid, *s.u)).values
+        div = divergence(s.grid, s.u)
         div_max = max(div_max, float(np.max(np.abs(div))))
         c_max = max(c_max, float(np.max(s.c)))
 
@@ -249,7 +247,7 @@ def test_criterion_06_pressure(capsys, smooth_traj, smooth_params):
                            init={"preset": "taylor_green", "amplitude": 1.0})
     tg_params = PhysParams(theta0=1.0, chi_coeffs=(0.0,), c0_max=0.0)
     tg = initial_state(cfg, tg_params)
-    p = solve_pressure(tg, tg_params).values
+    p = solve_pressure(tg, tg_params)
     x, y, _ = np.broadcast_arrays(*tg.grid.coords())
     tg_err = float(np.max(np.abs(p + 0.25 * (np.cos(2 * x) + np.cos(2 * y)))))
 
@@ -258,8 +256,8 @@ def test_criterion_06_pressure(capsys, smooth_traj, smooth_params):
     mask = ball_mask(g, (0.5, 0.5, 0.5), a)
     center = np.zeros((64,) * 3, dtype=bool)
     center[32, 32, 32] = True
-    got = riesz_potential(ScalarField(g, mask.astype(float)), 2.0, mask,
-                          target_mask=center).values[32, 32, 32]
+    got = riesz_potential(g, mask.astype(float), 2.0, mask,
+                          target_mask=center)[32, 32, 32]
     riesz_err = abs(got - 2.0 * np.pi * a**2) / (2.0 * np.pi * a**2)
 
     _report(capsys, 6, "pressure", [

@@ -108,6 +108,20 @@ def test_out_of_range_cylinder_exits_3(workdir, traj_dir, tmp_path, capsys):
     assert code == EXIT_NUMERIC
 
 
+def test_nan_snapshot_exits_3(traj_dir, tmp_path, capsys):
+    snap = sorted(traj_dir.glob("snap_*.cns"))[-1]
+    data = bytearray(snap.read_bytes())
+    data[24 + 8 * 5:24 + 8 * 6] = np.array([np.nan], dtype="<f8").tobytes()
+    bad = tmp_path / "nan.cns"
+    bad.write_bytes(bytes(data))
+    code = main(["diagnose", "pressure", "--snapshot", str(bad),
+                 "--center", "0.5,0.5,0.5", "--rho", "0.2",
+                 "--out", str(tmp_path / "p.csv")])
+    assert code == EXIT_NUMERIC
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_unwritable_output_exits_4(workdir, traj_dir, tmp_path):
     centers = tmp_path / "centers.csv"
     centers.write_text("x0,x1,x2,t0\n0.5,0.5,0.5,0.01\n")

@@ -9,7 +9,6 @@ import pytest
 from cnsflow import (
     Grid,
     PhysParams,
-    ScalarField,
     SimulationConfig,
     ball_mask,
     cz_sanity_report,
@@ -28,7 +27,7 @@ def test_taylor_green_pressure_closed_form():
                            init={"preset": "taylor_green", "amplitude": 1.0})
     params = PhysParams(theta0=1.0, chi_coeffs=(0.0,), c0_max=0.0)
     s = initial_state(cfg, params)
-    p = solve_pressure(s, params).values
+    p = solve_pressure(s, params)
     x, y, _ = np.broadcast_arrays(*s.grid.coords())
     exact = -0.25 * (np.cos(2 * x) + np.cos(2 * y))
     assert np.max(np.abs(p - exact)) < 1e-8
@@ -70,11 +69,11 @@ def test_riesz_uniform_ball_closed_form():
     g = Grid(64, 1.0)
     R = 0.2
     mask = ball_mask(g, (0.5, 0.5, 0.5), R)
-    f = ScalarField(g, mask.astype(float))
+    f = mask.astype(float)
     center = np.zeros((64,) * 3, dtype=bool)
     center[32, 32, 32] = True
-    out = riesz_potential(f, 2.0, mask, target_mask=center)
-    got = out.values[32, 32, 32]
+    out = riesz_potential(g, f, 2.0, mask, target_mask=center)
+    got = out[32, 32, 32]
     exact = 2.0 * np.pi * R**2
     assert abs(got - exact) / exact < 0.01
 
@@ -84,12 +83,12 @@ def test_riesz_matches_direct_sum_with_self_cell():
     coincident cell and adding its closed-form ball integral."""
     g = Grid(16, 1.0)
     mask = ball_mask(g, (0.5, 0.5, 0.5), 0.2)
-    f = ScalarField(g, np.random.default_rng(8).normal(size=(16,) * 3))
+    f = np.random.default_rng(8).normal(size=(16,) * 3)
     alpha = 1.5
-    got = riesz_potential(f, alpha, mask).values[mask]
+    got = riesz_potential(g, f, alpha, mask)[mask]
     xs, ys, zs = np.broadcast_arrays(*g.coords())
     pts = np.stack([xs[mask], ys[mask], zs[mask]], axis=1)
-    fv = f.values[mask]
+    fv = f[mask]
     d = pts[:, None, :] - pts[None, :, :]
     d -= np.round(d)  # unit box
     r = np.sqrt(np.sum(d * d, axis=2))
@@ -105,10 +104,10 @@ def test_riesz_memory_does_not_grow_with_cell_pairs():
     g = Grid(32, 1.0)
     mask = np.zeros((32,) * 3, dtype=bool)
     mask[:16, :16, :16] = True  # 4096 source and target cells
-    f = ScalarField(g, np.ones((32,) * 3))
+    f = np.ones((32,) * 3)
     tracemalloc.start()
     try:
-        riesz_potential(f, 2.0, mask)
+        riesz_potential(g, f, 2.0, mask)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -118,9 +117,9 @@ def test_riesz_memory_does_not_grow_with_cell_pairs():
 def test_riesz_alpha_out_of_range():
     g = Grid(16, 1.0)
     mask = ball_mask(g, (0.5, 0.5, 0.5), 0.1)
-    f = ScalarField(g, np.ones((16,) * 3))
+    f = np.ones((16,) * 3)
     with pytest.raises(ValueError):
-        riesz_potential(f, 3.5, mask)
+        riesz_potential(g, f, 3.5, mask)
 
 
 def test_harmonic_interior_linear_function():

@@ -1,14 +1,19 @@
 """Binary snapshot format and trajectory persistence."""
 
+import json
+import shutil
+
 import numpy as np
 import pytest
 
 from cnsflow import (
     Grid,
+    SimulationConfig,
     State,
     Trajectory,
     read_snapshot,
     read_trajectory,
+    simulate,
     write_snapshot,
     write_trajectory,
 )
@@ -57,6 +62,41 @@ def test_trajectory_roundtrip(tmp_path):
         assert np.array_equal(a.n, b.n)
         assert np.array_equal(a.u, b.u)
     assert back.initial_norms.n_l1 == traj.initial_norms.n_l1
+
+
+def test_trajectory_meta_with_grid_dt_key_reads(tmp_path):
+    """A trajectory.json written with a "dt" entry under "grid" (as older
+    versions did) still reads, and the key plays no part in the grid."""
+    states = [_random_state(seed=i, t=0.1 * i) for i in range(2)]
+    write_trajectory(tmp_path / "run", Trajectory(states))
+    meta_path = tmp_path / "run" / "trajectory.json"
+    meta = json.loads(meta_path.read_text())
+    assert "dt" not in meta["grid"]
+    meta["grid"]["dt"] = 2e-4
+    meta_path.write_text(json.dumps(meta))
+    back = read_trajectory(tmp_path / "run")
+    assert back.grid == states[0].grid
+    assert np.array_equal(back.times, [0.0, 0.1])
+
+
+def test_simulate_grids_equal_with_and_without_meta(tmp_path):
+    """The grid of a simulated trajectory does not depend on whether
+    trajectory.json is there, so states read either way mix in one
+    Trajectory."""
+    cfg = SimulationConfig(grid_n=16, grid_l=1.0, dt=2e-4, t_end=0.001,
+                           output_stride=2, seed=5,
+                           init={"preset": "random_smooth", "amplitude": 0.05})
+    simulate(cfg, out_dir=tmp_path / "run")
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    for p in (tmp_path / "run").glob("snap_*.cns"):
+        shutil.copy(p, bare / p.name)
+    with_meta = read_trajectory(tmp_path / "run")
+    without = read_trajectory(bare)
+    assert with_meta.grid == without.grid
+    assert hash(with_meta.grid) == hash(without.grid)
+    mixed = Trajectory(with_meta.states[:2] + without.states[2:])
+    assert np.array_equal(mixed.times, with_meta.times)
 
 
 def test_missing_trajectory_raises(tmp_path):

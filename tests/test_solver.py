@@ -19,7 +19,6 @@ from cnsflow import (
     write_snapshot,
     write_trajectory,
 )
-from cnsflow.grid_fields import VectorField
 from cnsflow.solver import _band_limited
 
 
@@ -71,7 +70,7 @@ def test_divergence_free_maintained():
     )
     traj = simulate(cfg)
     for s in traj.states:
-        div = divergence(VectorField.from_arrays(s.grid, *s.u)).values
+        div = divergence(s.grid, s.u)
         assert np.max(np.abs(div)) < 1e-10
 
 
@@ -204,7 +203,7 @@ def test_kept_states_carry_their_pressure():
     traj = simulate(cfg, params=params)
     assert len(traj.states) == 5  # initial, steps 4, 8, 12 and the last (15)
     for s in traj.states:
-        assert np.array_equal(s.p, solve_pressure(s, params).values)
+        assert np.array_equal(s.p, solve_pressure(s, params))
 
 
 def test_simulate_streams_snapshots_and_commits_last(tmp_path):
