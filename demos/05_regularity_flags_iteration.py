@@ -28,7 +28,7 @@ from cnsflow import (
     thresholds,
 )
 
-cfg = RegularityConfig()  # delta0 = 0.05, gamma at the window midpoint
+cfg = RegularityConfig()  # delta0 = 0.05
 params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.5, c0_max=1.0)
 thr = thresholds(cfg, params)
 print("closed-form thresholds for these structural norms:")

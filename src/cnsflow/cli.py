@@ -144,10 +144,8 @@ def build_reg_config(cfg: dict) -> RegularityConfig:
     for key, attr, cast in (
         ("reg.delta0", "delta0", float),
         ("reg.eps1", "eps1", float),
-        ("reg.gamma", "gamma", float),
         ("reg.theta0", "theta0", float),
         ("reg.c1", "c1", float),
-        ("reg.a0", "a0", float),
         ("reg.working_threshold", "working_threshold", float),
     ):
         if key in cfg:
@@ -242,6 +240,12 @@ def _lei_row(traj, tf, t: float, center, omega: float) -> list:
     rep = lei_residual(traj, tf, t, center, omega)
     return ([t] + [rep.lhs_terms[n] for n in LHS_TERM_NAMES]
             + [rep.rhs_terms[n] for n in RHS_TERM_NAMES] + [rep.residual])
+
+
+def _dimension_rows(est) -> list:
+    """The count and slope rows of a covering-dimension estimate."""
+    return ([["count", r, float(n)] for r, n in zip(est.scales, est.counts)]
+            + [["slope", est.scales[-1], est.slope]])
 
 
 def _read_centers(path) -> list:
@@ -388,9 +392,7 @@ def cmd_dimension(args) -> int:
     out_rows = []
     if points:
         est = dimension_estimate(points, scales)
-        for r, n in zip(est.scales, est.counts):
-            out_rows.append(["count", r, float(n)])
-        out_rows.append(["slope", est.scales[-1], est.slope])
+        out_rows = _dimension_rows(est)
         out_rows.append(["fit_residual", est.scales[-1], est.fit_residual])
         alpha = float(args.alpha)
         out_rows.append(["measure_upper", alpha, est.measure_upper(alpha)])
@@ -475,10 +477,7 @@ def cmd_pipeline(args) -> int:
         pts = flag_set.points()
         if pts:
             scales = [L / 8.0, L / 16.0, L / 32.0]
-            est = dimension_estimate(pts, scales, box_length=L)
-            for r, n in zip(est.scales, est.counts):
-                rows.append(["count", r, float(n)])
-            rows.append(["slope", est.scales[-1], est.slope])
+            rows = _dimension_rows(dimension_estimate(pts, scales, box_length=L))
         write_csv(out / "dimension.csv", ("kind", "scale", "value"), rows)
 
     phase("dimension", dimension)

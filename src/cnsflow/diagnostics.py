@@ -17,10 +17,10 @@ import numpy as np
 
 from .grid_fields import (
     ParabolicCylinder,
-    ball_mask,
+    ball_integrals,
+    cylinder_sup,
     cylinder_time_integral,
     integrate_cylinder,
-    sup_over_time,
 )
 from .state import Trajectory, guarded_log, rescale_state
 
@@ -70,52 +70,39 @@ class LocalQuantities:
         return {f.name: getattr(self, f.name) for f in dc_fields(self)}
 
 
-def _mean_removed_integral(traj, Q, array_of, power) -> float:
-    """Cylinder integral of |f - (f)_{B_r}(t)|^power with the ball mean
-    removed snapshot by snapshot."""
-    vol = traj.grid.cell_volume
-
-    def spatial(state, mask):
-        f = array_of(state)
-        fm = f[..., mask] if f.ndim == 4 else f[mask]
-        if f.ndim == 4:  # vector field: remove the mean componentwise
-            centered = fm - fm.mean(axis=-1, keepdims=True)
-            mag = np.sqrt(np.sum(centered**2, axis=0))
-        else:
-            mag = np.abs(fm - fm.mean())
-        return float(np.sum(mag**power) * vol)
-
-    return cylinder_time_integral(traj, Q, spatial)
+def mean_removed_sum(f: np.ndarray, mask: np.ndarray, power: float,
+                     vol: float) -> float:
+    """Ball integral of |f - (f)_B|^power over the cells of ``mask``; a
+    vector field (3, N, N, N) has its ball mean removed componentwise."""
+    fm = f[..., mask]
+    centered = fm - fm.mean(axis=-1, keepdims=True)
+    mag = np.sqrt(np.sum(centered**2, axis=0)) if f.ndim == 4 else np.abs(centered)
+    return float(np.sum(mag**power) * vol)
 
 
-def compute_quantities(traj: Trajectory, Q: ParabolicCylinder,
-                       pressure_mean_subtract: bool = False) -> LocalQuantities:
-    """Evaluate every cylinder quantity on Q.
+def compute_quantities(traj: Trajectory, Q: ParabolicCylinder) -> LocalQuantities:
+    """Evaluate every cylinder quantity on Q in two passes over Q: one sup
+    in time (the a_* and m) and one space-time integral (the rest, with
+    c_u_tilde's ball mean removed snapshot by snapshot).
 
-    The pressure integral d uses raw |P| by default, or |P - (P)_{B_r}(t)|
-    when pressure_mean_subtract is set (both conventions occur in local
-    regularity arguments).
+    The pressure integral d uses raw |P|; the mean-removed pressure enters
+    only the dyadic induction (``regularity.induction_verify``).
     """
     r = Q.radius
     inv_r = 1.0 / r
     inv_r2 = inv_r * inv_r
-
-    a_u = inv_r * sup_over_time(traj, "abs_u", Q, p=2.0)
-    e_u = inv_r * integrate_cylinder(traj, "grad_u_sq", Q)
-    a_gc = inv_r * sup_over_time(traj, "abs_grad_sqrt_c", Q, p=2.0)
-    e_gc = inv_r * integrate_cylinder(traj, "hess_sqrt_c_sq", Q)
-    a_sn = inv_r * sup_over_time(traj, "sqrt_n", Q, p=2.0)
-    e_sn = inv_r * integrate_cylinder(traj, "grad_sqrt_n_sq", Q)
-    c_u = inv_r2 * integrate_cylinder(traj, "abs_u", Q, p=3.0)
-    c_ut = inv_r2 * _mean_removed_integral(traj, Q, lambda s: s.u, 3.0)
-    c_sn = inv_r2 * integrate_cylinder(traj, "sqrt_n", Q, p=3.0)
-    c_gc = inv_r2 * integrate_cylinder(traj, "abs_grad_sqrt_c", Q, p=3.0)
-    if pressure_mean_subtract:
-        d = inv_r2 * _mean_removed_integral(traj, Q, lambda s: s.p, 1.5)
-    else:
-        d = inv_r2 * integrate_cylinder(traj, "abs_p", Q, p=1.5)
-    m = inv_r * sup_over_time(traj, "abs_n_ln_n", Q)
-    n_ent = inv_r2 * integrate_cylinder(traj, "abs_n_ln_n", Q, p=1.5)
+    vol = traj.grid.cell_volume
+    sups = cylinder_sup(traj, Q, ball_integrals(
+        ("abs_u", 2.0), ("abs_grad_sqrt_c", 2.0), ("sqrt_n", 2.0), ("abs_n_ln_n", 1.0)))
+    catalog = ball_integrals(
+        ("grad_u_sq", 1.0), ("hess_sqrt_c_sq", 1.0), ("grad_sqrt_n_sq", 1.0),
+        ("abs_u", 3.0), ("sqrt_n", 3.0), ("abs_grad_sqrt_c", 3.0),
+        ("abs_p", 1.5), ("abs_n_ln_n", 1.5))
+    ints = cylinder_time_integral(traj, Q, lambda s, mask: np.append(
+        catalog(s, mask), mean_removed_sum(s.u, mask, 3.0, vol)))
+    a_u, a_gc, a_sn, m = (inv_r * sups).tolist()
+    e_u, e_gc, e_sn = (inv_r * ints[:3]).tolist()
+    c_u, c_sn, c_gc, d, n_ent, c_ut = (inv_r2 * ints[3:]).tolist()
 
     a_comb = a_u + a_gc + a_sn
     e_comb = e_u + e_gc + e_sn
@@ -208,19 +195,12 @@ def log_split(traj: Trajectory, rho0: float, Q: ParabolicCylinder) -> LogSplit:
         raise ValueError(f"rho0 must lie in (0, 1), got {rho0}")
     lo, hi = rho0 ** (-1.5), rho0 ** (-2.0)
     vol = traj.grid.cell_volume
-    w = rho0 ** (-2.0)
 
-    def band_integral(selector):
-        def spatial(state, mask):
-            n = np.maximum(state.n[mask], 0.0)
-            val = np.abs(n * guarded_log(n, rho0**2)) ** 1.5
-            return float(np.sum(val[selector(n)]) * vol)
+    def bands(state, mask):
+        n = np.maximum(state.n[mask], 0.0)
+        val = np.abs(n * guarded_log(n, rho0**2)) ** 1.5
+        return [np.sum(val[sel]) * vol
+                for sel in (n < lo, (n >= lo) & (n <= hi), n > hi)]
 
-        return w * cylinder_time_integral(traj, Q, spatial)
-
-    return LogSplit(
-        rho0=rho0,
-        m1=band_integral(lambda n: n < lo),
-        m2=band_integral(lambda n: (n >= lo) & (n <= hi)),
-        m3=band_integral(lambda n: n > hi),
-    )
+    m1, m2, m3 = (rho0 ** (-2.0) * cylinder_time_integral(traj, Q, bands)).tolist()
+    return LogSplit(rho0=rho0, m1=m1, m2=m2, m3=m3)

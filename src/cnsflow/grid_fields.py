@@ -7,7 +7,10 @@ function of (grid, array) that returns an array.  Derivatives are
 Fourier multipliers, so they are exact for band-limited data.
 Space-time integrals over parabolic cylinders use a binary ball mask
 (minimum-image distance) in space and the trapezoid rule on the
-piecewise-linear-in-time interpolant of the spatial integral.
+piecewise-linear-in-time interpolant of the spatial integral.  Two
+primitives, ``cylinder_time_integral`` and ``cylinder_sup``, are the only
+code that decides which cells and snapshots make up a cylinder; each
+builds the mask and the window once for any number of integrands.
 """
 
 from __future__ import annotations
@@ -255,9 +258,8 @@ def ball_mask(grid: Grid, x0: Sequence[float], radius: float) -> np.ndarray:
     return ox[:, None, None] + oy[None, :, None] + oz[None, None, :] < q
 
 
-#: Fixed integrand catalog: name -> (state, power) -> pointwise array.
-#: Powers are applied by the caller; bases are the |.| quantities of the
-#: cylinder functionals.
+#: Fixed integrand catalog: the |.| quantities of the cylinder functionals,
+#: each a derived field of ``State``; ``ball_integrals`` applies the powers.
 INTEGRAND_NAMES = (
     "abs_u",
     "grad_u_sq",
@@ -271,21 +273,37 @@ INTEGRAND_NAMES = (
 )
 
 
-def _integrand_array(state, name: str, power: float) -> np.ndarray:
-    if name not in INTEGRAND_NAMES:
-        raise UnknownIntegrandError(f"unknown integrand {name!r}")
-    base = state.derived(name)
-    if power == 1.0:
-        return base
-    return base**power
+def ball_integrals(*integrands: tuple[str, float]) -> Callable:
+    """The ``spatial(state, mask)`` of catalog integrands: for each
+    (name, power) the ball integral of that integrand to that power, as
+    one array in the order given."""
+    for name, _ in integrands:
+        if name not in INTEGRAND_NAMES:
+            raise UnknownIntegrandError(f"unknown integrand {name!r}")
+
+    def spatial(state, mask):
+        vol = state.grid.cell_volume
+        return np.array([np.sum(state.derived(name)[mask] ** p) * vol
+                         for name, p in integrands])
+
+    return spatial
+
+
+def _ball_and_window(traj, Q: ParabolicCylinder):
+    """Q's ball mask, the recorded times, Q's time interval and the time
+    tolerance: the one rule for which cells and snapshots make up Q."""
+    Q.check_fits(traj.grid)
+    mask = ball_mask(traj.grid, Q.center_x, Q.radius)
+    times = traj.times
+    eps = 1e-12 * max(1.0, abs(times[-1] - times[0]))
+    return mask, times, *Q.time_interval(), eps
 
 
 def _interval_segments(
-    times: np.ndarray, t_lo: float, t_hi: float
+    times: np.ndarray, t_lo: float, t_hi: float, eps: float
 ) -> list[tuple[int, float, float]]:
     """Segments (i, w_i, w_{i+1}) so that the integral of the linear
     interpolant of g over [t_lo, t_hi] is sum(w_i g_i + w_{i+1} g_{i+1})."""
-    eps = 1e-12 * max(1.0, abs(times[-1] - times[0]))
     if t_lo < times[0] - eps or t_hi > times[-1] + eps:
         raise CylinderRangeError(
             f"time window ({t_lo}, {t_hi}) outside recorded span "
@@ -307,46 +325,38 @@ def _interval_segments(
     return out
 
 
-def cylinder_time_integral(traj, Q: ParabolicCylinder, spatial: Callable) -> float:
+def cylinder_time_integral(traj, Q: ParabolicCylinder, spatial: Callable):
     """Time integral over Q's window of ``spatial(state, mask)``.
 
-    ``spatial`` maps a snapshot plus the ball mask to one real number;
-    the time rule integrates its piecewise-linear interpolant.
+    ``spatial`` maps a snapshot plus the ball mask to a real number or to
+    an array; the time rule integrates the piecewise-linear interpolant of
+    each component, so one pass (one mask, one window) serves any number
+    of integrands.  Returns a float or an array of the same shape.
     """
-    grid = traj.grid
-    Q.check_fits(grid)
-    mask = ball_mask(grid, Q.center_x, Q.radius)
-    times = traj.times
-    t_lo, t_hi = Q.time_interval()
-    segments = _interval_segments(times, t_lo, t_hi)
+    mask, times, t_lo, t_hi, eps = _ball_and_window(traj, Q)
+    segments = _interval_segments(times, t_lo, t_hi, eps)
     needed = sorted({i for seg in segments for i in (seg[0], seg[0] + 1)})
-    g = {i: float(spatial(traj.states[i], mask)) for i in needed}
-    return sum(w0 * g[i] + w1 * g[i + 1] for i, w0, w1 in segments)
+    g = {i: np.asarray(spatial(traj.states[i], mask), dtype=float) for i in needed}
+    total = sum(w0 * g[i] + w1 * g[i + 1] for i, w0, w1 in segments)
+    return float(total) if np.ndim(total) == 0 else total
+
+
+def cylinder_sup(traj, Q: ParabolicCylinder, spatial: Callable):
+    """Componentwise max of ``spatial(state, mask)`` over the recorded
+    snapshots in Q's time window; a float or an array like ``spatial``'s."""
+    mask, times, t_lo, t_hi, eps = _ball_and_window(traj, Q)
+    idx = [i for i, t in enumerate(times) if t_lo - eps <= t <= t_hi + eps]
+    if not idx:
+        raise CylinderRangeError("no snapshots in the cylinder time window")
+    best = np.max([spatial(traj.states[i], mask) for i in idx], axis=0)
+    return float(best) if np.ndim(best) == 0 else best
 
 
 def integrate_cylinder(traj, field_expr: str, Q: ParabolicCylinder, p: float = 1.0) -> float:
     """Space-time integral of a catalog integrand to the power p over Q."""
-    vol = traj.grid.cell_volume
-
-    def spatial(state, mask):
-        return np.sum(_integrand_array(state, field_expr, p)[mask]) * vol
-
-    return cylinder_time_integral(traj, Q, spatial)
+    return float(cylinder_time_integral(traj, Q, ball_integrals((field_expr, p)))[0])
 
 
 def sup_over_time(traj, field_expr: str, Q: ParabolicCylinder, p: float = 1.0) -> float:
     """Max over recorded snapshots in Q's window of the ball integral."""
-    grid = traj.grid
-    Q.check_fits(grid)
-    mask = ball_mask(grid, Q.center_x, Q.radius)
-    t_lo, t_hi = Q.time_interval()
-    times = traj.times
-    eps = 1e-12 * max(1.0, abs(times[-1] - times[0]))
-    idx = [i for i, t in enumerate(times) if t_lo - eps <= t <= t_hi + eps]
-    if not idx:
-        raise CylinderRangeError("no snapshots in the cylinder time window")
-    vol = grid.cell_volume
-    return max(
-        float(np.sum(_integrand_array(traj.states[i], field_expr, p)[mask]) * vol)
-        for i in idx
-    )
+    return float(cylinder_sup(traj, Q, ball_integrals((field_expr, p)))[0])

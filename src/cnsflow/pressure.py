@@ -70,18 +70,20 @@ def quintic_bump(dist: np.ndarray, rho: float) -> np.ndarray:
 def eval_field_at(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Trigonometric (exact interpolant) evaluation at arbitrary points.
 
-    points has shape (m, 3); coordinates are taken modulo the box.
+    points has shape (m, 3); coordinates act modulo the box.  The phase
+    e^{i k.x} is one (m, N) matrix per axis, contracted with the spectrum
+    in batches that keep the (m, N, N) intermediate near 2^21 entries.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    fh = np.fft.fftn(values) / values.size
-    k1 = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.h)
-    # accumulate axis by axis to keep memory at O(N^3) per point batch
+    n = grid.n
+    fh = np.fft.fftn(values).reshape(n, n * n) / values.size
+    k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.h)
     out = np.empty(len(pts))
-    for a, p in enumerate(pts):
-        ph = np.exp(1j * (k1.reshape(-1, 1, 1) * p[0]
-                          + k1.reshape(1, -1, 1) * p[1]
-                          + k1.reshape(1, 1, -1) * p[2]))
-        out[a] = float(np.real(np.sum(fh * ph)))
+    batch = max(1, 2**21 // n**2)
+    for a in range(0, len(pts), batch):
+        ex, ey, ez = (np.exp(1j * np.outer(pts[a:a + batch, i], k1)) for i in range(3))
+        fx = (ex @ fh).reshape(-1, n, n)
+        out[a:a + batch] = np.einsum("ajk,aj,ak->a", fx, ey, ez).real
     return out
 
 
@@ -144,8 +146,8 @@ def _kernel_sum(grid: Grid, targets: np.ndarray, sources_xyz: np.ndarray,
     return out
 
 
-def decompose_local(s, x0: Sequence[float], rho: float, params=None,
-                    upsample: int = 2) -> PressureDecomposition:
+def decompose_local(s, x0: Sequence[float], rho: float,
+                    params=None) -> PressureDecomposition:
     """Split the pressure near x0: P1 = Newtonian potential of the cutoff
     sources (velocity part with the ball-mean removed, buoyancy part with
     the cell density), P2 = P - P1.
@@ -155,8 +157,9 @@ def decompose_local(s, x0: Sequence[float], rho: float, params=None,
     ball (so P2 = P - P1 is harmonic on B_{rho/2} to spectral accuracy).
     The direct Newtonian kernel quadrature is kept for off-grid evaluation
     through ``p1_at``: one integration by parts moves the outer derivative
-    of each source onto the kernel, and the sources are sampled on an
-    ``upsample``-times-finer grid via trigonometric interpolation.
+    of each source onto the kernel, and the sources are sampled on a
+    twice-finer grid via trigonometric interpolation (on the grid itself
+    where the finer one would exceed MAX_SOURCE_CELLS).
     """
     grid = s.grid
     if rho > grid.box_length / 4.0:
@@ -167,10 +170,7 @@ def decompose_local(s, x0: Sequence[float], rho: float, params=None,
     mask_rho = dist < rho
     mask_half = dist < 0.5 * rho
 
-    n_fine_est = int(np.ceil(4.19 * (rho / (grid.h / upsample)) ** 3))
-    while upsample > 1 and n_fine_est > MAX_SOURCE_CELLS:
-        upsample -= 1
-        n_fine_est = int(np.ceil(4.19 * (rho / (grid.h / upsample)) ** 3))
+    upsample = 2 if np.ceil(4.19 * (rho / (grid.h / 2)) ** 3) <= MAX_SOURCE_CELLS else 1
 
     mean_u = np.array([float(np.mean(s.u[i][mask_rho])) for i in range(3)])
     mean_n = float(np.mean(s.n[mask_rho]))

@@ -17,12 +17,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .diagnostics import compute_quantities, mean_removed_sum
 from .grid_fields import (
     CylinderRangeError,
     ParabolicCylinder,
-    ball_mask,
+    ball_integrals,
+    cylinder_sup,
     cylinder_time_integral,
-    integrate_cylinder,
 )
 from .state import Trajectory, guarded_log
 
@@ -39,20 +40,16 @@ def gamma_window(delta0: float) -> tuple[float, float]:
 class RegularityConfig:
     """Exponents and constants of the regularity criteria.
 
-    delta0 tunes the weighted density-gradient functional; gamma is the
-    interpolation exponent of the iteration (defaults to the midpoint of
-    its admissible window); theta0 is the scale-contraction ratio; c1 the
-    induction constant; a0 the sup-in-time mass of the density; eps1 the
-    base smallness parameter entering every closed-form threshold.
+    delta0 tunes the weighted density-gradient functional; theta0 is the
+    scale-contraction ratio; c1 the induction constant; eps1 the base
+    smallness parameter entering every closed-form threshold.
     working_threshold is what flags actually compare against.
     """
 
     delta0: float = 0.05
     eps1: float = 1.0
-    gamma: Optional[float] = None
     theta0: float = 1.0 / 8.0
     c1: float = 2.0
-    a0: float = 0.0
     working_threshold: float = 1e-2
 
     def __post_init__(self):
@@ -60,19 +57,10 @@ class RegularityConfig:
             raise ValueError(f"delta0 must lie in (0, 1/10], got {self.delta0}")
         if self.eps1 <= 0.0:
             raise ValueError("eps1 must be positive")
-        lo, hi = gamma_window(self.delta0)
-        if self.gamma is None:
-            object.__setattr__(self, "gamma", 0.5 * (lo + hi))
-        if not lo < self.gamma < hi:
-            raise ValueError(
-                f"gamma must lie in ({lo}, {hi}) for delta0={self.delta0}"
-            )
         if not 0.0 < self.theta0 < 0.25:
             raise ValueError(f"theta0 must lie in (0, 1/4), got {self.theta0}")
         if self.c1 <= 1.0:
             raise ValueError("c1 must exceed 1")
-        if self.a0 < 0.0:
-            raise ValueError("a0 must be nonnegative")
         if self.working_threshold <= 0.0:
             raise ValueError("working_threshold must be positive")
 
@@ -160,16 +148,19 @@ class FlagSet:
         ]
 
 
+#: the dissipation integrands |grad sqrt(n)|^2, |grad u|^2, |hess sqrt(c)|^2
+_DISSIPATION = (("grad_sqrt_n_sq", 1.0), ("grad_u_sq", 1.0), ("hess_sqrt_c_sq", 1.0))
+
+
 def weighted_gradient_functional(traj: Trajectory, Q: ParabolicCylinder,
                                  delta0: float) -> dict:
     """r^(-1-delta0) * integral of |grad sqrt(n)|^2 over Q plus
-    r^(-1) * integral of (|grad u|^2 + |hess sqrt(c)|^2)."""
+    r^(-1) * integral of (|grad u|^2 + |hess sqrt(c)|^2), in one pass."""
     r = Q.radius
-    part_n = r ** (-1.0 - delta0) * integrate_cylinder(traj, "grad_sqrt_n_sq", Q)
-    part_uc = (1.0 / r) * (
-        integrate_cylinder(traj, "grad_u_sq", Q)
-        + integrate_cylinder(traj, "hess_sqrt_c_sq", Q)
-    )
+    i_n, i_u, i_c = cylinder_time_integral(
+        traj, Q, ball_integrals(*_DISSIPATION)).tolist()
+    part_n = r ** (-1.0 - delta0) * i_n
+    part_uc = (1.0 / r) * (i_u + i_c)
     return {"density_part": part_n, "velocity_chem_part": part_uc,
             "total": part_n + part_uc}
 
@@ -216,36 +207,20 @@ def flag_thm13(traj: Trajectory, z0, radii: Sequence[float],
     }
 
 
-def _sup_in_time_bundle(traj: Trajectory, Q: ParabolicCylinder,
-                        with_log_weight: Optional[float] = None) -> float:
-    """sup over snapshots in Q's time window of the ball integral of
-    n + |n ln n| + |grad sqrt(c)|^2 + |u|^2.
+def _sup_bundle(w: float = 1.0):
+    """The ``spatial`` of the sup-in-time bundle: the ball integral of
+    n + |n ln(w n)| + |grad sqrt(c)|^2 + |u|^2.  w rescales the density
+    argument of the logarithm for analytically rescaled bundles."""
 
-    with_log_weight rescales the density argument of the logarithm
-    (|n ln(w n)| instead of |n ln n|) for analytically rescaled bundles.
-    """
-    g = traj.grid
-    Q.check_fits(g)
-    t_lo, t_hi = Q.time_interval()
-    mask = ball_mask(g, Q.center_x, Q.radius)
-    vol = g.cell_volume
-    times = traj.times
-    sel = np.where((times >= t_lo - 1e-12) & (times <= t_hi + 1e-12))[0]
-    if len(sel) == 0:
-        raise CylinderRangeError("no snapshots inside the cylinder time window")
-    w = 1.0 if with_log_weight is None else float(with_log_weight)
-    best = 0.0
-    for i in sel:
-        s = traj.states[i]
+    def spatial(s, mask):
+        vol = s.grid.cell_volume
         n = np.maximum(s.n[mask], 0.0)
         nln = np.abs(n * guarded_log(n, w))
-        total = float(
-            np.sum(n + nln) * vol
-            + np.sum(s.derived("grad_sqrt_c")[..., mask] ** 2) * vol
-            + np.sum(s.u[..., mask] ** 2) * vol
-        )
-        best = max(best, total)
-    return best
+        return (np.sum(n + nln) * vol
+                + np.sum(s.derived("grad_sqrt_c")[..., mask] ** 2) * vol
+                + np.sum(s.u[..., mask] ** 2) * vol)
+
+    return spatial
 
 
 def flag_thm16(traj: Trajectory, z0, cfg: RegularityConfig, params=None,
@@ -264,7 +239,8 @@ def flag_thm16(traj: Trajectory, z0, cfg: RegularityConfig, params=None,
     (weights rho0^-1 for the quadratic terms, rho0^-2 for the cubic and
     pressure terms, with ln n shifted to ln(rho0^2 n)); both variants are
     evaluated in that exact form, so no field interpolation occurs.
-    Returns a regular-certificate when the bundle is below threshold and
+    Variant "i" takes two passes over Q (the sup, then the integrals),
+    variant "ii" one.  Returns a regular-certificate when the bundle is below threshold and
     "inconclusive" otherwise.
     """
     if variant not in ("i", "ii"):
@@ -276,26 +252,26 @@ def flag_thm16(traj: Trajectory, z0, cfg: RegularityConfig, params=None,
     vol = traj.grid.cell_volume
     paper = thresholds(cfg, params)
     if variant == "i":
-        sup_part = (1.0 / rho0) * _sup_in_time_bundle(traj, Q, with_log_weight=w)
-        diss = (1.0 / rho0) * (
-            integrate_cylinder(traj, "grad_sqrt_n_sq", Q)
-            + integrate_cylinder(traj, "grad_u_sq", Q)
-            + integrate_cylinder(traj, "hess_sqrt_c_sq", Q)
-        )
-        press = rho0**-2 * integrate_cylinder(traj, "abs_p", Q, p=1.5)
+        sup_part = (1.0 / rho0) * cylinder_sup(traj, Q, _sup_bundle(w))
+        i_n, i_u, i_c, i_p = cylinder_time_integral(
+            traj, Q, ball_integrals(*_DISSIPATION, ("abs_p", 1.5))).tolist()
+        diss = (1.0 / rho0) * (i_n + i_u + i_c)
+        press = rho0**-2 * i_p
         value = sup_part + diss + press
         parts = {"sup_part": sup_part, "dissipation": diss, "pressure": press}
         paper_thr = paper["epsilon0"]
     else:
-        def cubic_density(state, mask):
+        catalog = ball_integrals(("abs_grad_sqrt_c", 3.0), ("abs_u", 3.0),
+                                 ("abs_p", 1.5))
+
+        def cubic(state, mask):
             n = np.maximum(state.n[mask], 0.0)
             lnw = np.abs(guarded_log(n, w))
-            return float(np.sum(n**1.5 * (lnw + 1.0) ** 1.5) * vol)
+            return np.append(np.sum(n**1.5 * (lnw + 1.0) ** 1.5) * vol,
+                             catalog(state, mask))
 
-        dens = rho0**-2 * cylinder_time_integral(traj, Q, cubic_density)
-        chem = rho0**-2 * integrate_cylinder(traj, "abs_grad_sqrt_c", Q, p=3.0)
-        velo = rho0**-2 * integrate_cylinder(traj, "abs_u", Q, p=3.0)
-        press = rho0**-2 * integrate_cylinder(traj, "abs_p", Q, p=1.5)
+        dens, chem, velo, press = (
+            rho0**-2 * cylinder_time_integral(traj, Q, cubic)).tolist()
         value = dens + chem + velo + press
         parts = {"density": dens, "chemo": chem, "velocity": velo,
                  "pressure": press}
@@ -412,8 +388,6 @@ def trace_from_trajectory(traj: Trajectory, z0, rho0: float, levels: int,
                           eps: Optional[float] = None) -> dict:
     """Build the iteration records from cylinder quantities at radii
     theta0^k rho0, k = 0..levels-1, then run iteration_trace."""
-    from .diagnostics import compute_quantities
-
     x0, t0 = tuple(z0[0]), float(z0[1])
     records = []
     for k in range(levels):
@@ -442,16 +416,21 @@ def induction_verify(traj: Trajectory, z0, k_max: int, cfg: RegularityConfig,
         + r_k^-4 int_{Q_{r_k}} |P - P_bar|^(3/2)   <=   C1 eps0^(1/2)
 
     with P_bar the ball mean per snapshot.  eps0 defaults to the working
-    threshold; each level needs at least 8 grid cells across B_{r_k}.
+    threshold; each level needs at least 8 grid cells across B_{r_k}; each
+    level takes two passes over its cylinder (the sup, then the integrals).
     """
-    from .diagnostics import _mean_removed_integral
-
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     x0, t0 = tuple(z0[0]), float(z0[1])
     g = traj.grid
     eps0 = cfg.working_threshold if eps0 is None else float(eps0)
     bound = cfg.c1 * math.sqrt(eps0)
+    dissipation = ball_integrals(*_DISSIPATION)
+
+    def integrals(state, mask):
+        return np.append(dissipation(state, mask),
+                         mean_removed_sum(state.p, mask, 1.5, g.cell_volume))
+
     levels = []
     for k in range(1, k_max + 1):
         r = 2.0**-k
@@ -460,13 +439,10 @@ def induction_verify(traj: Trajectory, z0, k_max: int, cfg: RegularityConfig,
                 f"level k={k} needs >= 8 cells across B_r (r={r}, h={g.h})"
             )
         Q = ParabolicCylinder(x0, t0, r)
-        sup_part = r**-3 * _sup_in_time_bundle(traj, Q)
-        diss = r**-3 * (
-            integrate_cylinder(traj, "grad_sqrt_n_sq", Q)
-            + integrate_cylinder(traj, "hess_sqrt_c_sq", Q)
-            + integrate_cylinder(traj, "grad_u_sq", Q)
-        )
-        press = r**-4 * _mean_removed_integral(traj, Q, lambda s: s.p, 1.5)
+        sup_part = r**-3 * cylinder_sup(traj, Q, _sup_bundle())
+        i_n, i_u, i_c, i_p = cylinder_time_integral(traj, Q, integrals).tolist()
+        diss = r**-3 * (i_n + i_c + i_u)
+        press = r**-4 * i_p
         lhs = sup_part + diss + press
         levels.append({
             "k": k, "r": r, "sup_part": sup_part, "dissipation": diss,

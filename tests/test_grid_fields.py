@@ -16,7 +16,14 @@ from cnsflow import (
     leray_project,
     spectral_upsample,
 )
-from cnsflow.grid_fields import integrate_cylinder, sup_over_time
+from cnsflow.grid_fields import (
+    UnknownIntegrandError,
+    ball_integrals,
+    cylinder_sup,
+    cylinder_time_integral,
+    integrate_cylinder,
+    sup_over_time,
+)
 from cnsflow import State, Trajectory
 
 
@@ -270,3 +277,29 @@ def test_sup_over_time_picks_max():
     mask = ball_mask(g, (1.0, 1.0, 1.0), 0.4)
     exact = 16.0 * np.sum(mask) * g.cell_volume
     assert abs(got - exact) / exact < 1e-12
+
+
+def test_array_passes_equal_scalar_passes(smooth_traj):
+    """One pass with an array-valued spatial gives, bit for bit, what one
+    scalar pass per component gives, for the integral and for the sup."""
+    Q = ParabolicCylinder((0.5, 0.5, 0.5), 0.06, 0.15)
+    terms = (("grad_u_sq", 1.0), ("abs_u", 3.0), ("abs_p", 1.5),
+             ("abs_n_ln_n", 1.0), ("sqrt_n", 2.0))
+    vol = smooth_traj.grid.cell_volume
+
+    def scalar(name, p):
+        return lambda s, mask: float(np.sum((s.derived(name) ** p)[mask]) * vol)
+
+    integrals = cylinder_time_integral(smooth_traj, Q, ball_integrals(*terms))
+    sups = cylinder_sup(smooth_traj, Q, ball_integrals(*terms))
+    assert integrals.shape == sups.shape == (len(terms),)
+    for k, (name, p) in enumerate(terms):
+        assert integrals[k] == cylinder_time_integral(smooth_traj, Q, scalar(name, p))
+        assert integrals[k] == integrate_cylinder(smooth_traj, name, Q, p)
+        assert sups[k] == cylinder_sup(smooth_traj, Q, scalar(name, p))
+        assert sups[k] == sup_over_time(smooth_traj, name, Q, p)
+
+
+def test_ball_integrals_rejects_unknown_integrand():
+    with pytest.raises(UnknownIntegrandError):
+        ball_integrals(("abs_u", 2.0), ("abs_v", 2.0))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import spherical_jn
 
+from cnsflow import grid_fields
 from cnsflow import (
     CylinderRangeError,
     Grid,
@@ -65,8 +66,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RegularityConfig(delta0=0.2)
     with pytest.raises(ValueError):
-        RegularityConfig(gamma=0.5)  # outside the admissible window
-    with pytest.raises(ValueError):
         RegularityConfig(theta0=0.5)
     with pytest.raises(ValueError):
         RegularityConfig(c1=0.5)
@@ -78,13 +77,38 @@ def test_config_validation():
 # flagging criteria
 # ---------------------------------------------------------------------------
 
-def _quiet_traj(N=32, L=1.0, n_val=0.0):
+def _quiet_traj(N=32, L=1.0, n_val=0.0, t_lo=-0.1):
     g = Grid(N, L)
     arr = np.full((N,) * 3, n_val)
     zeros = np.zeros((N,) * 3)
     states = [State(g, arr.copy(), zeros.copy(), np.zeros((3, N, N, N)),
-                    zeros.copy(), t) for t in np.linspace(-0.1, 0.0, 6)]
+                    zeros.copy(), t) for t in np.linspace(t_lo, 0.0, 6)]
     return Trajectory(states)
+
+
+def test_one_ball_mask_per_pass(monkeypatch):
+    """Each functional builds one ball mask per pass over a cylinder: two
+    for compute_quantities (sup, integrals), one per radius for thm13, two
+    and one for thm16 variants i and ii, two per induction level."""
+    calls = []
+    real = grid_fields.ball_mask
+    monkeypatch.setattr(grid_fields, "ball_mask",
+                        lambda *args: calls.append(args) or real(*args))
+
+    def count(fn):
+        calls.clear()
+        fn()
+        return len(calls)
+
+    traj, cfg = _quiet_traj(n_val=2.0), RegularityConfig()
+    z0 = ((0.5, 0.5, 0.5), 0.0)
+    Q = ParabolicCylinder(z0[0], z0[1], 0.2)
+    assert count(lambda: compute_quantities(traj, Q)) == 2
+    assert count(lambda: flag_thm13(traj, z0, (0.1, 0.2), cfg)) == 2
+    assert count(lambda: flag_thm16(traj, z0, cfg, variant="i", rho0=0.2)) == 2
+    assert count(lambda: flag_thm16(traj, z0, cfg, variant="ii", rho0=0.2)) == 1
+    deep = _quiet_traj(N=32, L=2.0, n_val=2.0, t_lo=-0.3)
+    assert count(lambda: induction_verify(deep, ((1.0, 1.0, 1.0), 0.0), 2, cfg)) == 4
 
 
 def test_zero_field_never_flagged():
