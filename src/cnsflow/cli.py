@@ -110,7 +110,7 @@ def build_sim_config(cfg: dict) -> tuple:
         if key.startswith("init.") and key != "init.preset":
             name = key[len("init."):]
             try:
-                init[name] = float(value) if name != "snapshot" else value
+                init[name] = float(value) if name != "path" else value
             except ValueError:
                 init[name] = value
     if init["preset"] in ("random_smooth",) and "modes" in init:

@@ -11,13 +11,13 @@ inequality vanish there analytically, not just to quadrature accuracy.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .grid_fields import ball_mask, gradient, laplacian
+from .grid_fields import _window_overlaps, ball_mask, gradient, laplacian
 from .state import EPS_FLOOR, Trajectory
 
 
@@ -51,17 +51,21 @@ class _RadialCutoff:
     def x_val(self, rho):
         return 1.0 - _smoothstep(self._sx(rho))
 
+    def _on_x_seam(self, rho, fn):
+        # fn(s) on the open seam a_x < rho < b_x and 0 elsewhere; only the
+        # seam cells are evaluated, as most of a grid lies off the seam
+        out = np.zeros(np.shape(rho))
+        seam = (rho > self.a_x) & (rho < self.b_x)
+        out[seam] = fn(self._sx(rho[seam]))
+        return out
+
     def x_d1(self, rho):
-        inside = (rho > self.a_x) & (rho < self.b_x)
-        return np.where(
-            inside, -_smoothstep_d1(self._sx(rho)) / (self.b_x - self.a_x), 0.0
-        )
+        return self._on_x_seam(
+            rho, lambda s: -_smoothstep_d1(s) / (self.b_x - self.a_x))
 
     def x_d2(self, rho):
-        inside = (rho > self.a_x) & (rho < self.b_x)
-        return np.where(
-            inside, -_smoothstep_d2(self._sx(rho)) / (self.b_x - self.a_x) ** 2, 0.0
-        )
+        return self._on_x_seam(
+            rho, lambda s: -_smoothstep_d2(s) / (self.b_x - self.a_x) ** 2)
 
     def _st(self, t):
         return np.clip((-t - self.a_t) / (self.b_t - self.a_t), 0.0, 1.0)
@@ -77,13 +81,19 @@ class _RadialCutoff:
         )
 
 
+#: unscaled (rho, t), the kernel factor K with dK/drho and dK/dt, and the
+#: cutoff factors X(rho), T(t) with their derivatives
+_Parts = namedtuple("_Parts", "rho t K K_rho K_t X X_rho T T_t")
+
+
 class TestFunction:
     """Nonnegative space-time cutoff psi with analytic gradient and heat
     residual (dt psi + Delta psi).
 
-    kind "heat_kernel": psi = Psi_level * xi; kind "smooth_bump": psi = xi
-    alone.  Coordinates are relative to the function's own center; callers
-    shift by the cylinder center and apply the minimum-image convention.
+    psi = K X T with X(|x|) T(t) the cutoff and K the kernel factor:
+    Psi_level for kind "heat_kernel", 1 for kind "smooth_bump".
+    Coordinates are relative to the function's own center; callers shift
+    by the cylinder center and apply the minimum-image convention.
     """
 
     def __init__(self, kind: str, cutoff: _RadialCutoff,
@@ -102,99 +112,51 @@ class TestFunction:
         self.support_radius = scale * cutoff.b_x
         self.support_time = scale**2 * cutoff.b_t  # psi = 0 for t <= -this
 
-    # -- radial building blocks --------------------------------------------
-    def _kernel(self, rho, t):
+    def _parts(self, rho, t) -> _Parts:
+        """Every factor of psi at scaled (rho, t), in unscaled coordinates."""
+        rho = np.asarray(rho, dtype=float) / self.scale
+        t = t / self.scale**2
+        c = self.cutoff
+        X, X_rho, T, T_t = c.x_val(rho), c.x_d1(rho), c.t_val(t), c.t_d1(t)
+        if self.kind == "smooth_bump":
+            return _Parts(rho, t, 1.0, 0.0, 0.0, X, X_rho, T, T_t)
         s = self.r_level**2 - t
-        psi = s ** (-1.5) * np.exp(-(rho**2) / (4.0 * s))
-        dpsi_drho = -rho / (2.0 * s) * psi
-        return psi, dpsi_drho
+        K = s ** (-1.5) * np.exp(-(rho**2) / (4.0 * s))
+        K_t = K * (1.5 / s - rho**2 / (4.0 * s * s))
+        return _Parts(rho, t, K, -rho / (2.0 * s) * K, K_t, X, X_rho, T, T_t)
 
     def value_rt(self, rho, t):
         """psi as a function of radius and time (scaled coordinates)."""
-        return self._value_base(np.asarray(rho, dtype=float) / self.scale,
-                                t / self.scale**2)
-
-    def _value_base(self, rho, t):
-        xi = self.cutoff.x_val(rho) * self.cutoff.t_val(t)
-        if self.kind == "smooth_bump":
-            return xi
-        return self._kernel(rho, t)[0] * xi
+        p = self._parts(rho, t)
+        return p.K * (p.X * p.T)
 
     def grad_norm_rt(self, rho, t):
         """|grad psi| as a function of radius and time (scaled)."""
-        return self._grad_base(np.asarray(rho, dtype=float) / self.scale,
-                               t / self.scale**2) / self.scale
-
-    def _grad_base(self, rho, t):
-        T = self.cutoff.t_val(t)
-        X, Xp = self.cutoff.x_val(rho), self.cutoff.x_d1(rho)
-        if self.kind == "smooth_bump":
-            return np.abs(Xp) * T
-        K, Kp = self._kernel(rho, t)
-        return np.abs(Kp * X + K * Xp) * T
+        p = self._parts(rho, t)
+        return np.abs(p.K_rho * p.X + p.K * p.X_rho) * p.T / self.scale
 
     def heat_residual_rt(self, rho, t):
-        """dt psi + Delta psi as a function of radius and time (scaled)."""
-        return self._heat_base(np.asarray(rho, dtype=float) / self.scale,
-                               t / self.scale**2) / self.scale**2
+        """dt psi + Delta psi as a function of radius and time (scaled).
 
-    def _heat_base(self, rho, t):
-        """dt psi + Delta psi as a function of radius and time.
-
-        For the heat kernel the Psi factor is exactly backward caloric, so
-        only cutoff-derivative terms survive; both kinds return exact zero
-        on the cutoff plateau.
+        For the heat kernel K is exactly backward caloric, so only
+        cutoff-derivative terms survive; both kinds return exact zero on
+        the cutoff plateau.
         """
-        rho = np.asarray(rho, dtype=float)
-        X = self.cutoff.x_val(rho)
-        Xp = self.cutoff.x_d1(rho)
-        Xpp = self.cutoff.x_d2(rho)
-        T = self.cutoff.t_val(t)
-        Tp = self.cutoff.t_d1(t)
-        safe_rho = np.where(rho > 0, rho, 1.0)
-        lap_x = Xpp + np.where(rho > 0, 2.0 * Xp / safe_rho, 3.0 * Xpp)
-        xi_heat = X * Tp + T * lap_x
-        if self.kind == "smooth_bump":
-            return xi_heat
-        K, Kp = self._kernel(rho, t)
-        return K * xi_heat + 2.0 * Kp * Xp * T
+        p = self._parts(rho, t)
+        X_rr = self.cutoff.x_d2(p.rho)
+        safe_rho = np.where(p.rho > 0, p.rho, 1.0)
+        lap_x = X_rr + np.where(p.rho > 0, 2.0 * p.X_rho / safe_rho, 3.0 * X_rr)
+        xi_heat = p.X * p.T_t + p.T * lap_x
+        return (p.K * xi_heat + 2.0 * p.K_rho * p.X_rho * p.T) / self.scale**2
 
     # -- grid-shaped evaluation --------------------------------------------
     def value(self, xrel, t):
         return self.value_rt(np.sqrt(np.sum(np.asarray(xrel) ** 2, axis=0)), t)
 
-    def grad(self, xrel, t):
-        """Vector gradient, shaped like xrel."""
-        xrel = np.asarray(xrel, dtype=float)
-        rho = np.sqrt(np.sum(xrel**2, axis=0))
-        rb, tb = rho / self.scale, t / self.scale**2
-        T = self.cutoff.t_val(tb)
-        X, Xp = self.cutoff.x_val(rb), self.cutoff.x_d1(rb)
-        if self.kind == "smooth_bump":
-            radial = Xp * T
-        else:
-            K, Kp = self._kernel(rb, tb)
-            radial = (Kp * X + K * Xp) * T
-        unit = xrel / np.where(rho > 0, rho, 1.0)
-        return radial / self.scale * unit
-
-    def heat_residual(self, xrel, t):
-        return self.heat_residual_rt(
-            np.sqrt(np.sum(np.asarray(xrel) ** 2, axis=0)), t
-        )
-
     def dt_value(self, xrel, t):
         """Analytic time derivative of psi."""
-        rho = np.sqrt(np.sum(np.asarray(xrel) ** 2, axis=0))
-        rb, tb = rho / self.scale, t / self.scale**2
-        X = self.cutoff.x_val(rb)
-        T, Tp = self.cutoff.t_val(tb), self.cutoff.t_d1(tb)
-        if self.kind == "smooth_bump":
-            return X * Tp / self.scale**2
-        s = self.r_level**2 - tb
-        K = self._kernel(rb, tb)[0]
-        dK = K * (1.5 / s - rb**2 / (4.0 * s * s))
-        return (dK * X * T + K * X * Tp) / self.scale**2
+        p = self._parts(np.sqrt(np.sum(np.asarray(xrel) ** 2, axis=0)), t)
+        return (p.K_t * p.X * p.T + p.K * p.X * p.T_t) / self.scale**2
 
 
 def heat_test_function(level: int, plateau_x: float = 0.075,
@@ -436,7 +398,10 @@ def lei_residual(traj: Trajectory, tf: TestFunction, t: float,
     """All terms of the local energy inequality for the test function tf
     centered at (center_x, t), integrated over Omega = B_omega_radius.
 
-    Time integrals use the midpoint rule on the analytic psi factor with
+    Time integrals run over the overlaps of the window
+    (t - tf.support_time, t] with the snapshot intervals, by the window
+    rule of the cylinder quadrature (CylinderRangeError outside the
+    recorded span), with the midpoint rule on the analytic psi factor and
     linear interpolation of the fields between snapshots; final-time ball
     integrals use the snapshot nearest to t.  Returns the named terms and
     the residual rhs_total - lhs_total (nonnegative when the inequality
@@ -455,22 +420,10 @@ def lei_residual(traj: Trajectory, tf: TestFunction, t: float,
     c0max = traj.initial_norms.c0_max
     vol = grid.cell_volume
     mask = ball_mask(grid, center_x, omega_radius)
-    xrel = np.stack(
-        [
-            np.mod(c - x0 + 0.5 * grid.box_length, grid.box_length)
-            - 0.5 * grid.box_length
-            for c, x0 in zip(
-                np.broadcast_arrays(*grid.coords()), center_x
-            )
-        ]
-    )
+    xrel = grid.min_image_offsets(center_x)
     gp = params.grad_phi_arrays(grid)
-
     times = traj.times
-    t_lo = t - tf.support_time
-    eps = 1e-12 * max(1.0, float(times[-1] - times[0]))
-    if t_lo < times[0] - eps or t > times[-1] + eps:
-        raise ValueError("test-function time support outside the recorded span")
+    overlaps = _window_overlaps(times, t - tf.support_time, t)[0]
 
     lhs = {name: 0.0 for name in LHS_TERM_NAMES}
     rhs = {name: 0.0 for name in RHS_TERM_NAMES}
@@ -490,10 +443,7 @@ def lei_residual(traj: Trajectory, tf: TestFunction, t: float,
     )
 
     # time-integrated terms: midpoint in psi, linear in the fields
-    for i in range(len(times) - 1):
-        a, b = max(times[i], t_lo), min(times[i + 1], t)
-        if b <= a:
-            continue
+    for i, a, b in overlaps:
         w = b - a
         tm = 0.5 * (a + b)
         lam = (tm - times[i]) / (times[i + 1] - times[i])

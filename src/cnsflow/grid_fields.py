@@ -10,7 +10,9 @@ Space-time integrals over parabolic cylinders use a binary ball mask
 piecewise-linear-in-time interpolant of the spatial integral.  Two
 primitives, ``cylinder_time_integral`` and ``cylinder_sup``, are the only
 code that decides which cells and snapshots make up a cylinder; each
-builds the mask and the window once for any number of integrands.
+builds the mask and the window once for any number of integrands.  Their
+time window, and the local energy inequality's, follow one rule,
+``_window_overlaps``.
 """
 
 from __future__ import annotations
@@ -141,14 +143,18 @@ class Grid:
         """Broadcastable cell-center coordinate arrays."""
         return self.x, self.y, self.z
 
+    def min_image_offsets(self, x0: Sequence[float]) -> np.ndarray:
+        """Periodic displacement from x0 to every cell center, each
+        component in [-L/2, L/2], shape (3, N, N, N)."""
+        L = self.box_length
+        return np.stack(np.broadcast_arrays(*(
+            np.mod(c - x0i + 0.5 * L, L) - 0.5 * L
+            for c, x0i in zip(self.coords(), x0)
+        )))
+
     def min_image_distance_sq(self, x0: Sequence[float]) -> np.ndarray:
         """Squared periodic distance from every cell center to x0."""
-        L = self.box_length
-        out = np.zeros((self.n, self.n, self.n))
-        for c, x0i in zip(self.coords(), x0):
-            d = np.mod(c - x0i + 0.5 * L, L) - 0.5 * L
-            out = out + d * d
-        return out
+        return np.sum(self.min_image_offsets(x0) ** 2, axis=0)
 
 
 @dataclass(frozen=True)
@@ -289,32 +295,40 @@ def ball_integrals(*integrands: tuple[str, float]) -> Callable:
     return spatial
 
 
-def _ball_and_window(traj, Q: ParabolicCylinder):
-    """Q's ball mask, the recorded times, Q's time interval and the time
-    tolerance: the one rule for which cells and snapshots make up Q."""
-    Q.check_fits(traj.grid)
-    mask = ball_mask(traj.grid, Q.center_x, Q.radius)
-    times = traj.times
+def _window_overlaps(times: np.ndarray, t_lo: float, t_hi: float):
+    """The one rule for which recorded times a window (t_lo, t_hi) uses.
+
+    Raises CylinderRangeError unless the window lies in the recorded span
+    up to the tolerance eps = 1e-12 max(1, span).  Returns the overlaps
+    (i, a, b), a < b, of the window with each snapshot interval
+    [t_i, t_{i+1}], and eps.
+    """
     eps = 1e-12 * max(1.0, abs(times[-1] - times[0]))
-    return mask, times, *Q.time_interval(), eps
-
-
-def _interval_segments(
-    times: np.ndarray, t_lo: float, t_hi: float, eps: float
-) -> list[tuple[int, float, float]]:
-    """Segments (i, w_i, w_{i+1}) so that the integral of the linear
-    interpolant of g over [t_lo, t_hi] is sum(w_i g_i + w_{i+1} g_{i+1})."""
     if t_lo < times[0] - eps or t_hi > times[-1] + eps:
         raise CylinderRangeError(
             f"time window ({t_lo}, {t_hi}) outside recorded span "
             f"({times[0]}, {times[-1]})"
         )
+    a = np.maximum(times[:-1], t_lo)
+    b = np.minimum(times[1:], t_hi)
+    return [(i, a[i], b[i]) for i in np.flatnonzero(b > a).tolist()], eps
+
+
+def _ball_and_window(traj, Q: ParabolicCylinder):
+    """Q's ball mask, the recorded times and Q's time interval: which
+    cells and snapshots make up Q."""
+    Q.check_fits(traj.grid)
+    mask = ball_mask(traj.grid, Q.center_x, Q.radius)
+    return mask, traj.times, *Q.time_interval()
+
+
+def _interval_segments(
+    times: np.ndarray, t_lo: float, t_hi: float
+) -> list[tuple[int, float, float]]:
+    """Segments (i, w_i, w_{i+1}) so that the integral of the linear
+    interpolant of g over [t_lo, t_hi] is sum(w_i g_i + w_{i+1} g_{i+1})."""
     out = []
-    for i in range(len(times) - 1):
-        a = max(times[i], t_lo)
-        b = min(times[i + 1], t_hi)
-        if b <= a:
-            continue
+    for i, a, b in _window_overlaps(times, t_lo, t_hi)[0]:
         delta = times[i + 1] - times[i]
         la = (a - times[i]) / delta
         lb = (b - times[i]) / delta
@@ -333,8 +347,8 @@ def cylinder_time_integral(traj, Q: ParabolicCylinder, spatial: Callable):
     each component, so one pass (one mask, one window) serves any number
     of integrands.  Returns a float or an array of the same shape.
     """
-    mask, times, t_lo, t_hi, eps = _ball_and_window(traj, Q)
-    segments = _interval_segments(times, t_lo, t_hi, eps)
+    mask, times, t_lo, t_hi = _ball_and_window(traj, Q)
+    segments = _interval_segments(times, t_lo, t_hi)
     needed = sorted({i for seg in segments for i in (seg[0], seg[0] + 1)})
     g = {i: np.asarray(spatial(traj.states[i], mask), dtype=float) for i in needed}
     total = sum(w0 * g[i] + w1 * g[i + 1] for i, w0, w1 in segments)
@@ -344,7 +358,8 @@ def cylinder_time_integral(traj, Q: ParabolicCylinder, spatial: Callable):
 def cylinder_sup(traj, Q: ParabolicCylinder, spatial: Callable):
     """Componentwise max of ``spatial(state, mask)`` over the recorded
     snapshots in Q's time window; a float or an array like ``spatial``'s."""
-    mask, times, t_lo, t_hi, eps = _ball_and_window(traj, Q)
+    mask, times, t_lo, t_hi = _ball_and_window(traj, Q)
+    eps = _window_overlaps(times, t_lo, t_hi)[1]
     idx = [i for i, t in enumerate(times) if t_lo - eps <= t <= t_hi + eps]
     if not idx:
         raise CylinderRangeError("no snapshots in the cylinder time window")

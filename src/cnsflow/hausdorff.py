@@ -125,7 +125,7 @@ def contains_backward_half(qstar: ParabolicCylinder) -> bool:
     half = ParabolicCylinder(qstar.center_x, qstar.center_t, 0.5 * r)
     lo, hi = half.time_interval()
     big_lo, big_hi = qstar.time_interval()
-    return 0.5 * r <= r and lo >= big_lo and hi <= big_hi
+    return lo >= big_lo and hi <= big_hi
 
 
 # ---------------------------------------------------------------------------

@@ -106,15 +106,32 @@ class PressureDecomposition:
     mean_n: float
     mask_rho: np.ndarray
     mask_half: np.ndarray
-    _fine_points: np.ndarray = None
-    _fine_sources: np.ndarray = None
-    _fine_volume: float = 0.0
+    source_hat: list  # half spectra of the cutoff sources g_i
 
     def p1_at(self, points) -> np.ndarray:
-        """Kernel-sum evaluation of P1 at arbitrary points."""
+        """Kernel-sum evaluation of P1 at arbitrary points.
+
+        One integration by parts moves the outer derivative of each source
+        onto the kernel; the sources on B_rho are sampled on a twice-finer
+        grid via trigonometric interpolation (on the grid itself where the
+        finer one would exceed MAX_SOURCE_CELLS).
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return _kernel_sum(self.grid, pts, self._fine_points,
-                           self._fine_sources, self._fine_volume)
+        grid, rho = self.grid, self.rho
+        upsample = 2 if np.ceil(4.19 * (rho / (grid.h / 2)) ** 3) <= MAX_SOURCE_CELLS else 1
+        g = grid.irfftn(np.stack(self.source_hat))
+        fine = Grid(grid.n * upsample, grid.box_length) if upsample > 1 else grid
+        g_fine = np.array([spectral_upsample(grid, g[i], upsample) for i in range(3)])
+        dist_f = np.sqrt(fine.min_image_distance_sq(self.center))
+        src_mask = dist_f < rho
+        if int(np.sum(src_mask)) > MAX_SOURCE_CELLS:
+            raise CylinderRangeError(
+                f"{int(np.sum(src_mask))} source cells exceed the {MAX_SOURCE_CELLS} cap"
+            )
+        xs, ys, zs = np.broadcast_arrays(*fine.coords())
+        src_xyz = np.stack([xs[src_mask], ys[src_mask], zs[src_mask]], axis=1)
+        src_g = np.stack([g_fine[i][src_mask] for i in range(3)], axis=1)
+        return _kernel_sum(grid, pts, src_xyz, src_g, fine.cell_volume)
 
     def identity_residual(self, p_values: np.ndarray) -> float:
         """max |P - (P1 + P2)| over B_{rho/2} (zero by construction)."""
@@ -156,10 +173,7 @@ def decompose_local(s, x0: Sequence[float], rho: float,
     cutoff sources, which pins down P1 up to a function harmonic on the
     ball (so P2 = P - P1 is harmonic on B_{rho/2} to spectral accuracy).
     The direct Newtonian kernel quadrature is kept for off-grid evaluation
-    through ``p1_at``: one integration by parts moves the outer derivative
-    of each source onto the kernel, and the sources are sampled on a
-    twice-finer grid via trigonometric interpolation (on the grid itself
-    where the finer one would exceed MAX_SOURCE_CELLS).
+    through ``p1_at``, which builds its source samples on each call.
     """
     grid = s.grid
     if rho > grid.box_length / 4.0:
@@ -170,8 +184,6 @@ def decompose_local(s, x0: Sequence[float], rho: float,
     mask_rho = dist < rho
     mask_half = dist < 0.5 * rho
 
-    upsample = 2 if np.ceil(4.19 * (rho / (grid.h / 2)) ** 3) <= MAX_SOURCE_CELLS else 1
-
     mean_u = np.array([float(np.mean(s.u[i][mask_rho])) for i in range(3)])
     mean_n = float(np.mean(s.n[mask_rho]))
     w = s.u - mean_u[:, None, None, None]
@@ -180,20 +192,6 @@ def decompose_local(s, x0: Sequence[float], rho: float,
     # g_i = sum_j d_j(eta w_i w_j) + eta n grad_phi_i  (one derivative kept;
     # the other acts on the kernel inside the sum)
     g_hat = _force_hats(grid, w, s.n, gp, weight=eta)
-    g = grid.irfftn(np.stack(g_hat))
-
-    fine = Grid(grid.n * upsample, grid.box_length) if upsample > 1 else grid
-    g_fine = np.array([spectral_upsample(grid, g[i], upsample) for i in range(3)])
-    dist_f = np.sqrt(fine.min_image_distance_sq(x0))
-    src_mask = dist_f < rho
-    if int(np.sum(src_mask)) > MAX_SOURCE_CELLS:
-        raise CylinderRangeError(
-            f"{int(np.sum(src_mask))} source cells exceed the {MAX_SOURCE_CELLS} cap"
-        )
-    xs, ys, zs = np.broadcast_arrays(*fine.coords())
-    src_xyz = np.stack([xs[src_mask], ys[src_mask], zs[src_mask]], axis=1)
-    src_g = np.stack([g_fine[i][src_mask] for i in range(3)], axis=1)
-    vol_f = fine.cell_volume
 
     # grid values of P1: zero-mean periodic solve of -Delta P1 = div g,
     # with the same dealiased-product convention as the global pressure
@@ -203,7 +201,7 @@ def decompose_local(s, x0: Sequence[float], rho: float,
     return PressureDecomposition(
         grid=grid, center=x0, rho=rho, eta=eta, p1=p1, p2=p2,
         mean_u=mean_u, mean_n=mean_n, mask_rho=mask_rho, mask_half=mask_half,
-        _fine_points=src_xyz, _fine_sources=src_g, _fine_volume=vol_f,
+        source_hat=g_hat,
     )
 
 

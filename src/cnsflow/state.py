@@ -77,8 +77,6 @@ class State:
             return gradient(g, self.derived("sqrt_n_floored"))
         if name == "grad_sqrt_n_sq":
             return np.sum(self.derived("grad_sqrt_n") ** 2, axis=0)
-        if name == "sqrt_c":
-            return np.sqrt(np.maximum(self.c, 0.0))
         if name == "sqrt_c_floored":
             return np.sqrt(np.maximum(self.c, 0.0) + EPS_FLOOR)
         if name == "grad_sqrt_c":

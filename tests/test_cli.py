@@ -106,6 +106,11 @@ def test_out_of_range_cylinder_exits_3(workdir, traj_dir, tmp_path, capsys):
                  "--centers", str(centers), "--radii", "0.9",
                  "--out", str(tmp_path / "q.csv")])
     assert code == EXIT_NUMERIC
+    # the test function's time support reaches before the first snapshot
+    code = main(["verify-lei", "--traj", str(traj_dir),
+                 "--psi", "bump:r=0.08,span=0.02", "--t", "0.01",
+                 "--out", str(tmp_path / "lei.csv")])
+    assert code == EXIT_NUMERIC
 
 
 def test_nan_snapshot_exits_3(traj_dir, tmp_path, capsys):
@@ -120,6 +125,17 @@ def test_nan_snapshot_exits_3(traj_dir, tmp_path, capsys):
     assert code == EXIT_NUMERIC
     assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "p.csv").exists()
+
+
+def test_missing_restart_snapshot_exits_4(tmp_path, monkeypatch):
+    """init.path stays a string, so a numeric-looking name is looked up as
+    a file and a missing one is an I/O failure."""
+    cfg = tmp_path / "restart.cfg"
+    cfg.write_text("grid.n = 16\ngrid.l = 1.0\nsim.dt = 5e-4\n"
+                   "sim.t_end = 0.001\ninit.preset = restart\ninit.path = 0001\n")
+    monkeypatch.chdir(tmp_path)
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_IO
 
 
 def test_unwritable_output_exits_4(workdir, traj_dir, tmp_path):

@@ -104,3 +104,28 @@ def test_lei_smooth_bumps(lei_traj, smooth_params, radius, span):
                        params=smooth_params)
     tol = 1e-4 * (1.0 + rep.max_abs_term)
     assert rep.residual >= -tol
+
+
+@pytest.mark.parametrize("tf", [heat_test_function(3, scale=2.0),
+                                smooth_bump(0.2, 0.05)],
+                         ids=["heat_kernel", "smooth_bump"])
+def test_derivatives_match_finite_differences(tf):
+    """|grad psi|, dt psi and dt psi + Delta psi (radial Laplacian
+    psi'' + 2 psi'/rho) against central differences of value_rt, over the
+    whole support, seams included."""
+    rho, t = np.meshgrid(np.linspace(0.02, tf.support_radius, 41),
+                         np.linspace(-tf.support_time, 0.0, 31), indexing="ij")
+    h, k = 1e-4 * tf.support_radius, 1e-4 * tf.support_time
+    v0 = tf.value_rt(rho, t)
+    v_p, v_m = tf.value_rt(rho + h, t), tf.value_rt(rho - h, t)
+    d_rho = (v_p - v_m) / (2.0 * h)
+    d_t = (tf.value_rt(rho, t + k) - tf.value_rt(rho, t - k)) / (2.0 * k)
+    lap = (v_p - 2.0 * v0 + v_m) / h**2 + 2.0 / rho * d_rho
+    xrel = np.stack([rho, np.zeros_like(rho), np.zeros_like(rho)])
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+
+    assert close(tf.grad_norm_rt(rho, t), np.abs(d_rho))
+    assert close(tf.dt_value(xrel, t), d_t)
+    assert close(tf.heat_residual_rt(rho, t), d_t + lap)

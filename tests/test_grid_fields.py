@@ -175,6 +175,18 @@ def test_min_image_distance_wraps():
     assert abs(np.max(d2) - 0.75) < 1e-12
 
 
+def test_min_image_offsets_are_shortest_displacements():
+    g = Grid(16, 2.0)
+    x0 = (0.3, 1.7, 0.05)
+    off = g.min_image_offsets(x0)
+    assert off.shape == (3, 16, 16, 16)
+    assert np.all(np.abs(off) <= 0.5 * g.box_length)
+    for c, x0i, d in zip(np.broadcast_arrays(*g.coords()), x0, off):
+        wraps = (c - x0i - d) / g.box_length
+        assert np.max(np.abs(wraps - np.round(wraps))) < 1e-12
+    assert np.array_equal(np.sum(off**2, axis=0), g.min_image_distance_sq(x0))
+
+
 def test_ball_mask_volume():
     g = Grid(64, 1.0)
     r = 0.2
@@ -261,6 +273,20 @@ def test_integral_out_of_span_raises():
     Q = ParabolicCylinder((1.0, 1.0, 1.0), 5.0, 0.3)
     with pytest.raises(CylinderRangeError):
         integrate_cylinder(traj, "sqrt_n", Q)
+
+
+def test_sup_out_of_span_raises():
+    """The sup applies the integral's window rule: a window reaching
+    before the first snapshot is rejected, not truncated."""
+    g = Grid(16, 2.0)
+    zeros = np.zeros((16,) * 3)
+    states = [State(g, zeros.copy(), zeros.copy(), np.ones((3, 16, 16, 16)),
+                    zeros.copy(), t) for t in np.linspace(-0.1, 0.0, 5)]
+    traj = Trajectory(states)
+    Q = ParabolicCylinder((1.0, 1.0, 1.0), 0.0, 0.4)  # window (-0.16, 0]
+    for fn in (integrate_cylinder, sup_over_time):
+        with pytest.raises(CylinderRangeError):
+            fn(traj, "abs_u", Q)
 
 
 def test_sup_over_time_picks_max():

@@ -20,6 +20,7 @@ from cnsflow import (
     initial_state,
     riesz_potential,
     solve_pressure,
+    spectral_upsample,
 )
 
 
@@ -63,6 +64,25 @@ def test_kernel_p1_consistent_with_grid_p1(decomp_setup):
     kernel = float(d.p1_at(center)[0])
     scale = max(1e-12, float(np.max(np.abs(d.p1[d.mask_half]))))
     assert abs(spectral - kernel) / scale < 0.05
+
+
+def test_kernel_sources_built_on_demand(smooth_traj, smooth_params, monkeypatch):
+    """decompose_local leaves the kernel sources to p1_at, which upsamples
+    the three source components on each call."""
+    from cnsflow import pressure
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return spectral_upsample(*args)
+
+    monkeypatch.setattr(pressure, "spectral_upsample", counting)
+    d = decompose_local(smooth_traj.states[-1], (0.5, 0.5, 0.5), 0.2,
+                        params=smooth_params)
+    assert len(calls) == 0
+    d.p1_at(np.array([d.center]))
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("n, m", [(16, 40), (64, 520)])
