@@ -17,13 +17,12 @@ import numpy as np
 from cnsflow import PhysParams, SimulationConfig, divergence, simulate
 
 cfg = SimulationConfig(
-    grid_n=32, grid_l=1.0, dt=2e-4, t_end=0.03, output_stride=10,
-    chi_coeffs=(0.5,), gravity=0.5, seed=1,
+    grid_n=32, grid_l=1.0, dt=2e-4, t_end=0.03, output_stride=10, seed=1,
     init={"preset": "gaussian", "amplitude": 1.0, "width": 0.1, "c0": 1.0},
 )
 params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.5, c0_max=1.0)
 
-traj = simulate(cfg, params=params)
+traj = simulate(cfg, params)
 vol = traj.grid.cell_volume
 
 print(f"ran {len(traj.states)} snapshots to t = {traj.times[-1]:.3f}")
@@ -39,9 +38,9 @@ for s in traj.states[:: max(1, len(traj.states) // 5)]:
 # then decays mode-exactly: u(t) = e^{-2t} u(0) on the 2*pi box.
 tg = SimulationConfig(
     grid_n=32, grid_l=2.0 * np.pi, dt=1e-3, t_end=0.1, output_stride=100,
-    chi_coeffs=(0.0,), init={"preset": "taylor_green", "amplitude": 1.0},
+    init={"preset": "taylor_green", "amplitude": 1.0},
 )
-ref = simulate(tg, params=PhysParams(theta0=1.0, chi_coeffs=(0.0,), c0_max=0.0))
+ref = simulate(tg, PhysParams(theta0=1.0, chi_coeffs=(0.0,), c0_max=0.0))
 s = ref.states[-1]
 x, y, _ = np.broadcast_arrays(*s.grid.coords())
 decay = np.exp(-2.0 * s.time)

@@ -16,6 +16,7 @@ import numpy as np
 
 from cnsflow import (
     ParabolicCylinder,
+    PhysParams,
     SimulationConfig,
     compute_quantities,
     simulate,
@@ -23,12 +24,11 @@ from cnsflow import (
 )
 
 cfg = SimulationConfig(
-    grid_n=32, grid_l=1.0, dt=2e-4, t_end=0.05, output_stride=5,
-    chi_coeffs=(0.5,), gravity=0.5, seed=3,
+    grid_n=32, grid_l=1.0, dt=2e-4, t_end=0.05, output_stride=5, seed=3,
     init={"preset": "random_smooth", "amplitude": 0.05,
           "n_mean": 1.0, "c0": 1.0, "modes": 2},
 )
-traj = simulate(cfg)
+traj = simulate(cfg, PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.5, c0_max=1.0))
 
 center, t0 = (0.5, 0.5, 0.5), traj.times[-1]
 print("quantities at several radii (sup-in-time A_*, dissipation E_*,")

@@ -26,13 +26,12 @@ from cnsflow import (
 )
 
 cfg = SimulationConfig(
-    grid_n=32, grid_l=1.0, dt=2e-4, t_end=0.03, output_stride=10,
-    chi_coeffs=(0.5,), gravity=0.5, seed=3,
+    grid_n=32, grid_l=1.0, dt=2e-4, t_end=0.03, output_stride=10, seed=3,
     init={"preset": "random_smooth", "amplitude": 0.05,
           "n_mean": 1.0, "c0": 1.0, "modes": 2},
 )
 params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.5, c0_max=1.0)
-state = simulate(cfg, params=params).states[-1]
+state = simulate(cfg, params).states[-1]
 
 dec = decompose_local(state, (0.5, 0.5, 0.5), 0.2, params=params)
 print(f"identity max|P - (P1 + P2)| on B_rho/2 : "

@@ -37,25 +37,24 @@ for name, value in thr.items():
 print(f"working threshold used for flags: {cfg.working_threshold}")
 
 sim = SimulationConfig(
-    grid_n=32, grid_l=1.0, dt=2e-4, t_end=0.05, output_stride=5,
-    chi_coeffs=(0.5,), gravity=0.5, seed=3,
+    grid_n=32, grid_l=1.0, dt=2e-4, t_end=0.05, output_stride=5, seed=3,
     init={"preset": "random_smooth", "amplitude": 0.05,
           "n_mean": 1.0, "c0": 1.0, "modes": 2},
 )
-traj = simulate(sim, params=params)
+traj = simulate(sim, params)
 t_last = traj.times[-1]
 z0 = ((0.5, 0.5, 0.5), t_last)
 
-rep = flag_thm13(traj, z0, (0.08, 0.12), cfg, params=params)
+rep = flag_thm13(traj, z0, (0.08, 0.12), cfg)
 print(f"\nweighted-gradient criterion at {z0}: value = {rep['value']:.3e}, "
       f"flagged = {rep['flagged']}")
 for variant in ("i", "ii"):
-    rep = flag_thm16(traj, z0, cfg, params=params, variant=variant, rho0=0.12)
+    rep = flag_thm16(traj, z0, cfg, variant=variant, rho0=0.12)
     print(f"unit-cylinder bundle (variant {variant}): value = "
           f"{rep['value']:.3e} -> {rep['status']}")
 
 centers = [((x, 0.5, 0.5), t_last) for x in (0.25, 0.5, 0.75)]
-flags = flag_sweep(traj, centers, (0.08, 0.12), cfg, params=params)
+flags = flag_sweep(traj, centers, (0.08, 0.12), cfg)
 print(f"sweep over {len(centers)} centers flagged {len(flags)} points")
 
 # Scale iteration: G contracts by half per theta0-step plus a forcing term.

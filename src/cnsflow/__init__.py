@@ -27,7 +27,7 @@ from .grid_fields import (
     spectral_upsample,
     sup_over_time,
 )
-from .state import InitialNorms, State, Trajectory, rescale_state
+from .state import InitialNorms, PhysParams, State, Trajectory, rescale_state
 from .snapshot import (
     read_snapshot,
     read_trajectory,
@@ -36,7 +36,6 @@ from .snapshot import (
 )
 from .solver import (
     CFLError,
-    PhysParams,
     SimulationConfig,
     initial_state,
     simulate,

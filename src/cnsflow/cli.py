@@ -38,8 +38,9 @@ from .grid_fields import (
 from .hausdorff import dimension_estimate
 from .pressure import decompose_local, harmonic_residual
 from .regularity import RegularityConfig, FlagSet, flag_sweep
-from .snapshot import read_snapshot, read_trajectory, write_trajectory
-from .solver import CFLError, PhysParams, SimulationConfig, simulate
+from .snapshot import read_snapshot, read_trajectory
+from .solver import CFLError, SimulationConfig, simulate
+from .state import PhysParams
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -121,18 +122,15 @@ def build_sim_config(cfg: dict) -> tuple:
         dt=config_get(cfg, "sim.dt", float),
         t_end=config_get(cfg, "sim.t_end", float),
         output_stride=config_get(cfg, "sim.output_stride", int, 10),
-        theta0=config_get(cfg, "phys.theta0", float, 1.0),
-        chi_coeffs=config_get(cfg, "phys.chi", _float_list, (1.0,)),
-        gravity=config_get(cfg, "phys.gravity", float, 0.0),
         seed=config_get(cfg, "sim.seed", int, 0),
         order=config_get(cfg, "sim.order", int, 1),
         init=init,
         start_time=config_get(cfg, "sim.start_time", float, 0.0),
     )
     params = PhysParams(
-        theta0=sim.theta0,
-        chi_coeffs=sim.chi_coeffs,
-        gravity=sim.gravity,
+        theta0=config_get(cfg, "phys.theta0", float, 1.0),
+        chi_coeffs=config_get(cfg, "phys.chi", _float_list, (1.0,)),
+        gravity=config_get(cfg, "phys.gravity", float, 0.0),
         c0_max=config_get(cfg, "phys.c0_max", float,
                           float(init.get("c0", 1.0))),
     )
@@ -191,16 +189,17 @@ def _hash_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_manifest(out_dir, config_path, sim, phase_seconds, outputs) -> Path:
+def write_manifest(out_dir, config_path, sim, params, phase_seconds,
+                   outputs) -> Path:
     manifest = {
         "version": __version__,
         "config_sha256": _hash_file(config_path),
         "seed": sim.seed,
         "grid": {"n": sim.grid_n, "box_length": sim.grid_l, "dt": sim.dt},
         "params": {
-            "theta0": sim.theta0,
-            "chi_coeffs": list(sim.chi_coeffs),
-            "gravity": sim.gravity,
+            "theta0": params.theta0,
+            "chi_coeffs": list(params.chi_coeffs),
+            "gravity": params.gravity,
         },
         "outputs": {k: str(v) for k, v in outputs.items()},
         "phase_seconds": phase_seconds,
@@ -263,8 +262,8 @@ def cmd_simulate(args) -> int:
     sim, params = build_sim_config(cfg)
     out = Path(args.out)
     t0 = time.perf_counter()
-    simulate(sim, params=params, out_dir=out)
-    write_manifest(out, args.config, sim,
+    simulate(sim, params, out_dir=out)
+    write_manifest(out, args.config, sim, params,
                    {"simulate": time.perf_counter() - t0},
                    {"trajectory": out})
     return EXIT_OK
@@ -287,7 +286,7 @@ def cmd_diagnose_pressure(args) -> int:
     if len(center) != 3:
         raise ConfigError("--center needs exactly three comma-separated values")
     rho = float(args.rho)
-    params = None
+    params = PhysParams()  # a lone snapshot records no physics
     if args.config:
         _, params = build_sim_config(parse_config(args.config))
     dec = decompose_local(state, center, rho, params=params)
@@ -425,9 +424,8 @@ def cmd_pipeline(args) -> int:
         phase_seconds[name] = time.perf_counter() - t0
         return result
 
-    traj = phase("simulate", lambda: simulate(sim, params=params))
     traj_dir = out / "trajectory"
-    phase("persist", lambda: write_trajectory(traj_dir, traj))
+    traj = phase("simulate", lambda: simulate(sim, params, out_dir=traj_dir))
     outputs["trajectory"] = traj_dir
 
     L = sim.grid_l
@@ -446,7 +444,7 @@ def cmd_pipeline(args) -> int:
     outputs["quantities"] = out / "quantities.csv"
 
     def energy():
-        rep = global_energy_check(traj, params=params)
+        rep = global_energy_check(traj)
         rows = [[t, l] for t, l in zip(rep["times"], rep["lhs"])]
         write_csv(out / "energy.csv", ("t", "lhs"), rows)
 
@@ -464,8 +462,7 @@ def cmd_pipeline(args) -> int:
 
     def flags():
         centers = _candidate_centers(traj, flag_stride)
-        fs = flag_sweep(traj, centers, radii, reg, params=params,
-                        criterion="thm13")
+        fs = flag_sweep(traj, centers, radii, reg, criterion="thm13")
         write_csv(out / "flags.csv", FLAG_COLUMNS, _flag_rows(fs))
         return fs
 
@@ -483,7 +480,7 @@ def cmd_pipeline(args) -> int:
     phase("dimension", dimension)
     outputs["dimension"] = out / "dimension.csv"
 
-    write_manifest(out, args.config, sim, phase_seconds, outputs)
+    write_manifest(out, args.config, sim, params, phase_seconds, outputs)
     return EXIT_OK
 
 

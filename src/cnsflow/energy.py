@@ -276,8 +276,9 @@ def check_heat_properties(levels=(2, 3, 4, 5, 6), m: int = 240) -> dict:
 # global energy inequality
 # ---------------------------------------------------------------------------
 
-def global_energy_check(traj: Trajectory, params=None) -> dict:
-    """Evaluate the global energy functional along the trajectory.
+def global_energy_check(traj: Trajectory) -> dict:
+    """Evaluate the global energy functional along the trajectory, with the
+    trajectory's Theta0.
 
     LHS(t) = ||u||_2^2 + int_0^t ||grad u||_2^2
            + int (n+1) ln(n+1) + int_0^t int |grad sqrt(n+1)|^2
@@ -291,9 +292,7 @@ def global_energy_check(traj: Trajectory, params=None) -> dict:
     """
     if traj.initial_norms is None:
         raise ValueError("trajectory lacks an initial-norm record")
-    theta0 = params.theta0 if params is not None else (
-        traj.params.theta0 if traj.params is not None else 1.0
-    )
+    theta0 = traj.params.theta0
     vol = traj.grid.cell_volume
     times = traj.times
     inst, dissip = [], []
@@ -394,9 +393,10 @@ def _interp_arrays(a, b, lam):
 
 
 def lei_residual(traj: Trajectory, tf: TestFunction, t: float,
-                 center_x, omega_radius: float, params=None) -> LEIReport:
+                 center_x, omega_radius: float) -> LEIReport:
     """All terms of the local energy inequality for the test function tf
-    centered at (center_x, t), integrated over Omega = B_omega_radius.
+    centered at (center_x, t), integrated over Omega = B_omega_radius,
+    with the trajectory's physics.
 
     Time integrals run over the overlaps of the window
     (t - tf.support_time, t] with the snapshot intervals, by the window
@@ -407,21 +407,15 @@ def lei_residual(traj: Trajectory, tf: TestFunction, t: float,
     the residual rhs_total - lhs_total (nonnegative when the inequality
     holds).
     """
-    if params is None:
-        params = traj.params
-    if params is None:
-        from .solver import PhysParams
-
-        params = PhysParams()
     if tf.support_radius > omega_radius:
         raise ValueError("test-function support exceeds the integration ball")
     grid = traj.grid
+    params = traj.params
     theta0 = params.theta0
     c0max = traj.initial_norms.c0_max
     vol = grid.cell_volume
     mask = ball_mask(grid, center_x, omega_radius)
     xrel = grid.min_image_offsets(center_x)
-    gp = params.grad_phi_arrays(grid)
     times = traj.times
     overlaps = _window_overlaps(times, t - tf.support_time, t)[0]
 
@@ -498,8 +492,9 @@ def lei_residual(traj: Trajectory, tf: TestFunction, t: float,
         rhs["pressure_advect"] += (36.0 / theta0) * c0max * w * ball_sum(
             (p - p_bar) * u_gpsi
         )
+        # grad_phi = (0, 0, -gravity)
         rhs["buoyancy"] += -(36.0 / theta0) * c0max * w * ball_sum(
-            n * np.sum(gp * u, axis=0) * psi
+            n * (-params.gravity * u[2]) * psi
         )
 
     return LEIReport(t=t, lhs_terms=lhs, rhs_terms=rhs)

@@ -22,14 +22,16 @@ from .grid_fields import (
     Grid,
     spectral_upsample,
 )
+from .state import PhysParams
 
 #: Hard cap on the number of source cells in one direct potential sum.
 MAX_SOURCE_CELLS = 40**3
 
 
-def _force_hats(grid: Grid, u, n, gp, weight=1.0) -> list:
+def _force_hats(grid: Grid, u, n, gravity: float, weight=1.0) -> list:
     """Half-spectrum transforms of g_i = sum_j d_j(weight u_i u_j) +
-    weight n grad_phi_i, the field whose divergence drives the pressure."""
+    weight n grad_phi_i, the field whose divergence drives the pressure;
+    grad_phi = (0, 0, -gravity)."""
     k = grid.k
     g = [0.0, 0.0, 0.0]
     for i in range(3):
@@ -38,8 +40,8 @@ def _force_hats(grid: Grid, u, n, gp, weight=1.0) -> list:
             g[i] = g[i] + 1j * k[j] * prod
             if j != i:
                 g[j] = g[j] + 1j * k[i] * prod
-        if np.any(gp[i]):
-            g[i] = g[i] + grid.rfftn(weight * n * gp[i])
+    if gravity:
+        g[2] = g[2] + grid.rfftn(weight * n * -gravity)
     return g
 
 
@@ -49,12 +51,10 @@ def _poisson_div(grid: Grid, g_hat) -> np.ndarray:
     return grid.irfftn(grid.poisson_hat(grid.dealias_mask * div_hat))
 
 
-def solve_pressure(s, params=None) -> np.ndarray:
+def solve_pressure(s, params: PhysParams = PhysParams()) -> np.ndarray:
     """Zero-mean periodic solve of -Delta P = d_i d_j (u_i u_j) + div(n grad_phi);
     returns the (N, N, N) array P."""
-    grid = s.grid
-    gp = params.grad_phi_arrays(grid) if params is not None else np.zeros_like(s.u)
-    return _poisson_div(grid, _force_hats(grid, s.u, s.n, gp))
+    return _poisson_div(s.grid, _force_hats(s.grid, s.u, s.n, params.gravity))
 
 
 def quintic_bump(dist: np.ndarray, rho: float) -> np.ndarray:
@@ -164,7 +164,7 @@ def _kernel_sum(grid: Grid, targets: np.ndarray, sources_xyz: np.ndarray,
 
 
 def decompose_local(s, x0: Sequence[float], rho: float,
-                    params=None) -> PressureDecomposition:
+                    params: PhysParams = PhysParams()) -> PressureDecomposition:
     """Split the pressure near x0: P1 = Newtonian potential of the cutoff
     sources (velocity part with the ball-mean removed, buoyancy part with
     the cell density), P2 = P - P1.
@@ -187,11 +187,10 @@ def decompose_local(s, x0: Sequence[float], rho: float,
     mean_u = np.array([float(np.mean(s.u[i][mask_rho])) for i in range(3)])
     mean_n = float(np.mean(s.n[mask_rho]))
     w = s.u - mean_u[:, None, None, None]
-    gp = params.grad_phi_arrays(grid) if params is not None else np.zeros_like(s.u)
 
     # g_i = sum_j d_j(eta w_i w_j) + eta n grad_phi_i  (one derivative kept;
     # the other acts on the kernel inside the sum)
-    g_hat = _force_hats(grid, w, s.n, gp, weight=eta)
+    g_hat = _force_hats(grid, w, s.n, params.gravity, weight=eta)
 
     # grid values of P1: zero-mean periodic solve of -Delta P1 = div g,
     # with the same dealiased-product convention as the global pressure
@@ -366,7 +365,8 @@ def harmonic_test_family() -> list:
     ]
 
 
-def cz_sanity_report(decomp: PressureDecomposition, s, params=None) -> dict:
+def cz_sanity_report(decomp: PressureDecomposition, s,
+                     params: PhysParams = PhysParams()) -> dict:
     """Report the local Calderon-Zygmund-type bound on P1.
 
     Compares the 3/2-integral of P1 on B_rho against the cubic velocity
@@ -379,13 +379,12 @@ def cz_sanity_report(decomp: PressureDecomposition, s, params=None) -> dict:
     lhs = float(np.sum(np.abs(decomp.p1[m]) ** 1.5) * vol)
     w_sq = sum((s.u[i] - decomp.mean_u[i]) ** 2 for i in range(3))
     term_u = float(np.sum(w_sq[m] ** 1.5) * vol)
-    gp = params.grad_phi_arrays(grid) if params is not None else np.zeros_like(s.u)
-    gp_norm = np.sqrt(np.sum(gp**2, axis=0))
-    fluct = np.abs(s.n - decomp.mean_n) * gp_norm
-    mean_part = abs(decomp.mean_n) * gp_norm
+    gp_norm = abs(params.gravity)
+    fluct = np.abs(s.n[m] - decomp.mean_n) * gp_norm
     rho = decomp.rho
-    term_n1 = rho**0.75 * float(np.sum(fluct[m] ** 1.2) * vol) ** 1.25
-    term_n2 = rho**0.75 * float(np.sum(mean_part[m] ** 1.2) * vol) ** 1.25
+    term_n1 = rho**0.75 * float(np.sum(fluct**1.2) * vol) ** 1.25
+    term_n2 = rho**0.75 * float(
+        np.sum(m) * vol * (abs(decomp.mean_n) * gp_norm) ** 1.2) ** 1.25
     rhs = term_u + term_n1 + term_n2
     return {
         "lhs": lhs,

@@ -81,9 +81,7 @@ def thresholds(cfg: RegularityConfig, params=None) -> dict:
     if params is None:
         chi_norm, gp_max, c0_max = 0.0, 0.0, 0.0
     else:
-        chi_norm = params.chi_norm
-        gp_max = params.gradphi_max
-        c0_max = params.c0_max
+        chi_norm, gp_max, c0_max = params.chi_norm, abs(params.gravity), params.c0_max
     b1 = 1.0 + chi_norm
     b2 = 1.0 + gp_max + c0_max
     eps1 = cfg.eps1
@@ -166,18 +164,18 @@ def weighted_gradient_functional(traj: Trajectory, Q: ParabolicCylinder,
 
 
 def flag_thm13(traj: Trajectory, z0, radii: Sequence[float],
-               cfg: RegularityConfig, params=None,
-               threshold: Optional[float] = None) -> dict:
+               cfg: RegularityConfig) -> dict:
     """Weighted-gradient smallness check at z0 over the supplied radii.
 
     The functional is the maximum over radii of the delta0-weighted
     density-gradient integral plus the scale-invariant dissipation integral;
-    the point is flagged when it exceeds the working threshold.
+    the point is flagged when it exceeds the working threshold.  The paper
+    threshold comes from the trajectory's physics.
     """
     if not radii:
         raise CylinderRangeError("need at least one radius")
     x0, t0 = tuple(z0[0]), float(z0[1])
-    thr = cfg.working_threshold if threshold is None else float(threshold)
+    thr = cfg.working_threshold
     per_radius = {}
     best_r, best_v = None, -np.inf
     for r in sorted(radii):
@@ -186,7 +184,7 @@ def flag_thm13(traj: Trajectory, z0, radii: Sequence[float],
         per_radius[float(r)] = val
         if val > best_v:
             best_r, best_v = float(r), val
-    paper_thr = thresholds(cfg, params)["epsilon"]
+    paper_thr = thresholds(cfg, traj.params)["epsilon"]
     flagged = best_v > thr
     entry = None
     if flagged:
@@ -223,9 +221,8 @@ def _sup_bundle(w: float = 1.0):
     return spatial
 
 
-def flag_thm16(traj: Trajectory, z0, cfg: RegularityConfig, params=None,
-               variant: str = "ii", rho0: float = 0.25,
-               threshold: Optional[float] = None) -> dict:
+def flag_thm16(traj: Trajectory, z0, cfg: RegularityConfig,
+               variant: str = "ii", rho0: float = 0.25) -> dict:
     """Unit-cylinder smallness bundle at z0, evaluated by analytically
     rescaling the working cylinder of radius rho0 to unit size.
 
@@ -246,11 +243,11 @@ def flag_thm16(traj: Trajectory, z0, cfg: RegularityConfig, params=None,
     if variant not in ("i", "ii"):
         raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
     x0, t0 = tuple(z0[0]), float(z0[1])
-    thr = cfg.working_threshold if threshold is None else float(threshold)
+    thr = cfg.working_threshold
     Q = ParabolicCylinder(x0, t0, float(rho0))
     w = rho0**2
     vol = traj.grid.cell_volume
-    paper = thresholds(cfg, params)
+    paper = thresholds(cfg, traj.params)
     if variant == "i":
         sup_part = (1.0 / rho0) * cylinder_sup(traj, Q, _sup_bundle(w))
         i_n, i_u, i_c, i_p = cylinder_time_integral(
@@ -298,8 +295,7 @@ def flag_thm16(traj: Trajectory, z0, cfg: RegularityConfig, params=None,
 
 
 def flag_sweep(traj: Trajectory, centers: Sequence, radii: Sequence[float],
-               cfg: RegularityConfig, params=None,
-               criterion: str = "thm13") -> FlagSet:
+               cfg: RegularityConfig, criterion: str = "thm13") -> FlagSet:
     """Evaluate one criterion over many candidate centers; collect flags.
 
     centers is a sequence of ((x, y, z), t) points; the result is ordered
@@ -308,9 +304,9 @@ def flag_sweep(traj: Trajectory, centers: Sequence, radii: Sequence[float],
     entries = []
     for z0 in centers:
         if criterion == "thm13":
-            rep = flag_thm13(traj, z0, radii, cfg, params=params)
+            rep = flag_thm13(traj, z0, radii, cfg)
         elif criterion in ("thm16i", "thm16ii"):
-            rep = flag_thm16(traj, z0, cfg, params=params,
+            rep = flag_thm16(traj, z0, cfg,
                              variant="i" if criterion == "thm16i" else "ii",
                              rho0=max(radii))
         else:
@@ -408,7 +404,7 @@ def trace_from_trajectory(traj: Trajectory, z0, rho0: float, levels: int,
 # ---------------------------------------------------------------------------
 
 def induction_verify(traj: Trajectory, z0, k_max: int, cfg: RegularityConfig,
-                     params=None, eps0: Optional[float] = None) -> dict:
+                     eps0: Optional[float] = None) -> dict:
     """Evaluate the dyadic induction bound at radii r_k = 2^-k, k = 1..k_max:
 
         r_k^-3 sup_t int_{B_{r_k}} (n + |n ln n| + |grad sqrt c|^2 + |u|^2)

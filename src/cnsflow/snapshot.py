@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from .grid_fields import Grid
-from .state import InitialNorms, State, Trajectory
+from .state import InitialNorms, PhysParams, State, Trajectory
 
 MAGIC = b"CNS1"
+HEADER_BYTES = 24
 
 
 def write_snapshot(path, state: State) -> None:
@@ -36,41 +37,40 @@ def write_snapshot(path, state: State) -> None:
 
 
 def read_snapshot(path) -> State:
+    """Read one CNS1 snapshot; the file length must be exactly what its
+    header's N calls for, which is checked before any array is read."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        n = int(np.frombuffer(f.read(4), dtype="<u4")[0])
-        box_length, t = np.frombuffer(f.read(16), dtype="<f8")
-        count = n**3
-        arrays = []
-        for _ in range(6):
-            buf = f.read(8 * count)
-            if len(buf) != 8 * count:
-                raise ValueError(f"{path}: truncated snapshot")
-            arrays.append(np.frombuffer(buf, dtype="<f8").reshape(n, n, n).copy())
-    grid = Grid(n, float(box_length))
-    nn, c, u1, u2, u3, p = arrays
-    return State(grid, nn, c, np.stack([u1, u2, u3]), p, float(t))
+        header = f.read(HEADER_BYTES)
+        if header[:4] != MAGIC:
+            raise ValueError(f"{path}: bad magic {header[:4]!r}, expected {MAGIC!r}")
+        n = int.from_bytes(header[4:8], "little")
+        size, expected = os.fstat(f.fileno()).st_size, HEADER_BYTES + 48 * n**3
+        if size != expected:
+            raise ValueError(f"{path}: truncated or overlong snapshot: {size} bytes, "
+                             f"N = {n} needs {expected}")
+        box_length, t = np.frombuffer(header, dtype="<f8", count=2, offset=8)
+        data = np.fromfile(f, dtype="<f8", count=6 * n**3).reshape(6, n, n, n)
+    return State(Grid(n, float(box_length)), data[0], data[1], data[2:5], data[5],
+                 float(t))
 
 
 def snapshot_name(index: int) -> str:
     return f"snap_{index:06d}.cns"
 
 
-def write_trajectory(out_dir, traj: Trajectory, extra_meta: Optional[dict] = None) -> None:
-    """Persist all snapshots plus a JSON sidecar with times and norms."""
+def write_trajectory(out_dir, traj: Trajectory) -> None:
+    """Persist all snapshots plus the ``trajectory.json`` sidecar."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for i, s in enumerate(traj.states):
         write_snapshot(out / snapshot_name(i), s)
-    write_trajectory_meta(out, traj, extra_meta)
+    write_trajectory_meta(out, traj)
 
 
-def write_trajectory_meta(out_dir, traj: Trajectory,
-                          extra_meta: Optional[dict] = None) -> None:
-    """Write ``trajectory.json`` (times and norms) through a temporary
-    file; written after the snapshots, it marks the trajectory complete."""
+def write_trajectory_meta(out_dir, traj: Trajectory) -> None:
+    """Write ``trajectory.json`` (times, norms, the physics and, when the
+    trajectory has one, its run log) through a temporary file; written
+    after the snapshots, it marks the trajectory complete."""
     norms = traj.initial_norms
     meta = {
         "format": "CNS1",
@@ -84,9 +84,10 @@ def write_trajectory_meta(out_dir, traj: Trajectory,
             "grad_sqrt_c_l2": norms.grad_sqrt_c_l2,
             "n_entropy_l1": norms.n_entropy_l1,
         },
+        "params": asdict(traj.params),
     }
-    if extra_meta:
-        meta.update(extra_meta)
+    if traj.run_log is not None:
+        meta["run_log"] = traj.run_log
     path = Path(out_dir) / "trajectory.json"
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w") as f:
@@ -94,19 +95,25 @@ def write_trajectory_meta(out_dir, traj: Trajectory,
     os.replace(tmp, path)
 
 
-def read_trajectory(in_dir, params=None) -> Trajectory:
+def read_trajectory(in_dir) -> Trajectory:
+    """Read a trajectory directory.  The physics come from the "params"
+    entry of ``trajectory.json``; a directory without one (or without the
+    file) reads with ``PhysParams()``."""
     src = Path(in_dir)
     meta_path = src / "trajectory.json"
+    meta = {}
     if meta_path.exists():
         with open(meta_path) as f:
             meta = json.load(f)
-        count = meta["count"]
-        paths = [src / snapshot_name(i) for i in range(count)]
-        norms = InitialNorms(**meta["initial_norms"])
+        paths = [src / snapshot_name(i) for i in range(meta["count"])]
     else:
         paths = sorted(src.glob("snap_*.cns"))
         if not paths:
             raise FileNotFoundError(f"no snapshots under {src}")
-        norms = None
-    states = [read_snapshot(p) for p in paths]
-    return Trajectory(states, params=params, initial_norms=norms)
+    try:
+        norms = InitialNorms(**meta["initial_norms"]) if meta else None
+        params = PhysParams(**meta.get("params", {}))
+    except TypeError as exc:  # an unknown or missing key
+        raise ValueError(f"{meta_path}: {exc}") from exc
+    return Trajectory([read_snapshot(p) for p in paths], params=params,
+                      initial_norms=norms)

@@ -11,14 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
 
 import numpy as np
 
 from .grid_fields import Grid, _check_finite
 from .pressure import solve_pressure
 from .snapshot import read_snapshot, snapshot_name, write_snapshot, write_trajectory_meta
-from .state import State, Trajectory
+from .state import PhysParams, State, Trajectory
 
 
 class CFLError(RuntimeError):
@@ -31,97 +30,11 @@ class CFLError(RuntimeError):
         self.suggested_dt = suggested_dt
 
 
-def _polyder(coeffs: Sequence[float]) -> np.ndarray:
-    return np.polynomial.polynomial.polyder(np.asarray(coeffs, dtype=float))
-
-
-@dataclass
-class PhysParams:
-    """Coupling coefficients and their norms.
-
-    chi is a polynomial in the oxygen concentration (coefficients low to
-    high); the consumption rate is tied to it by kappa(s) = theta0 * s * chi(s).
-    The buoyancy force is -n grad_phi with constant grad_phi = (0, 0, -gravity)
-    unless an explicit (3, N, N, N) field is supplied.
-    """
-
-    theta0: float = 1.0
-    chi_coeffs: tuple[float, ...] = (1.0,)
-    gravity: float = 0.0
-    c0_max: float = 1.0
-    grad_phi_field: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.theta0 <= 0:
-            raise ValueError("theta0 must be positive")
-        self.chi_coeffs = tuple(float(a) for a in self.chi_coeffs)
-        self.validate_structure()
-
-    # -- coupling functions -------------------------------------------------
-    def chi_eval(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        if np.any(s < 0):
-            raise ValueError("chi argument must be nonnegative")
-        return np.polynomial.polynomial.polyval(s, self.chi_coeffs)
-
-    def kappa_eval(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        if np.any(s < 0):
-            raise ValueError("kappa argument must be nonnegative")
-        return self.theta0 * s * self.chi_eval(s)
-
-    def validate_structure(self, samples: int = 1000) -> None:
-        """Sampled check of chi >= 0 and kappa convex nondecreasing on
-        [0, c0_max]."""
-        s = np.linspace(0.0, max(self.c0_max, 1e-12), samples)
-        if np.any(self.chi_eval(s) < -1e-12):
-            raise ValueError("chi(s) must be nonnegative on [0, c0_max]")
-        kappa = np.array([0.0] + [self.theta0 * a for a in self.chi_coeffs])
-        dk = np.polynomial.polynomial.polyval(s, _polyder(kappa))
-        ddk = np.polynomial.polynomial.polyval(s, _polyder(_polyder(kappa)))
-        if np.any(dk < -1e-12) or np.any(ddk < -1e-12):
-            raise ValueError("kappa must be nondecreasing and convex on [0, c0_max]")
-
-    # -- cached norms -------------------------------------------------------
-    def _c2_norm(self, coeffs) -> float:
-        """Sum over the polynomial and its first two derivatives of the
-        sup norm on [0, c0_max]."""
-        s = np.linspace(0.0, max(self.c0_max, 1e-12), 1000)
-        c = np.asarray(coeffs, dtype=float)
-        total = 0.0
-        for _ in range(3):
-            total += float(np.max(np.abs(np.polynomial.polynomial.polyval(s, c))))
-            c = _polyder(c) if len(c) > 1 else np.zeros(1)
-        return total
-
-    @property
-    def chi_norm(self) -> float:
-        return self._c2_norm(self.chi_coeffs)
-
-    @property
-    def kappa_norm(self) -> float:
-        return self._c2_norm([0.0] + [self.theta0 * a for a in self.chi_coeffs])
-
-    @property
-    def gradphi_max(self) -> float:
-        if self.grad_phi_field is not None:
-            return float(np.max(np.sqrt(np.sum(self.grad_phi_field**2, axis=0))))
-        return abs(self.gravity)
-
-    def grad_phi_arrays(self, grid: Grid) -> np.ndarray:
-        if self.grad_phi_field is not None:
-            return self.grad_phi_field
-        out = np.zeros((3, grid.n, grid.n, grid.n))
-        out[2] = -self.gravity
-        return out
-
-
 def _rhs_hats(grid: Grid, n, c, u, c_hat, u_hat, params: PhysParams):
     """Half-spectrum transforms of the explicit (non-diffusive) tendencies;
     derivatives come from the hats of c and u, and each product is
     dealiased by masking its forward transform."""
     k, mask = grid.k, grid.dealias_mask
-    gp = params.grad_phi_arrays(grid)
     c_pos = np.maximum(c, 0.0)
     chi_c = params.chi_eval(c_pos)
     kappa_c = params.kappa_eval(c_pos)
@@ -135,11 +48,13 @@ def _rhs_hats(grid: Grid, n, c, u, c_hat, u_hat, params: PhysParams):
     adv_c = u[0] * grad_c[0] + u[1] * grad_c[1] + u[2] * grad_c[2]
     fc_hat = -grid.rfftn(adv_c + kappa_c * n) * mask
 
-    # u: advection + buoyancy
+    # u: advection + buoyancy n grad_phi, with grad_phi = (0, 0, -gravity)
     fu_hat = []
     for j in range(3):
-        adv = sum(u[i] * grid.irfftn(1j * ki * u_hat[j]) for i, ki in enumerate(k))
-        fu_hat.append(-grid.rfftn(adv + n * gp[j]) * mask)
+        f = sum(u[i] * grid.irfftn(1j * ki * u_hat[j]) for i, ki in enumerate(k))
+        if j == 2:
+            f = f - params.gravity * n
+        fu_hat.append(-grid.rfftn(f) * mask)
     return fn_hat, fc_hat, np.stack(fu_hat)
 
 
@@ -217,9 +132,6 @@ class SimulationConfig:
     dt: float = 1e-3
     t_end: float = 0.1
     output_stride: int = 10
-    theta0: float = 1.0
-    chi_coeffs: tuple[float, ...] = (1.0,)
-    gravity: float = 0.0
     seed: int = 0
     order: int = 1
     init: dict = field(default_factory=lambda: {"preset": "zero"})
@@ -295,23 +207,16 @@ def _band_limited(rng, grid: Grid, modes: int) -> np.ndarray:
     return out / max(1.0, float(np.max(np.abs(out))))
 
 
-def simulate(cfg: SimulationConfig, params: Optional[PhysParams] = None,
-             out_dir=None) -> Trajectory:
+def simulate(cfg: SimulationConfig, params: PhysParams, out_dir=None) -> Trajectory:
     """Run the solver and collect snapshots every ``output_stride`` steps.
 
     Steps run on raw arrays (``advance``); a State, with its pressure
     solved, is built only for the initial and every kept snapshot.  When
     ``out_dir`` is given, each kept snapshot is written in the CNS1 format
-    as soon as it is produced, and ``trajectory.json`` (with the run log)
-    is written last, so it exists only for a run that finished.
+    as soon as it is produced, and ``trajectory.json`` (with the physics
+    and the run log) is written last, so it exists only for a run that
+    finished.
     """
-    if params is None:
-        params = PhysParams(
-            theta0=cfg.theta0,
-            chi_coeffs=cfg.chi_coeffs,
-            gravity=cfg.gravity,
-            c0_max=float(cfg.init.get("c0", 1.0)),
-        )
     out = None
     if out_dir is not None:
         out = Path(out_dir)
@@ -348,5 +253,5 @@ def simulate(cfg: SimulationConfig, params: Optional[PhysParams] = None,
     traj = Trajectory(states, params=params)
     traj.run_log = run_log
     if out is not None:
-        write_trajectory_meta(out, traj, extra_meta={"run_log": run_log})
+        write_trajectory_meta(out, traj)
     return traj

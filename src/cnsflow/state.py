@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -106,6 +107,68 @@ class State:
         raise KeyError(f"no derived field {name!r}")
 
 
+def _polyder(coeffs) -> np.ndarray:
+    return np.polynomial.polynomial.polyder(np.asarray(coeffs, dtype=float))
+
+
+@dataclass(frozen=True)
+class PhysParams:
+    """The physics of a run: coupling coefficients and their norms.
+
+    chi is a polynomial in the oxygen concentration (coefficients low to
+    high); the consumption rate is tied to it by kappa(s) = theta0 * s * chi(s).
+    The buoyancy force is -n grad_phi with constant grad_phi = (0, 0, -gravity).
+    A trajectory carries its PhysParams, and ``trajectory.json`` records them.
+    """
+
+    theta0: float = 1.0
+    chi_coeffs: tuple[float, ...] = (1.0,)
+    gravity: float = 0.0
+    c0_max: float = 1.0
+
+    def __post_init__(self):
+        if self.theta0 <= 0:
+            raise ValueError("theta0 must be positive")
+        object.__setattr__(self, "chi_coeffs", tuple(float(a) for a in self.chi_coeffs))
+        self.validate_structure()
+
+    def chi_eval(self, s) -> np.ndarray:
+        s = np.asarray(s, dtype=float)
+        if np.any(s < 0):
+            raise ValueError("chi argument must be nonnegative")
+        return np.polynomial.polynomial.polyval(s, self.chi_coeffs)
+
+    def kappa_eval(self, s) -> np.ndarray:
+        s = np.asarray(s, dtype=float)
+        if np.any(s < 0):
+            raise ValueError("kappa argument must be nonnegative")
+        return self.theta0 * s * self.chi_eval(s)
+
+    def validate_structure(self) -> None:
+        """Check chi >= 0 and kappa convex nondecreasing at 1000 points of
+        [0, c0_max]."""
+        s = np.linspace(0.0, max(self.c0_max, 1e-12), 1000)
+        if np.any(self.chi_eval(s) < -1e-12):
+            raise ValueError("chi(s) must be nonnegative on [0, c0_max]")
+        kappa = np.array([0.0] + [self.theta0 * a for a in self.chi_coeffs])
+        dk = np.polynomial.polynomial.polyval(s, _polyder(kappa))
+        ddk = np.polynomial.polynomial.polyval(s, _polyder(_polyder(kappa)))
+        if np.any(dk < -1e-12) or np.any(ddk < -1e-12):
+            raise ValueError("kappa must be nondecreasing and convex on [0, c0_max]")
+
+    @cached_property
+    def chi_norm(self) -> float:
+        """Sum of the sup norms on [0, c0_max] of chi and its first two
+        derivatives."""
+        s = np.linspace(0.0, max(self.c0_max, 1e-12), 1000)
+        c = np.asarray(self.chi_coeffs, dtype=float)
+        total = 0.0
+        for _ in range(3):
+            total += float(np.max(np.abs(np.polynomial.polynomial.polyval(s, c))))
+            c = _polyder(c) if len(c) > 1 else np.zeros(1)
+        return total
+
+
 @dataclass
 class InitialNorms:
     """Norms of the initial data entering the global energy bound."""
@@ -132,9 +195,10 @@ class InitialNorms:
 
 
 class Trajectory:
-    """Time-ordered snapshots on one grid with a uniform output interval."""
+    """Time-ordered snapshots on one grid with a uniform output interval,
+    and the physics that produced them."""
 
-    def __init__(self, states: Sequence[State], params=None,
+    def __init__(self, states: Sequence[State], params: PhysParams = PhysParams(),
                  initial_norms: Optional[InitialNorms] = None):
         if not states:
             raise ValueError("trajectory needs at least one state")
@@ -147,6 +211,8 @@ class Trajectory:
         self.states = list(states)
         self.params = params
         self.initial_norms = initial_norms or InitialNorms.from_state(states[0])
+        #: solver health of the run that produced the states, when known
+        self.run_log: Optional[dict] = None
 
     @property
     def grid(self) -> Grid:

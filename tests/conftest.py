@@ -30,11 +30,11 @@ def smooth_traj(smooth_params):
     buoyancy switched on."""
     cfg = SimulationConfig(
         grid_n=32, grid_l=1.0, dt=2e-4, t_end=0.06, output_stride=3,
-        order=1, seed=3, theta0=1.0, chi_coeffs=(0.5,), gravity=0.5,
+        order=1, seed=3,
         init={"preset": "random_smooth", "amplitude": 0.05,
               "n_mean": 1.0, "c0": 1.0, "modes": 2},
     )
-    return simulate(cfg, params=smooth_params)
+    return simulate(cfg, smooth_params)
 
 
 @pytest.fixture(scope="session")
@@ -43,11 +43,11 @@ def lei_traj(smooth_params):
     functions; times shifted so the final snapshot sits at t = 0."""
     cfg = SimulationConfig(
         grid_n=48, grid_l=1.0, dt=2e-4, t_end=0.07, output_stride=3,
-        order=1, seed=3, theta0=1.0, chi_coeffs=(0.5,), gravity=0.5,
+        order=1, seed=3,
         init={"preset": "random_smooth", "amplitude": 0.05,
               "n_mean": 1.0, "c0": 1.0, "modes": 2},
     )
-    traj = simulate(cfg, params=smooth_params)
+    traj = simulate(cfg, smooth_params)
     shift = traj.states[-1].time
     for s in traj.states:
         s.time -= shift
@@ -56,8 +56,8 @@ def lei_traj(smooth_params):
 
 @pytest.fixture(scope="session")
 def constant_state_traj():
-    """All-constant fields (n = 1, c = 1, u = 0): every energy term is
-    identically zero."""
+    """All-constant fields (n = 1, c = 1, u = 0) with chemotaxis switched
+    on: every energy term is identically zero."""
     N = 24
     g = Grid(N, 1.0)
     ones = np.ones((N,) * 3)
@@ -67,7 +67,7 @@ def constant_state_traj():
               zeros.copy(), t)
         for t in np.linspace(-0.08, 0.0, 9)
     ]
-    return Trajectory(states)
+    return Trajectory(states, PhysParams(theta0=1.0, chi_coeffs=(0.5,), c0_max=1.0))
 
 
 def make_constant_u_traj(N=64, L=4.0, u0=(1.0, 0.0, 0.0),

@@ -63,8 +63,7 @@ def test_criterion_01_solver_conservation_structure(capsys):
     initial maximum, div u <= 1e-10 every step; swirl-flow reference to
     1e-8."""
     cfg = SimulationConfig(
-        grid_n=32, grid_l=1.0, dt=2e-4, t_end=0.04, output_stride=10,
-        chi_coeffs=(0.5,), gravity=0.5, seed=1,
+        grid_n=32, grid_l=1.0, dt=2e-4, t_end=0.04, output_stride=10, seed=1,
         init={"preset": "gaussian", "amplitude": 1.0, "width": 0.1, "c0": 1.0},
     )
     params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.5, c0_max=1.0)
@@ -82,10 +81,10 @@ def test_criterion_01_solver_conservation_structure(capsys):
     # decoupled swirl flow against the analytic reference
     tg_cfg = SimulationConfig(
         grid_n=32, grid_l=2.0 * np.pi, dt=1e-3, t_end=0.1, output_stride=100,
-        chi_coeffs=(0.0,), init={"preset": "taylor_green", "amplitude": 1.0},
+        init={"preset": "taylor_green", "amplitude": 1.0},
     )
     tg_params = PhysParams(theta0=1.0, chi_coeffs=(0.0,), c0_max=0.0)
-    tg = simulate(tg_cfg, params=tg_params).states[-1]
+    tg = simulate(tg_cfg, tg_params).states[-1]
     x, y, _ = np.broadcast_arrays(*tg.grid.coords())
     decay = np.exp(-2.0 * tg.time)
     u_ref = np.array([decay * np.cos(x) * np.sin(y),
@@ -205,8 +204,7 @@ def test_criterion_04_heat_kernel_test_functions(capsys):
     ])
 
 
-def test_criterion_05_local_energy_inequality(capsys, lei_traj, smooth_params,
-                                              constant_state_traj):
+def test_criterion_05_local_energy_inequality(capsys, lei_traj, constant_state_traj):
     """Residual >= -1e-4 (1 + max term) for heat-kernel test functions at
     three levels and two smooth bumps on a smooth run; all-constant state
     gives residual exactly 0."""
@@ -214,21 +212,18 @@ def test_criterion_05_local_energy_inequality(capsys, lei_traj, smooth_params,
     center, omega = (0.5, 0.5, 0.5), 0.25
     for level in (3, 4, 5):
         tf = heat_test_function(level, scale=2.0)
-        rep = lei_residual(lei_traj, tf, 0.0, center, omega,
-                           params=smooth_params)
+        rep = lei_residual(lei_traj, tf, 0.0, center, omega)
         tol = 1e-4 * (1.0 + rep.max_abs_term)
         checks.append((f"heat level {level}: residual {rep.residual:.2e} "
                        f">= {-tol:.2e}", rep.residual >= -tol))
     for radius, span in ((0.2, 0.05), (0.12, 0.03)):
         tf = smooth_bump(radius, span)
-        rep = lei_residual(lei_traj, tf, 0.0, center, omega,
-                           params=smooth_params)
+        rep = lei_residual(lei_traj, tf, 0.0, center, omega)
         tol = 1e-4 * (1.0 + rep.max_abs_term)
         checks.append((f"bump r={radius}: residual {rep.residual:.2e} "
                        f">= {-tol:.2e}", rep.residual >= -tol))
-    const_params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), c0_max=1.0)
     rep = lei_residual(constant_state_traj, smooth_bump(0.2, 0.05), 0.0,
-                       center, omega, params=const_params)
+                       center, omega)
     checks.append((f"constant state residual {rep.residual} == 0",
                    rep.residual == 0.0))
     _report(capsys, 5, "local energy inequality", checks)

@@ -1,6 +1,7 @@
 """Command-line interface: config parsing, exit codes, subcommand round
 trips, and byte-identical rerun determinism."""
 
+import json
 import os
 
 import numpy as np
@@ -231,6 +232,43 @@ def test_pipeline_and_byte_identical_rerun(workdir, tmp_path):
         a, b = (out1 / name).read_bytes(), (out2 / name).read_bytes()
         assert a == b, name
         assert len(a) > 0
+    # the streamed trajectory, its physics and its run log
+    names = sorted(p.name for p in (out1 / "trajectory").iterdir())
+    assert names == sorted(p.name for p in (out2 / "trajectory").iterdir())
+    assert "trajectory.json" in names and len(names) > 1
+    for name in names:
+        a = (out1 / "trajectory" / name).read_bytes()
+        assert a == (out2 / "trajectory" / name).read_bytes(), name
+    meta = json.loads((out1 / "trajectory" / "trajectory.json").read_text())
+    assert meta["params"]["gravity"] == 0.3 and "run_log" in meta
+
+
+def test_analysis_reads_physics_from_trajectory(tmp_path):
+    """verify-lei and flag, run on the pipeline's trajectory with the
+    pipeline's test function, centres and radii, reproduce its lei.csv and
+    flags.csv byte for byte: all three use the physics the trajectory
+    records."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG_TEXT.replace("reg.working_threshold = 1e-2",
+                                       "reg.working_threshold = 1e-9"))
+    run = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(run)]) == EXIT_OK
+    traj = run / "trajectory"
+    times = json.loads((traj / "trajectory.json").read_text())["times"]
+    r = min(1.0 / 8.0, 0.09)  # min(L/8, max radii)
+    span = min(0.5 * (times[-1] - times[0]), r**2)
+    lei = tmp_path / "lei.csv"
+    assert main(["verify-lei", "--traj", str(traj),
+                 "--psi", f"bump:r={r!r},span={span!r}", "--t", repr(times[-1]),
+                 "--center", "0.5,0.5,0.5", "--omega", "0.25",
+                 "--out", str(lei)]) == EXIT_OK
+    assert lei.read_bytes() == (run / "lei.csv").read_bytes()
+    flags = tmp_path / "flags.csv"
+    assert main(["flag", "--traj", str(traj), "--grid-stride", "4",
+                 "--radii", "0.05,0.09", "--config", str(cfg),
+                 "--out", str(flags)]) == EXIT_OK
+    assert len(read_csv(flags)[1]) > 0
+    assert flags.read_bytes() == (run / "flags.csv").read_bytes()
 
 
 def test_plot_data_kinds(workdir, tmp_path):

@@ -49,9 +49,9 @@ def test_heat_properties_structural_constants():
 def test_global_energy_zero_data():
     cfg = SimulationConfig(
         grid_n=16, grid_l=1.0, dt=1e-3, t_end=0.01, output_stride=2,
-        chi_coeffs=(0.5,), init={"preset": "zero"},
+        init={"preset": "zero"},
     )
-    traj = simulate(cfg)
+    traj = simulate(cfg, PhysParams(theta0=1.0, chi_coeffs=(0.5,), c0_max=1.0))
     rep = global_energy_check(traj)
     assert np.max(np.abs(rep["lhs"])) < 1e-12
     assert rep["bounded"]
@@ -62,46 +62,40 @@ def test_global_energy_diffusion_only_decays():
     """Without chemotaxis and gravity the functional is a Lyapunov
     quantity: instantaneous part decreasing, dissipation compensating."""
     cfg = SimulationConfig(
-        grid_n=24, grid_l=1.0, dt=2e-4, t_end=0.02, output_stride=5,
-        chi_coeffs=(0.0,), gravity=0.0, seed=6,
+        grid_n=24, grid_l=1.0, dt=2e-4, t_end=0.02, output_stride=5, seed=6,
         init={"preset": "random_smooth", "amplitude": 0.05,
               "n_mean": 1.0, "c0": 1.0, "modes": 2},
     )
-    params = PhysParams(theta0=1.0, chi_coeffs=(0.0,), c0_max=1.0)
-    traj = simulate(cfg, params=params)
-    rep = global_energy_check(traj, params)
+    traj = simulate(cfg, PhysParams(theta0=1.0, chi_coeffs=(0.0,), c0_max=1.0))
+    rep = global_energy_check(traj)
     assert rep["bounded"]
 
 
-def test_global_energy_bounded_with_coupling(smooth_traj, smooth_params):
-    rep = global_energy_check(smooth_traj, smooth_params)
+def test_global_energy_bounded_with_coupling(smooth_traj):
+    rep = global_energy_check(smooth_traj)
     assert rep["bounded"]
     assert np.all(np.isfinite(rep["lhs"]))
 
 
 def test_lei_constant_state_every_term_zero(constant_state_traj):
-    params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), c0_max=1.0)
     tf = smooth_bump(0.2, 0.05)
-    rep = lei_residual(constant_state_traj, tf, 0.0, (0.5, 0.5, 0.5), 0.25,
-                       params=params)
+    rep = lei_residual(constant_state_traj, tf, 0.0, (0.5, 0.5, 0.5), 0.25)
     assert rep.max_abs_term == 0.0
     assert rep.residual == 0.0
 
 
 @pytest.mark.parametrize("level", [3, 4, 5])
-def test_lei_heat_kernel_levels(lei_traj, smooth_params, level):
+def test_lei_heat_kernel_levels(lei_traj, level):
     tf = heat_test_function(level, scale=2.0)
-    rep = lei_residual(lei_traj, tf, 0.0, (0.5, 0.5, 0.5), 0.25,
-                       params=smooth_params)
+    rep = lei_residual(lei_traj, tf, 0.0, (0.5, 0.5, 0.5), 0.25)
     tol = 1e-4 * (1.0 + rep.max_abs_term)
     assert rep.residual >= -tol
 
 
 @pytest.mark.parametrize("radius,span", [(0.2, 0.05), (0.12, 0.03)])
-def test_lei_smooth_bumps(lei_traj, smooth_params, radius, span):
+def test_lei_smooth_bumps(lei_traj, radius, span):
     tf = smooth_bump(radius, span)
-    rep = lei_residual(lei_traj, tf, 0.0, (0.5, 0.5, 0.5), 0.25,
-                       params=smooth_params)
+    rep = lei_residual(lei_traj, tf, 0.0, (0.5, 0.5, 0.5), 0.25)
     tol = 1e-4 * (1.0 + rep.max_abs_term)
     assert rep.residual >= -tol
 

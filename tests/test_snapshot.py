@@ -8,6 +8,7 @@ import pytest
 
 from cnsflow import (
     Grid,
+    PhysParams,
     SimulationConfig,
     State,
     Trajectory,
@@ -44,10 +45,22 @@ def test_snapshot_roundtrip_bitwise(tmp_path):
         assert np.array_equal(getattr(back, name), getattr(s, name))
 
 
-def test_snapshot_rejects_bad_magic(tmp_path):
+@pytest.mark.parametrize("damage", ["bad_magic", "truncated", "trailing_bytes", "corrupt_n"])
+def test_snapshot_rejects_bad_magic(tmp_path, damage):
+    """A file whose magic or length does not match its CNS1 header is
+    rejected before any array is read; a corrupt N (here 2^21, whose
+    arrays would need 2^69 bytes) is caught by the same length check."""
     path = tmp_path / "bad.cns"
-    path.write_bytes(b"XXXX" + b"\x00" * 64)
-    with pytest.raises(Exception):
+    write_snapshot(path, _random_state(N=8))
+    good = path.read_bytes()
+    bad = {
+        "bad_magic": b"XXXX" + b"\x00" * 64,
+        "truncated": good[:-8],
+        "trailing_bytes": good + b"\x00" * 8,
+        "corrupt_n": good[:4] + (2**21).to_bytes(4, "little") + good[8:],
+    }[damage]
+    path.write_bytes(bad)
+    with pytest.raises(ValueError):
         read_snapshot(path)
 
 
@@ -65,18 +78,35 @@ def test_trajectory_roundtrip(tmp_path):
 
 
 def test_trajectory_meta_with_grid_dt_key_reads(tmp_path):
-    """A trajectory.json written with a "dt" entry under "grid" (as older
-    versions did) still reads, and the key plays no part in the grid."""
+    """trajectory.json records the physics.  One written as older versions
+    did, with a "dt" entry under "grid" and no "params", still reads: the
+    key plays no part in the grid, and the physics are PhysParams()."""
     states = [_random_state(seed=i, t=0.1 * i) for i in range(2)]
-    write_trajectory(tmp_path / "run", Trajectory(states))
+    params = PhysParams(theta0=2.0, chi_coeffs=(0.5, 0.25), gravity=0.3, c0_max=1.0)
+    write_trajectory(tmp_path / "run", Trajectory(states, params))
+    assert read_trajectory(tmp_path / "run").params == params
     meta_path = tmp_path / "run" / "trajectory.json"
     meta = json.loads(meta_path.read_text())
     assert "dt" not in meta["grid"]
     meta["grid"]["dt"] = 2e-4
+    del meta["params"]
     meta_path.write_text(json.dumps(meta))
     back = read_trajectory(tmp_path / "run")
     assert back.grid == states[0].grid
     assert np.array_equal(back.times, [0.0, 0.1])
+    assert back.params == PhysParams()
+
+
+def test_trajectory_meta_with_unknown_params_key_raises(tmp_path):
+    """An entry of "params" that PhysParams does not have is a malformed
+    trajectory.json (ValueError, a configuration error), not a crash."""
+    write_trajectory(tmp_path / "run", Trajectory([_random_state()]))
+    meta_path = tmp_path / "run" / "trajectory.json"
+    meta = json.loads(meta_path.read_text())
+    meta["params"]["kappa"] = 1.0
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="kappa"):
+        read_trajectory(tmp_path / "run")
 
 
 def test_simulate_grids_equal_with_and_without_meta(tmp_path):
@@ -86,7 +116,7 @@ def test_simulate_grids_equal_with_and_without_meta(tmp_path):
     cfg = SimulationConfig(grid_n=16, grid_l=1.0, dt=2e-4, t_end=0.001,
                            output_stride=2, seed=5,
                            init={"preset": "random_smooth", "amplitude": 0.05})
-    simulate(cfg, out_dir=tmp_path / "run")
+    simulate(cfg, PhysParams(), out_dir=tmp_path / "run")
     bare = tmp_path / "bare"
     bare.mkdir()
     for p in (tmp_path / "run").glob("snap_*.cns"):

@@ -52,23 +52,21 @@ def test_cfl_violation_raises():
 
 def test_mass_conservation_machine_precision():
     cfg = SimulationConfig(
-        grid_n=24, grid_l=1.0, dt=2e-4, t_end=0.01, output_stride=10,
-        chi_coeffs=(0.5,), gravity=0.3, seed=1,
+        grid_n=24, grid_l=1.0, dt=2e-4, t_end=0.01, output_stride=10, seed=1,
         init={"preset": "random_smooth", "amplitude": 0.05,
               "n_mean": 1.0, "c0": 1.0, "modes": 2},
     )
-    traj = simulate(cfg)
+    traj = simulate(cfg, PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.3, c0_max=1.0))
     assert traj.run_log["mass_drift_max"] < 1e-12
 
 
 def test_divergence_free_maintained():
     cfg = SimulationConfig(
-        grid_n=24, grid_l=1.0, dt=2e-4, t_end=0.005, output_stride=5,
-        chi_coeffs=(0.5,), gravity=0.5, seed=1,
+        grid_n=24, grid_l=1.0, dt=2e-4, t_end=0.005, output_stride=5, seed=1,
         init={"preset": "random_smooth", "amplitude": 0.05,
               "n_mean": 1.0, "c0": 1.0, "modes": 2},
     )
-    traj = simulate(cfg)
+    traj = simulate(cfg, PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.5, c0_max=1.0))
     for s in traj.states:
         div = divergence(s.grid, s.u)
         assert np.max(np.abs(div)) < 1e-10
@@ -76,12 +74,11 @@ def test_divergence_free_maintained():
 
 def test_concentration_maximum_principle():
     cfg = SimulationConfig(
-        grid_n=24, grid_l=1.0, dt=2e-4, t_end=0.01, output_stride=10,
-        chi_coeffs=(0.5,), gravity=0.0, seed=2,
+        grid_n=24, grid_l=1.0, dt=2e-4, t_end=0.01, output_stride=10, seed=2,
         init={"preset": "random_smooth", "amplitude": 0.1,
               "n_mean": 1.0, "c0": 0.8, "modes": 2},
     )
-    traj = simulate(cfg)
+    traj = simulate(cfg, PhysParams(theta0=1.0, chi_coeffs=(0.5,), c0_max=0.8))
     for s in traj.states:
         assert np.max(s.c) <= 0.8 + 1e-12
         assert np.min(s.c) >= -1e-12
@@ -95,7 +92,6 @@ def test_uniform_consumption_matches_ode_oracle():
     theta0, chi0 = 2.0, 0.5
     cfg = SimulationConfig(
         grid_n=8, grid_l=1.0, dt=1e-4, t_end=t_end, output_stride=100,
-        theta0=theta0, chi_coeffs=(chi0,),
         init={"preset": "zero"},
     )
     params = PhysParams(theta0=theta0, chi_coeffs=(chi0,), c0_max=c0)
@@ -121,11 +117,10 @@ def test_taylor_green_decay_and_pressure():
     amp = 1.0
     cfg = SimulationConfig(
         grid_n=32, grid_l=L, dt=1e-3, t_end=0.1, output_stride=100,
-        chi_coeffs=(0.0,),
         init={"preset": "taylor_green", "amplitude": amp, "c0": 0.0},
     )
     params = PhysParams(theta0=1.0, chi_coeffs=(0.0,), c0_max=0.0)
-    traj = simulate(cfg, params=params)
+    traj = simulate(cfg, params)
     s = traj.states[-1]
     g = s.grid
     x, y, _ = np.broadcast_arrays(*g.coords())
@@ -142,20 +137,20 @@ def test_taylor_green_decay_and_pressure():
 
 def test_restart_is_bitwise_identical(tmp_path):
     base = dict(
-        grid_n=16, grid_l=1.0, dt=2e-4, output_stride=5,
-        chi_coeffs=(0.5,), gravity=0.3, seed=4,
+        grid_n=16, grid_l=1.0, dt=2e-4, output_stride=5, seed=4,
         init={"preset": "random_smooth", "amplitude": 0.05,
               "n_mean": 1.0, "c0": 1.0, "modes": 2},
     )
-    full = simulate(SimulationConfig(t_end=0.004, **base))
-    half = simulate(SimulationConfig(t_end=0.002, **base))
+    params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.3, c0_max=1.0)
+    full = simulate(SimulationConfig(t_end=0.004, **base), params)
+    half = simulate(SimulationConfig(t_end=0.002, **base), params)
     snap = tmp_path / "mid.cns"
     write_snapshot(snap, half.states[-1])
     resumed_cfg = SimulationConfig(
         t_end=0.004, **{**base, "init": {"preset": "restart", "path": str(snap)},
                         "start_time": 0.002},
     )
-    resumed = simulate(resumed_cfg)
+    resumed = simulate(resumed_cfg, params)
     a, b = full.states[-1], resumed.states[-1]
     assert a.time == b.time
     for name in ("n", "c", "u", "p"):
@@ -194,25 +189,24 @@ def test_band_limited_matches_direct_mode_sum():
 
 def test_kept_states_carry_their_pressure():
     cfg = SimulationConfig(
-        grid_n=16, grid_l=1.0, dt=2e-4, t_end=0.003, output_stride=4,
-        chi_coeffs=(0.5,), gravity=0.3, seed=5,
+        grid_n=16, grid_l=1.0, dt=2e-4, t_end=0.003, output_stride=4, seed=5,
         init={"preset": "random_smooth", "amplitude": 0.05,
               "n_mean": 1.0, "c0": 1.0, "modes": 2},
     )
     params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.3, c0_max=1.0)
-    traj = simulate(cfg, params=params)
+    traj = simulate(cfg, params)
     assert len(traj.states) == 5  # initial, steps 4, 8, 12 and the last (15)
     for s in traj.states:
         assert np.array_equal(s.p, solve_pressure(s, params))
 
 
 def test_simulate_streams_snapshots_and_commits_last(tmp_path):
-    base = dict(grid_n=16, grid_l=1.0, dt=2e-4, t_end=0.002, output_stride=5,
-                chi_coeffs=(0.5,), gravity=0.3, seed=4,
+    base = dict(grid_n=16, grid_l=1.0, dt=2e-4, t_end=0.002, output_stride=5, seed=4,
                 init={"preset": "random_smooth", "amplitude": 0.05,
                       "n_mean": 1.0, "c0": 1.0, "modes": 2})
-    traj = simulate(SimulationConfig(**base), out_dir=tmp_path / "run")
-    write_trajectory(tmp_path / "ref", traj, extra_meta={"run_log": traj.run_log})
+    params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.3, c0_max=1.0)
+    traj = simulate(SimulationConfig(**base), params, out_dir=tmp_path / "run")
+    write_trajectory(tmp_path / "ref", traj)
     names = sorted(p.name for p in (tmp_path / "ref").iterdir())
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == names
     for name in names:
@@ -222,12 +216,12 @@ def test_simulate_streams_snapshots_and_commits_last(tmp_path):
 
 def test_crashed_run_keeps_snapshots_without_commit_marker(tmp_path):
     # buoyancy accelerates the flow past the CFL limit after a few steps
-    cfg = SimulationConfig(grid_n=16, grid_l=1.0, dt=1e-3, t_end=0.05,
-                           output_stride=2, gravity=2e4, chi_coeffs=(0.0,),
+    cfg = SimulationConfig(grid_n=16, grid_l=1.0, dt=1e-3, t_end=0.05, output_stride=2,
                            init={"preset": "gaussian", "amplitude": 1.0, "c0": 0.0})
+    params = PhysParams(theta0=1.0, chi_coeffs=(0.0,), gravity=2e4, c0_max=0.0)
     (tmp_path / "trajectory.json").write_text("{}")  # from an earlier run
     with pytest.raises(CFLError):
-        simulate(cfg, out_dir=tmp_path)
+        simulate(cfg, params, out_dir=tmp_path)
     snaps = sorted(tmp_path.glob("snap_*.cns"))
     assert len(snaps) >= 2
     assert not (tmp_path / "trajectory.json").exists()
