@@ -51,9 +51,9 @@ print(f"\nweighted-gradient criterion at {z0}: value = {rep['value']:.3e}, "
 for variant in ("i", "ii"):
     rep = flag_thm16(traj, z0, cfg, variant=variant, rho0=0.12)
     print(f"unit-cylinder bundle (variant {variant}): value = "
-          f"{rep['value']:.3e} -> {rep['status']}")
+          f"{rep['value']:.3e}, flagged = {rep['flagged']}")
 
-centers = [((x, 0.5, 0.5), t_last) for x in (0.25, 0.5, 0.75)]
+centers = np.array([[x, 0.5, 0.5, t_last] for x in (0.25, 0.5, 0.75)])
 flags = flag_sweep(traj, centers, (0.08, 0.12), cfg)
 print(f"sweep over {len(centers)} centers flagged {len(flags)} points")
 

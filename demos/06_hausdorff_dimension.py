@@ -24,19 +24,17 @@ print(f"  d({a}, {b}) = {parabolic_distance(a, b)}  (spatial wins)")
 b = ((0.1, 0.0, 0.0), 0.09)
 print(f"  d({a}, {b}) = {parabolic_distance(a, b)}  (temporal wins)")
 
+# a point set is an (m, 4) array with one (x0, x1, x2, t) row per point
+line, times = np.zeros((1000, 4)), np.zeros((1000, 4))
+line[:, 0] = np.linspace(0.0, 1.0, 1000)
+times[:, 3] = np.linspace(-1.0, 0.0, 1000)
+axis = np.linspace(0.0, 1.0, 28)
+cube = np.zeros((28**3, 4))
+cube[:, :3] = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
 sets = {
-    "spatial segment (dim 1)": (
-        [((x, 0.0, 0.0), 0.0) for x in np.linspace(0.0, 1.0, 1000)],
-        [2.0**-k for k in range(2, 8)]),
-    "temporal segment (dim 2)": (
-        [((0.0, 0.0, 0.0), t) for t in np.linspace(-1.0, 0.0, 1000)],
-        [2.0**-k for k in range(1, 6)]),
-    "spatial cube (dim 3)": (
-        [((x, y, z), 0.0)
-         for x in np.linspace(0.0, 1.0, 28)
-         for y in np.linspace(0.0, 1.0, 28)
-         for z in np.linspace(0.0, 1.0, 28)],
-        [0.25, 0.125, 0.0625]),
+    "spatial segment (dim 1)": (line, [2.0**-k for k in range(2, 8)]),
+    "temporal segment (dim 2)": (times, [2.0**-k for k in range(1, 6)]),
+    "spatial cube (dim 3)": (cube, [0.25, 0.125, 0.0625]),
 }
 for name, (pts, scales) in sets.items():
     est = dimension_estimate(pts, scales)

@@ -71,7 +71,6 @@ from .energy import (
     smooth_bump,
 )
 from .regularity import (
-    FlagEntry,
     FlagSet,
     RegularityConfig,
     ScaleRecord,

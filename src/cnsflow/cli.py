@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from .grid_fields import (
 )
 from .hausdorff import dimension_estimate
 from .pressure import decompose_local, harmonic_residual
-from .regularity import RegularityConfig, FlagSet, flag_sweep
+from .regularity import FLAG_COLUMNS, RegularityConfig, flag_sweep
 from .snapshot import read_snapshot, read_trajectory
 from .solver import CFLError, SimulationConfig, simulate
 from .state import PhysParams
@@ -60,6 +61,19 @@ _NUMERIC_ERRORS = (
 
 class ConfigError(Exception):
     """Malformed or incomplete configuration."""
+
+
+class PhaseError(Exception):
+    """A pipeline phase failed; its own exception is the ``__cause__``."""
+
+
+#: (exception types, stderr label, exit code), first match wins
+_EXIT_CLASSES = (
+    (ConfigError, "config error", EXIT_CONFIG),
+    (_NUMERIC_ERRORS, "numeric failure", EXIT_NUMERIC),
+    ((ValueError, KeyError), "config error", EXIT_CONFIG),
+    (OSError, "io error", EXIT_IO),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +235,6 @@ QUANTITY_COLUMNS = (
     "a_combined", "e_combined", "c_combined", "g",
 )
 
-FLAG_COLUMNS = ("t0", "x0", "x1", "x2", "r_star", "value",
-                "working_threshold", "paper_threshold", "margin")
-
 LEI_COLUMNS = (("t",) + tuple("lhs_" + n for n in LHS_TERM_NAMES)
                + tuple("rhs_" + n for n in RHS_TERM_NAMES) + ("residual",))
 
@@ -247,14 +258,29 @@ def _dimension_rows(est) -> list:
             + [["slope", est.scales[-1], est.slope]])
 
 
-def _read_centers(path) -> list:
-    header, rows = read_csv(path)
-    idx = {name: header.index(name) for name in ("x0", "x1", "x2", "t0")}
-    return [
-        ((float(r[idx["x0"]]), float(r[idx["x1"]]), float(r[idx["x2"]])),
-         float(r[idx["t0"]]))
-        for r in rows
-    ]
+#: the columns of a centres or flag CSV that hold a point's coordinates
+_POINT_COLUMNS = ("x0", "x1", "x2", "t0")
+
+
+def _read_centers(path) -> np.ndarray:
+    """The points of a centres or flag CSV, found by header name, as an
+    (m, 4) array of (x0, x1, x2, t) rows; every coordinate must be finite."""
+    with open(path) as f:
+        header = f.readline().rstrip("\r\n").split(",")
+        for name in _POINT_COLUMNS:
+            if name not in header:
+                raise ConfigError(f"{path}: no column {name!r}")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # header only
+                pts = np.loadtxt(f, delimiter=",", ndmin=2,
+                                 usecols=[header.index(n) for n in _POINT_COLUMNS])
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    bad = np.flatnonzero(~np.all(np.isfinite(pts), axis=1))
+    if len(bad):
+        raise ConfigError(f"{path}: data row {bad[0] + 1} has a non-finite coordinate")
+    return pts
 
 
 def cmd_simulate(args) -> int:
@@ -275,7 +301,8 @@ def cmd_diagnose_quantities(args) -> int:
     radii = _float_list(args.radii)
     if not radii:
         raise ConfigError("empty --radii")
-    rows = [_quantity_row(traj, x0, t0, r) for x0, t0 in centers for r in sorted(radii)]
+    rows = [_quantity_row(traj, x0, t0, r)
+            for *x0, t0 in centers.tolist() for r in sorted(radii)]
     write_csv(args.out, QUANTITY_COLUMNS, rows)
     return EXIT_OK
 
@@ -339,20 +366,16 @@ def cmd_verify_lei(args) -> int:
     return EXIT_OK
 
 
-def _flag_rows(flags: FlagSet) -> list:
-    return [
-        [r["t0"], r["x0"], r["x1"], r["x2"], r["r_star"], r["value"],
-         r["working_threshold"], r["paper_threshold"], r["margin"]]
-        for r in flags.rows()
-    ]
-
-
-def _candidate_centers(traj, stride: int) -> list:
+def _candidate_centers(traj, stride: int) -> np.ndarray:
+    """Every stride-th grid point at the last snapshot time, as an (m, 4)
+    array of (x0, x1, x2, t) rows in x0-major order."""
+    if stride < 1:
+        raise ConfigError(f"grid stride must be at least 1, got {stride}")
     g = traj.grid
-    t_last = float(traj.times[-1])
-    pts = np.arange(0, g.n, stride) * g.h
-    return [((float(x), float(y), float(z)), t_last)
-            for x in pts for y in pts for z in pts]
+    axis = np.arange(0, g.n, stride) * g.h
+    x = np.meshgrid(axis, axis, axis, indexing="ij")
+    t = np.full(x[0].shape, float(traj.times[-1]))
+    return np.stack([*x, t], axis=-1).reshape(-1, 4)
 
 
 def cmd_flag(args) -> int:
@@ -364,7 +387,7 @@ def cmd_flag(args) -> int:
         else RegularityConfig()
     centers = _candidate_centers(traj, int(args.grid_stride))
     flags = flag_sweep(traj, centers, radii, reg, criterion=args.criterion)
-    write_csv(args.out, FLAG_COLUMNS, _flag_rows(flags))
+    write_csv(args.out, FLAG_COLUMNS, flags.rows())
     return EXIT_OK
 
 
@@ -389,7 +412,7 @@ def cmd_dimension(args) -> int:
     points = _read_centers(args.flags)
     scales = _parse_scales(args.scales)
     out_rows = []
-    if points:
+    if len(points):
         est = dimension_estimate(points, scales)
         out_rows = _dimension_rows(est)
         out_rows.append(["fit_residual", est.scales[-1], est.fit_residual])
@@ -420,7 +443,7 @@ def cmd_pipeline(args) -> int:
         try:
             result = fn()
         except Exception as exc:
-            raise RuntimeError(f"pipeline phase {name!r} failed: {exc}") from exc
+            raise PhaseError(f"pipeline phase {name!r} failed: {exc}") from exc
         phase_seconds[name] = time.perf_counter() - t0
         return result
 
@@ -463,7 +486,7 @@ def cmd_pipeline(args) -> int:
     def flags():
         centers = _candidate_centers(traj, flag_stride)
         fs = flag_sweep(traj, centers, radii, reg, criterion="thm13")
-        write_csv(out / "flags.csv", FLAG_COLUMNS, _flag_rows(fs))
+        write_csv(out / "flags.csv", FLAG_COLUMNS, fs.rows())
         return fs
 
     flag_set = phase("flag", flags)
@@ -471,10 +494,10 @@ def cmd_pipeline(args) -> int:
 
     def dimension():
         rows = []
-        pts = flag_set.points()
-        if pts:
+        if len(flag_set):
             scales = [L / 8.0, L / 16.0, L / 32.0]
-            rows = _dimension_rows(dimension_estimate(pts, scales, box_length=L))
+            rows = _dimension_rows(
+                dimension_estimate(flag_set.points, scales, box_length=L))
         write_csv(out / "dimension.csv", ("kind", "scale", "value"), rows)
 
     phase("dimension", dimension)
@@ -611,28 +634,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _NUMERIC_ERRORS as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except RuntimeError as exc:
-        cause = exc.__cause__
-        if isinstance(cause, _NUMERIC_ERRORS):
-            print(f"numeric failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
-        if isinstance(cause, OSError):
-            print(f"io error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (ValueError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except Exception as exc:
+        # a pipeline phase failure is classified by the phase's own exception
+        own = exc.__cause__ if isinstance(exc, PhaseError) else exc
+        for types, label, code in _EXIT_CLASSES:
+            if isinstance(own, types):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

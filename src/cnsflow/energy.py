@@ -384,9 +384,6 @@ class LEIReport:
             max(abs(v) for v in self.rhs_terms.values()),
         )
 
-    def passes(self, tol_scale: float = 1e-4) -> bool:
-        return self.residual >= -tol_scale * (1.0 + self.max_abs_term)
-
 
 def _interp_arrays(a, b, lam):
     return a + lam * (b - a)

@@ -185,6 +185,16 @@ class ParabolicCylinder:
             )
 
 
+def _spacetime_points(points) -> np.ndarray:
+    """A set of spacetime points as a float (m, 4) array, one row
+    (x0, x1, x2, t) per point; any other shape raises ValueError."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 4:
+        raise ValueError(
+            f"expected an (m, 4) array of (x0, x1, x2, t) rows, got shape {pts.shape}")
+    return pts
+
+
 # ---------------------------------------------------------------------------
 # spectral calculus
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Parabolic metric geometry: distance, cylinder coverings, the 5r Vitali
 subcover, box-counting dimension, and upper Hausdorff-measure estimates.
 
-Points are spacetime pairs ((x, y, z), t).  The parabolic distance
+A single spacetime point is an (x, t) pair; a set of points is a float
+(m, 4) array with one row (x0, x1, x2, t) per point.  The parabolic distance
 max(|x - y|, sqrt|t - s|) makes a cylinder of radius r comparable to a
 metric ball of radius r, so covering counts N(r) ~ r^(-d) identify the
 parabolic dimension d of a set.
@@ -10,27 +11,29 @@ parabolic dimension d of a set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid_fields import ParabolicCylinder
+from .grid_fields import ParabolicCylinder, _spacetime_points
 
 
-def _spatial_dist(x1, x2, box_length: Optional[float] = None) -> float:
+def _spatial_dist(x1, x2, box_length: Optional[float] = None):
+    """Euclidean distance over the last axis, taken to the nearest periodic
+    image when a box length is given."""
     d = np.asarray(x1, dtype=float) - np.asarray(x2, dtype=float)
     if box_length is not None:
         d -= box_length * np.round(d / box_length)
-    return float(np.sqrt(np.sum(d * d)))
+    return np.sqrt(np.sum(d * d, axis=-1))
 
 
 def parabolic_distance(z1, z2, box_length: Optional[float] = None) -> float:
-    """max(|x1 - x2|, sqrt|t1 - t2|), with periodic spatial distance when a
-    box length is given."""
+    """max(|x1 - x2|, sqrt|t1 - t2|) between two (x, t) points, with
+    periodic spatial distance when a box length is given."""
     (x1, t1), (x2, t2) = z1, z2
-    return max(_spatial_dist(x1, x2, box_length),
-               math.sqrt(abs(float(t1) - float(t2))))
+    return float(max(_spatial_dist(x1, x2, box_length),
+                     math.sqrt(abs(float(t1) - float(t2)))))
 
 
 # ---------------------------------------------------------------------------
@@ -106,15 +109,14 @@ def verify_vitali(cylinders: Sequence[ParabolicCylinder],
 # shifted cylinders
 # ---------------------------------------------------------------------------
 
-def shifted_cover(points: Sequence, r: float) -> list:
+def shifted_cover(points: np.ndarray, r: float) -> list:
     """Shifted cylinders Q*(z, r) = B(x, r) x (t - 7r^2/8, t + r^2/8)
-    centered at the given spacetime points."""
+    centered at the rows of an (m, 4) point array."""
+    pts = _spacetime_points(points)
     if r <= 0:
         raise ValueError("radius must be positive")
-    return [
-        ParabolicCylinder(tuple(x), float(t), float(r), shifted=True)
-        for (x, t) in points
-    ]
+    return [ParabolicCylinder(tuple(x), t, float(r), shifted=True)
+            for *x, t in pts.tolist()]
 
 
 def contains_backward_half(qstar: ParabolicCylinder) -> bool:
@@ -137,13 +139,12 @@ class CoveringEstimate:
     """Greedy covering counts across dyadic scales with a fitted slope.
 
     slope is the least-squares fit of log N against log(1/r) over the
-    finest `fit_scales` scales; measure_upper(alpha) is the alpha-gauge
+    three finest scales; measure_upper(alpha) is the alpha-gauge
     premeasure sum N(r) * r^alpha at the finest scale.
     """
 
     scales: list
     counts: list
-    fit_scales: int
     slope: float
     fit_residual: float
 
@@ -159,37 +160,35 @@ class CoveringEstimate:
                 "classification": "decreasing" if decreasing else "not-decreasing"}
 
 
-def _greedy_count(points: list, r: float,
+def _greedy_count(points: np.ndarray, r: float,
                   box_length: Optional[float] = None) -> int:
-    """Number of parabolic balls of radius r a greedy cover needs."""
-    xs = np.array([p[0] for p in points], dtype=float)
-    ts = np.array([p[1] for p in points], dtype=float)
+    """Number of parabolic balls of radius r a greedy cover of the (m, 4)
+    point array needs: each ball is centred at the first point not yet
+    covered."""
+    xs, ts = points[:, :3], points[:, 3]
     alive = np.ones(len(points), dtype=bool)
     count = 0
     while np.any(alive):
         i = int(np.argmax(alive))
-        d = xs - xs[i]
-        if box_length is not None:
-            d -= box_length * np.round(d / box_length)
-        dist = np.maximum(np.sqrt(np.sum(d * d, axis=1)),
+        dist = np.maximum(_spatial_dist(xs, xs[i], box_length),
                           np.sqrt(np.abs(ts - ts[i])))
         alive &= dist > r
         count += 1
     return count
 
 
-def dimension_estimate(points: Sequence, scales: Sequence[float],
-                       box_length: Optional[float] = None,
-                       fit_scales: int = 3) -> CoveringEstimate:
-    """Greedy covering counts of a finite spacetime point set over the
-    given scales, plus the box-counting slope from the finest scales.
+def dimension_estimate(points: np.ndarray, scales: Sequence[float],
+                       box_length: Optional[float] = None) -> CoveringEstimate:
+    """Greedy covering counts of a finite spacetime point set, an (m, 4)
+    array of (x0, x1, x2, t) rows, over the given scales, plus the
+    box-counting slope from the three finest scales.
 
     scales must contain at least 3 distinct values; they are processed in
     decreasing order.  Temporal resolution is r^2, so scales should satisfy
     r^2 >= the point spacing in time for meaningful counts.
     """
-    pts = [ (tuple(x), float(t)) for (x, t) in points ]
-    if not pts:
+    pts = _spacetime_points(points)
+    if not len(pts):
         raise ValueError("point set must be nonempty")
     rs = sorted(set(float(r) for r in scales), reverse=True)
     if len(rs) < 3:
@@ -197,14 +196,12 @@ def dimension_estimate(points: Sequence, scales: Sequence[float],
     if any(r <= 0 for r in rs):
         raise ValueError("scales must be positive")
     counts = [_greedy_count(pts, r, box_length) for r in rs]
-    m = min(fit_scales, len(rs))
-    xs = np.log(1.0 / np.array(rs[-m:]))
-    ys = np.log(np.array(counts[-m:], dtype=float))
+    xs = np.log(1.0 / np.array(rs[-3:]))
+    ys = np.log(np.array(counts[-3:], dtype=float))
     A = np.stack([xs, np.ones_like(xs)], axis=1)
     coef, res, *_ = np.linalg.lstsq(A, ys, rcond=None)
     slope = float(coef[0])
     residual = float(res[0]) if len(res) else 0.0
     return CoveringEstimate(
-        scales=rs, counts=counts, fit_scales=m,
-        slope=slope, fit_residual=residual,
+        scales=rs, counts=counts, slope=slope, fit_residual=residual,
     )

@@ -212,16 +212,14 @@ def _fibonacci_sphere(m: int) -> np.ndarray:
     return np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=1)
 
 
-def harmonic_residual(decomp: PressureDecomposition, radii=None,
-                      n_sphere: int = 128) -> dict:
-    """Mean-value test of P2 on spheres around the decomposition center.
+def harmonic_residual(decomp: PressureDecomposition) -> dict:
+    """Mean-value test of P2 on the spheres of radius rho/8 and rho/4
+    (128 points each) around the decomposition center.
 
     A harmonic function equals its sphere averages, so the maximum of
-    |P2(x0) - avg_{|x-x0|=s} P2| over s <= rho/4, normalized by the max of
+    |P2(x0) - avg_{|x-x0|=s} P2| over those s, normalized by the max of
     |P2| on B_{rho/2}, measures the harmonic defect of P2.
     """
-    if radii is None:
-        radii = [decomp.rho / 8.0, decomp.rho / 4.0]
     grid = decomp.grid
     x0 = np.asarray(decomp.center)
 
@@ -229,9 +227,9 @@ def harmonic_residual(decomp: PressureDecomposition, radii=None,
         return eval_field_at(grid, decomp.p2, np.atleast_2d(points))
 
     center_val = float(p2_at(x0[None, :])[0])
-    dirs = _fibonacci_sphere(n_sphere)
+    dirs = _fibonacci_sphere(128)
     deviations = {}
-    for r in radii:
+    for r in (decomp.rho / 8.0, decomp.rho / 4.0):
         avg = float(np.mean(p2_at(x0[None, :] + r * dirs)))
         deviations[r] = abs(center_val - avg)
     sup_p2 = float(np.max(np.abs(decomp.p2[decomp.mask_half])))
@@ -299,10 +297,10 @@ def riesz_potential(grid: Grid, f: np.ndarray, alpha: float, mask: np.ndarray,
 # harmonic interior estimates
 # ---------------------------------------------------------------------------
 
-def _ball_lq_norm(fn: Callable, radius: float, q: float, samples: int) -> float:
-    """L^q norm over B_radius(0) by midpoint quadrature on a samples^3 cube."""
-    h = 2.0 * radius / samples
-    x1 = -radius + h * (np.arange(samples) + 0.5)
+def _ball_lq_norm(fn: Callable, radius: float, q: float) -> float:
+    """L^q norm over B_radius(0) by midpoint quadrature on a 48^3 cube."""
+    h = 2.0 * radius / 48
+    x1 = -radius + h * (np.arange(48) + 0.5)
     X, Y, Z = np.meshgrid(x1, x1, x1, indexing="ij")
     inside = X**2 + Y**2 + Z**2 < radius**2
     pts = np.stack([X[inside], Y[inside], Z[inside]], axis=1)
@@ -312,21 +310,19 @@ def _ball_lq_norm(fn: Callable, radius: float, q: float, samples: int) -> float:
 
 def harmonic_interior_bound_check(value_fn: Callable, deriv_norm_fn: Callable,
                                   r: float, rho: float, k: int,
-                                  p: float, q: float,
-                                  c_limit: float = 100.0,
-                                  samples: int = 48) -> dict:
+                                  p: float, q: float) -> dict:
     """Check the interior estimate for a harmonic function on the unit ball:
 
         || D^k f ||_{L^q(B_r)}  <=  C r^{3/q} / (rho - r)^{3/p + k} || f ||_{L^p(B_rho)}
 
     value_fn maps points (m, 3) to f values; deriv_norm_fn maps points to
     the pointwise norm |D^k f|.  Returns the fitted C and whether it is
-    within c_limit.
+    at most 100.
     """
     if not 0.0 < r < rho <= 1.0:
         raise ValueError("need 0 < r < rho <= 1")
-    lhs = _ball_lq_norm(deriv_norm_fn, r, q, samples)
-    f_norm = _ball_lq_norm(value_fn, rho, p, samples)
+    lhs = _ball_lq_norm(deriv_norm_fn, r, q)
+    f_norm = _ball_lq_norm(value_fn, rho, p)
     geom = r ** (3.0 / q) / (rho - r) ** (3.0 / p + k)
     rhs_base = geom * f_norm
     fitted_c = lhs / rhs_base if rhs_base > 0 else 0.0
@@ -335,7 +331,7 @@ def harmonic_interior_bound_check(value_fn: Callable, deriv_norm_fn: Callable,
         "f_norm": f_norm,
         "geometric_factor": geom,
         "fitted_c": fitted_c,
-        "holds": fitted_c <= c_limit,
+        "holds": fitted_c <= 100.0,
     }
 
 

@@ -12,7 +12,7 @@ threshold actually used for flagging.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,6 +21,7 @@ from .diagnostics import compute_quantities, mean_removed_sum
 from .grid_fields import (
     CylinderRangeError,
     ParabolicCylinder,
+    _spacetime_points,
     ball_integrals,
     cylinder_sup,
     cylinder_time_integral,
@@ -98,52 +99,54 @@ def thresholds(cfg: RegularityConfig, params=None) -> dict:
 # flags
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FlagEntry:
-    """One point where a smallness criterion was not certified."""
+#: the columns of a flag CSV, one row per flagged point
+FLAG_COLUMNS = ("t0", "x0", "x1", "x2", "r_star", "value",
+                "working_threshold", "paper_threshold", "margin")
 
-    center_x: tuple
-    center_t: float
-    r_star: float
-    value: float
-    working_threshold: float
-    paper_threshold: float
-
-    @property
-    def margin(self) -> float:
-        return self.value / self.working_threshold
+#: the closed-form threshold each sweep criterion is reported against
+_PAPER_THRESHOLD = {"thm13": "epsilon", "thm16i": "epsilon0", "thm16ii": "epsilon2"}
 
 
 @dataclass
 class FlagSet:
-    """Deterministically ordered collection of flagged points."""
+    """The flagged points of one sweep.
 
-    entries: list = field(default_factory=list)
+    points is an (m, 4) array of (x0, x1, x2, t) rows ordered by
+    (t, x0, x1, x2); r_star and value are the (m,) radius and criterion
+    value of each row; the two thresholds are the sweep's, the same for
+    every row.
+    """
 
-    def __post_init__(self):
-        self.entries = sorted(
-            self.entries, key=lambda e: (e.center_t,) + tuple(e.center_x)
-        )
+    points: np.ndarray
+    r_star: np.ndarray
+    value: np.ndarray
+    working_threshold: float
+    paper_threshold: float
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.points)
 
-    def points(self) -> list:
-        return [(e.center_x, e.center_t) for e in self.entries]
+    @property
+    def margin(self) -> np.ndarray:
+        return self.value / self.working_threshold
 
     def rows(self) -> list:
-        return [
-            {
-                "t0": e.center_t,
-                "x0": e.center_x[0], "x1": e.center_x[1], "x2": e.center_x[2],
-                "r_star": e.r_star,
-                "value": e.value,
-                "working_threshold": e.working_threshold,
-                "paper_threshold": e.paper_threshold,
-                "margin": e.margin,
-            }
-            for e in self.entries
-        ]
+        """One FLAG_COLUMNS row per flagged point."""
+        return [[t, x0, x1, x2, r, v, self.working_threshold,
+                 self.paper_threshold, m]
+                for (x0, x1, x2, t), r, v, m in zip(
+                    self.points.tolist(), self.r_star.tolist(),
+                    self.value.tolist(), self.margin.tolist())]
+
+
+def _flag_report(value: float, r_star: float, cfg: RegularityConfig,
+                 paper_threshold: float, **detail) -> dict:
+    """The report shape of every criterion: flagged when the value is not
+    certified to lie at or below the working threshold."""
+    thr = cfg.working_threshold
+    return {"value": value, "r_star": r_star, "working_threshold": thr,
+            "paper_threshold": paper_threshold, "flagged": not value <= thr,
+            "margin": value / thr, **detail}
 
 
 #: the dissipation integrands |grad sqrt(n)|^2, |grad u|^2, |hess sqrt(c)|^2
@@ -175,7 +178,6 @@ def flag_thm13(traj: Trajectory, z0, radii: Sequence[float],
     if not radii:
         raise CylinderRangeError("need at least one radius")
     x0, t0 = tuple(z0[0]), float(z0[1])
-    thr = cfg.working_threshold
     per_radius = {}
     best_r, best_v = None, -np.inf
     for r in sorted(radii):
@@ -184,25 +186,9 @@ def flag_thm13(traj: Trajectory, z0, radii: Sequence[float],
         per_radius[float(r)] = val
         if val > best_v:
             best_r, best_v = float(r), val
-    paper_thr = thresholds(cfg, traj.params)["epsilon"]
-    flagged = best_v > thr
-    entry = None
-    if flagged:
-        entry = FlagEntry(
-            center_x=x0, center_t=t0, r_star=best_r, value=best_v,
-            working_threshold=thr, paper_threshold=paper_thr,
-        )
-    return {
-        "center": (x0, t0),
-        "per_radius": per_radius,
-        "value": best_v,
-        "r_star": best_r,
-        "working_threshold": thr,
-        "paper_threshold": paper_thr,
-        "flagged": flagged,
-        "margin": best_v / thr,
-        "entry": entry,
-    }
+    return _flag_report(best_v, best_r, cfg,
+                        thresholds(cfg, traj.params)[_PAPER_THRESHOLD["thm13"]],
+                        per_radius=per_radius)
 
 
 def _sup_bundle(w: float = 1.0):
@@ -237,17 +223,15 @@ def flag_thm16(traj: Trajectory, z0, cfg: RegularityConfig,
     pressure terms, with ln n shifted to ln(rho0^2 n)); both variants are
     evaluated in that exact form, so no field interpolation occurs.
     Variant "i" takes two passes over Q (the sup, then the integrals),
-    variant "ii" one.  Returns a regular-certificate when the bundle is below threshold and
-    "inconclusive" otherwise.
+    variant "ii" one.  The point is flagged (inconclusive) unless the
+    bundle is at or below the working threshold (regular); r_star is rho0.
     """
     if variant not in ("i", "ii"):
         raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
     x0, t0 = tuple(z0[0]), float(z0[1])
-    thr = cfg.working_threshold
     Q = ParabolicCylinder(x0, t0, float(rho0))
     w = rho0**2
     vol = traj.grid.cell_volume
-    paper = thresholds(cfg, traj.params)
     if variant == "i":
         sup_part = (1.0 / rho0) * cylinder_sup(traj, Q, _sup_bundle(w))
         i_n, i_u, i_c, i_p = cylinder_time_integral(
@@ -256,7 +240,6 @@ def flag_thm16(traj: Trajectory, z0, cfg: RegularityConfig,
         press = rho0**-2 * i_p
         value = sup_part + diss + press
         parts = {"sup_part": sup_part, "dissipation": diss, "pressure": press}
-        paper_thr = paper["epsilon0"]
     else:
         catalog = ball_integrals(("abs_grad_sqrt_c", 3.0), ("abs_u", 3.0),
                                  ("abs_p", 1.5))
@@ -272,48 +255,37 @@ def flag_thm16(traj: Trajectory, z0, cfg: RegularityConfig,
         value = dens + chem + velo + press
         parts = {"density": dens, "chemo": chem, "velocity": velo,
                  "pressure": press}
-        paper_thr = paper["epsilon2"]
-    certified = value <= thr
-    entry = None
-    if not certified:
-        entry = FlagEntry(
-            center_x=x0, center_t=t0, r_star=float(rho0), value=value,
-            working_threshold=thr, paper_threshold=paper_thr,
-        )
-    return {
-        "center": (x0, t0),
-        "variant": variant,
-        "rho0": float(rho0),
-        "parts": parts,
-        "value": value,
-        "working_threshold": thr,
-        "paper_threshold": paper_thr,
-        "status": "regular_certified" if certified else "inconclusive",
-        "margin": value / thr,
-        "entry": entry,
-    }
+    paper_thr = thresholds(cfg, traj.params)[_PAPER_THRESHOLD["thm16" + variant]]
+    return _flag_report(value, float(rho0), cfg, paper_thr, parts=parts)
 
 
-def flag_sweep(traj: Trajectory, centers: Sequence, radii: Sequence[float],
+def flag_sweep(traj: Trajectory, centers: np.ndarray, radii: Sequence[float],
                cfg: RegularityConfig, criterion: str = "thm13") -> FlagSet:
-    """Evaluate one criterion over many candidate centers; collect flags.
+    """Evaluate one criterion at every row of an (m, 4) array of candidate
+    centres; collect the flagged ones, ordered by (t, x0, x1, x2).
 
-    centers is a sequence of ((x, y, z), t) points; the result is ordered
-    deterministically by (t, x).
+    thm16i and thm16ii evaluate their bundle at rho0 = max(radii).
     """
-    entries = []
-    for z0 in centers:
+    if criterion not in _PAPER_THRESHOLD:
+        raise ValueError(f"unknown criterion {criterion!r}")
+    pts = _spacetime_points(centers)
+    reports = []
+    for *x0, t0 in pts.tolist():
         if criterion == "thm13":
-            rep = flag_thm13(traj, z0, radii, cfg)
-        elif criterion in ("thm16i", "thm16ii"):
-            rep = flag_thm16(traj, z0, cfg,
-                             variant="i" if criterion == "thm16i" else "ii",
-                             rho0=max(radii))
+            reports.append(flag_thm13(traj, (x0, t0), radii, cfg))
         else:
-            raise ValueError(f"unknown criterion {criterion!r}")
-        if rep["entry"] is not None:
-            entries.append(rep["entry"])
-    return FlagSet(entries)
+            reports.append(flag_thm16(traj, (x0, t0), cfg, variant=criterion[5:],
+                                      rho0=max(radii)))
+    keep = np.array([rep["flagged"] for rep in reports], dtype=bool)
+    order = np.lexsort(pts[:, [2, 1, 0, 3]].T)  # by t, then x0, x1, x2
+    order = order[keep[order]]
+    return FlagSet(
+        points=pts[order],
+        r_star=np.array([rep["r_star"] for rep in reports], dtype=float)[order],
+        value=np.array([rep["value"] for rep in reports], dtype=float)[order],
+        working_threshold=cfg.working_threshold,
+        paper_threshold=thresholds(cfg, traj.params)[_PAPER_THRESHOLD[criterion]],
+    )
 
 
 # ---------------------------------------------------------------------------

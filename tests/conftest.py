@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cnsflow import (
     Grid,
@@ -11,6 +12,12 @@ from cnsflow import (
     Trajectory,
     simulate,
 )
+
+
+# property tests draw the same few examples on every run
+settings.register_profile("cnsflow", derandomize=True, database=None,
+                          max_examples=20, deadline=None)
+settings.load_profile("cnsflow")
 
 
 def pytest_collection_modifyitems(items):

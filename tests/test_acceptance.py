@@ -284,12 +284,11 @@ def test_criterion_07_regularity_machinery(capsys):
               zeros.copy(), t) for t in np.linspace(-0.1, 0.0, 6)
     ])
     tight = RegularityConfig(working_threshold=1e-12)
-    centers = [((0.7, 0.5, 0.5), 0.0), ((0.3, 0.5, 0.5), 0.0),
-               ((0.5, 0.5, 0.5), -0.02)]
+    centers = np.array([[0.7, 0.5, 0.5, 0.0], [0.3, 0.5, 0.5, 0.0],
+                        [0.5, 0.5, 0.5, -0.02]])
     f1 = flag_sweep(qtraj, centers, (0.15,), tight, criterion="thm16ii")
     f2 = flag_sweep(qtraj, centers[::-1], (0.15,), tight, criterion="thm16ii")
-    det = ([(e.center_t,) + e.center_x for e in f1.entries]
-           == [(e.center_t,) + e.center_x for e in f2.entries])
+    det = np.array_equal(f1.points, f2.points)
     checks.append(("flag sweeps deterministic under input reordering", det))
 
     # constructed concentration with analytic margin 2
@@ -359,32 +358,31 @@ def test_criterion_09_hausdorff_estimator(capsys):
     Vitali postconditions on a 200-cylinder random family; backward-half
     containment in shifted cylinders."""
     checks = []
-    seg = dimension_estimate(
-        [((x, 0.0, 0.0), 0.0) for x in np.linspace(0.0, 1.0, 1000)],
-        [2.0**-k for k in range(2, 8)])
+    line = np.zeros((1000, 4))
+    line[:, 0] = np.linspace(0.0, 1.0, 1000)
+    seg = dimension_estimate(line, [2.0**-k for k in range(2, 8)])
     checks.append((f"segment slope {seg.slope:.3f} in 1 +/- 0.15",
                    abs(seg.slope - 1.0) <= 0.15))
-    tseg = dimension_estimate(
-        [((0.0, 0.0, 0.0), t) for t in np.linspace(-1.0, 0.0, 1000)],
-        [2.0**-k for k in range(1, 6)])
+    times = np.zeros((1000, 4))
+    times[:, 3] = np.linspace(-1.0, 0.0, 1000)
+    tseg = dimension_estimate(times, [2.0**-k for k in range(1, 6)])
     checks.append((f"temporal slope {tseg.slope:.3f} in 2 +/- 0.2",
                    abs(tseg.slope - 2.0) <= 0.2))
     xs = np.linspace(0.0, 1.0, 96)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    plane = dimension_estimate(
-        [((x, y, 0.0), 0.0) for x, y in zip(X.ravel(), Y.ravel())],
-        [2.0**-k for k in range(2, 6)])
+    square = np.zeros((X.size, 4))
+    square[:, 0], square[:, 1] = X.ravel(), Y.ravel()
+    plane = dimension_estimate(square, [2.0**-k for k in range(2, 6)])
     checks.append((f"plane slope {plane.slope:.3f} in 2 +/- 0.2",
                    abs(plane.slope - 2.0) <= 0.2))
     cs = np.linspace(0.0, 1.0, 28)
     Xc, Yc, Zc = np.meshgrid(cs, cs, cs, indexing="ij")
-    cube = dimension_estimate(
-        [((x, y, z), 0.0)
-         for x, y, z in zip(Xc.ravel(), Yc.ravel(), Zc.ravel())],
-        [0.25, 0.125, 0.0625])
+    solid = np.zeros((Xc.size, 4))
+    solid[:, 0], solid[:, 1], solid[:, 2] = Xc.ravel(), Yc.ravel(), Zc.ravel()
+    cube = dimension_estimate(solid, [0.25, 0.125, 0.0625])
     checks.append((f"cube slope {cube.slope:.3f} in 3 +/- 0.2",
                    abs(cube.slope - 3.0) <= 0.2))
-    single = dimension_estimate([((0.5, 0.5, 0.5), 0.0)] * 5,
+    single = dimension_estimate(np.tile([0.5, 0.5, 0.5, 0.0], (5, 1)),
                                 [0.25, 0.125, 0.0625])
     checks.append((f"singleton slope {single.slope:.3f} <= 0.1 in magnitude",
                    abs(single.slope) <= 0.1))
@@ -398,7 +396,7 @@ def test_criterion_09_hausdorff_estimator(capsys):
     checks.append(("Vitali postconditions on 200-cylinder family",
                    rep["pairwise_disjoint"] and rep["five_r_covers"]))
     contain = all(contains_backward_half(q) for q in shifted_cover(
-        [((0.5, 0.5, 0.5), -0.1), ((0.2, 0.8, 0.4), 0.0)], 0.07))
+        np.array([[0.5, 0.5, 0.5, -0.1], [0.2, 0.8, 0.4, 0.0]]), 0.07))
     checks.append(("backward half-cylinder containment exact", contain))
     _report(capsys, 9, "Hausdorff estimator", checks)
 

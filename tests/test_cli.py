@@ -100,6 +100,56 @@ def test_malformed_pipeline_key_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o" / "trajectory").exists()  # failed before the run
 
 
+def test_pipeline_phase_exits_with_its_exception_code(workdir, traj_dir, tmp_path,
+                                                      capsys):
+    """A negative radius is a config error (2) in the pipeline's quantities
+    phase as in the standalone subcommands, and stderr names the phase."""
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text(CONFIG_TEXT.replace("pipeline.radii = 0.05,0.09",
+                                       "pipeline.radii = -0.05,0.09"))
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "o")]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "phase 'quantities'" in err
+    centers = tmp_path / "centers.csv"
+    centers.write_text("x0,x1,x2,t0\n0.5,0.5,0.5,0.01\n")
+    assert main(["diagnose", "quantities", "--traj", str(traj_dir), "--centers",
+                 str(centers), "--radii=-0.05,0.09",
+                 "--out", str(tmp_path / "q.csv")]) == EXIT_CONFIG
+    assert main(["flag", "--traj", str(traj_dir), "--radii=-0.05",
+                 "--out", str(tmp_path / "f.csv")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("stride", ["0", "-4"])
+def test_non_positive_grid_stride_exits_2(traj_dir, tmp_path, stride):
+    assert main(["flag", "--traj", str(traj_dir), f"--grid-stride={stride}",
+                 "--radii", "0.05", "--out", str(tmp_path / "f.csv")]) == EXIT_CONFIG
+
+
+FLAG_HEADER = "t0,x0,x1,x2,r_star,value,working_threshold,paper_threshold,margin\n"
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_points_exit_2(traj_dir, tmp_path, capsys, bad):
+    """Centres and flag CSVs come from outside the program: a non-finite
+    coordinate is a config error that names the file."""
+    flags = tmp_path / "flags.csv"
+    flags.write_text(FLAG_HEADER + "0.0,0.1,0.2,0.3,0.1,1.0,0.5,0.5,2.0\n"
+                     f"{bad},0.4,0.5,0.6,0.1,1.0,0.5,0.5,2.0\n"
+                     "0.01,0.7,0.8,0.9,0.1,1.0,0.5,0.5,2.0\n")
+    capsys.readouterr()
+    assert main(["dimension", "--flags", str(flags), "--scales", "2^-2..2^-4",
+                 "--out", str(tmp_path / "d.csv")]) == EXIT_CONFIG
+    assert str(flags) in capsys.readouterr().err
+    centers = tmp_path / "centers.csv"
+    centers.write_text(f"x0,x1,x2,t0\n0.5,{bad},0.5,0.01\n")
+    assert main(["diagnose", "quantities", "--traj", str(traj_dir), "--centers",
+                 str(centers), "--radii", "0.05", "--out", str(tmp_path / "q.csv")]) \
+        == EXIT_CONFIG
+    assert str(centers) in capsys.readouterr().err
+
+
 def test_out_of_range_cylinder_exits_3(workdir, traj_dir, tmp_path, capsys):
     centers = tmp_path / "centers.csv"
     centers.write_text("x0,x1,x2,t0\n0.5,0.5,0.5,0.01\n")

@@ -84,7 +84,7 @@ def test_vitali_random_family_postconditions():
 
 
 def test_shifted_cover_contains_backward_half():
-    pts = [((0.5, 0.5, 0.5), -0.1), ((0.2, 0.8, 0.4), 0.0)]
+    pts = np.array([[0.5, 0.5, 0.5, -0.1], [0.2, 0.8, 0.4, 0.0]])
     for q in shifted_cover(pts, 0.07):
         assert q.shifted
         assert contains_backward_half(q)
@@ -92,7 +92,7 @@ def test_shifted_cover_contains_backward_half():
 
 def test_shifted_cover_rejects_bad_radius():
     with pytest.raises(ValueError):
-        shifted_cover([((0.0, 0.0, 0.0), 0.0)], -0.1)
+        shifted_cover(np.zeros((1, 4)), -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -100,15 +100,15 @@ def test_shifted_cover_rejects_bad_radius():
 # ---------------------------------------------------------------------------
 
 def test_dimension_singleton_is_zero():
-    est = dimension_estimate([((0.5, 0.5, 0.5), 0.0)] * 5,
+    est = dimension_estimate(np.tile([0.5, 0.5, 0.5, 0.0], (5, 1)),
                              [0.25, 0.125, 0.0625])
     assert est.counts == [1, 1, 1]
     assert abs(est.slope) <= 0.1
 
 
 def test_dimension_spatial_segment_is_one():
-    xs = np.linspace(0.0, 1.0, 1000)
-    pts = [((x, 0.0, 0.0), 0.0) for x in xs]
+    pts = np.zeros((1000, 4))
+    pts[:, 0] = np.linspace(0.0, 1.0, 1000)
     scales = [2.0**-k for k in range(2, 8)]
     est = dimension_estimate(pts, scales)
     assert abs(est.slope - 1.0) <= 0.15
@@ -116,8 +116,8 @@ def test_dimension_spatial_segment_is_one():
 
 def test_dimension_temporal_segment_is_two():
     # a time interval has parabolic dimension 2 (r covers r^2 in time)
-    ts = np.linspace(-1.0, 0.0, 1000)
-    pts = [((0.0, 0.0, 0.0), t) for t in ts]
+    pts = np.zeros((1000, 4))
+    pts[:, 3] = np.linspace(-1.0, 0.0, 1000)
     scales = [2.0**-k for k in range(1, 6)]
     est = dimension_estimate(pts, scales)
     assert abs(est.slope - 2.0) <= 0.2
@@ -126,7 +126,8 @@ def test_dimension_temporal_segment_is_two():
 def test_dimension_spatial_plane_is_two():
     xs = np.linspace(0.0, 1.0, 96)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    pts = [((x, y, 0.0), 0.0) for x, y in zip(X.ravel(), Y.ravel())]
+    pts = np.zeros((X.size, 4))
+    pts[:, 0], pts[:, 1] = X.ravel(), Y.ravel()
     scales = [2.0**-k for k in range(2, 6)]
     est = dimension_estimate(pts, scales)
     assert abs(est.slope - 2.0) <= 0.2
@@ -135,16 +136,16 @@ def test_dimension_spatial_plane_is_two():
 def test_dimension_spatial_cube_is_three():
     xs = np.linspace(0.0, 1.0, 28)
     X, Y, Z = np.meshgrid(xs, xs, xs, indexing="ij")
-    pts = [((x, y, z), 0.0)
-           for x, y, z in zip(X.ravel(), Y.ravel(), Z.ravel())]
+    pts = np.zeros((X.size, 4))
+    pts[:, 0], pts[:, 1], pts[:, 2] = X.ravel(), Y.ravel(), Z.ravel()
     est = dimension_estimate(pts, [0.25, 0.125, 0.0625])
     assert abs(est.slope - 3.0) <= 0.2
 
 
 def test_counts_monotone_under_subset():
     rng = np.random.default_rng(3)
-    pts = [((x, y, z), -t**2)
-           for x, y, z, t in rng.uniform(0.0, 1.0, (500, 4))]
+    pts = rng.uniform(0.0, 1.0, (500, 4))
+    pts[:, 3] = -pts[:, 3] ** 2
     sub = pts[:200]
     scales = [0.25, 0.125, 0.0625]
     full = dimension_estimate(pts, scales)
@@ -154,8 +155,8 @@ def test_counts_monotone_under_subset():
 
 
 def test_measure_gauges():
-    xs = np.linspace(0.0, 1.0, 1000)
-    pts = [((x, 0.0, 0.0), 0.0) for x in xs]
+    pts = np.zeros((1000, 4))
+    pts[:, 0] = np.linspace(0.0, 1.0, 1000)
     scales = [2.0**-k for k in range(2, 8)]
     est = dimension_estimate(pts, scales)
     # premeasure is nonincreasing in alpha at fixed scale
@@ -166,4 +167,50 @@ def test_measure_gauges():
 
 def test_dimension_requires_three_scales():
     with pytest.raises(ValueError):
-        dimension_estimate([((0.0, 0.0, 0.0), 0.0)], [0.5, 0.25])
+        dimension_estimate(np.zeros((1, 4)), [0.5, 0.25])
+
+
+def test_point_sets_must_be_m_by_4():
+    pairs = [((0.5, 0.5, 0.5), 0.0), ((0.2, 0.8, 0.4), 0.0)]
+    for bad in (pairs, np.zeros((3, 3)), np.zeros(4)):
+        with pytest.raises(ValueError):
+            dimension_estimate(bad, [0.25, 0.125, 0.0625])
+        with pytest.raises(ValueError):
+            shifted_cover(bad, 0.1)
+
+
+def _oracle_counts(pts, scales, box_length):
+    """Greedy cover over the full pairwise parabolic-distance matrix."""
+    d = pts[None, :, :3] - pts[:, None, :3]
+    d -= box_length * np.round(d / box_length)
+    dist = np.maximum(np.sqrt(np.sum(d * d, axis=2)),
+                      np.sqrt(np.abs(pts[None, :, 3] - pts[:, None, 3])))
+    counts = []
+    for r in sorted(scales, reverse=True):
+        alive = np.ones(len(pts), dtype=bool)
+        count = 0
+        for i in range(len(pts)):
+            if alive[i]:
+                alive &= dist[i] > r
+                count += 1
+        counts.append(count)
+    return counts
+
+
+def test_periodic_counts_match_pairwise_oracle():
+    rng = np.random.default_rng(11)
+    L, scales = 1.0, [0.25, 0.125, 0.0625]
+    pts = np.column_stack([rng.uniform(0.0, L, (300, 3)),
+                           rng.uniform(-0.05, 0.0, 300)])
+    assert dimension_estimate(pts, scales, box_length=L).counts \
+        == _oracle_counts(pts, scales, L)
+
+    # a set straddling the seam: every coordinate within 0.1 of 0 = L
+    seam = pts.copy()
+    seam[:, :3] = (rng.uniform(-0.1, 0.1, (300, 3))) % L
+    counts = dimension_estimate(seam, scales, box_length=L).counts
+    assert counts == _oracle_counts(seam, scales, L)
+    assert counts != dimension_estimate(seam, scales).counts  # wrapping matters
+    moved = seam.copy()
+    moved[:, :3] = (seam[:, :3] + 0.5 * L) % L
+    assert dimension_estimate(moved, scales, box_length=L).counts == counts

@@ -116,11 +116,10 @@ def test_zero_field_never_flagged():
     cfg = RegularityConfig()
     z0 = ((0.5, 0.5, 0.5), 0.0)
     rep = flag_thm13(traj, z0, (0.1, 0.2), cfg)
-    assert not rep["flagged"] and rep["entry"] is None
+    assert not rep["flagged"]
     for variant in ("i", "ii"):
         rep = flag_thm16(traj, z0, cfg, variant=variant, rho0=0.2)
-        assert rep["status"] == "regular_certified"
-        assert rep["entry"] is None
+        assert not rep["flagged"]
 
 
 def test_constructed_velocity_hits_margin_two():
@@ -145,7 +144,7 @@ def test_constructed_velocity_hits_margin_two():
     rep = flag_thm13(traj, ((0.5, 0.5, 0.5), 0.0), (r,), cfg)
     assert rep["flagged"]
     assert abs(rep["margin"] - 2.0) < 0.1
-    assert rep["entry"].r_star == r
+    assert rep["r_star"] == r
 
 
 def test_thm16_parts_match_cylinder_quantities(smooth_traj):
@@ -164,15 +163,31 @@ def test_thm16_parts_match_cylinder_quantities(smooth_traj):
 def test_flag_sweep_deterministic_ordering():
     traj = _quiet_traj(n_val=2.0)  # n ln n > 0 everywhere: everything flags
     cfg = RegularityConfig(working_threshold=1e-12)
-    centers = [((0.7, 0.5, 0.5), 0.0), ((0.3, 0.5, 0.5), 0.0),
-               ((0.5, 0.5, 0.5), -0.02)]
+    centers = np.array([[0.7, 0.5, 0.5, 0.0], [0.3, 0.5, 0.5, 0.0],
+                        [0.5, 0.5, 0.5, -0.02]])
     out = flag_sweep(traj, centers, (0.15,), cfg, criterion="thm16ii")
     assert len(out) == 3
-    keys = [(e.center_t,) + e.center_x for e in out.entries]
+    keys = [(t,) + tuple(x) for *x, t in out.points.tolist()]
     assert keys == sorted(keys)
     # same centers, shuffled input: identical output
     out2 = flag_sweep(traj, centers[::-1], (0.15,), cfg, criterion="thm16ii")
-    assert [(e.center_t,) + e.center_x for e in out2.entries] == keys
+    assert [(t,) + tuple(x) for *x, t in out2.points.tolist()] == keys
+
+
+def test_flag_reports_share_one_shape():
+    traj, cfg = _quiet_traj(n_val=2.0), RegularityConfig(working_threshold=1e-12)
+    z0 = ((0.5, 0.5, 0.5), 0.0)
+    shape = {"value", "r_star", "working_threshold", "paper_threshold",
+             "flagged", "margin"}
+    rep = flag_thm13(traj, z0, (0.1, 0.2), cfg)
+    assert set(rep) == shape | {"per_radius"}
+    for variant in ("i", "ii"):
+        rep = flag_thm16(traj, z0, cfg, variant=variant, rho0=0.2)
+        assert set(rep) == shape | {"parts"} and rep["r_star"] == 0.2
+    # a sweep takes only an (m, 4) array of centres
+    for bad in ([z0], np.zeros((2, 3))):
+        with pytest.raises(ValueError):
+            flag_sweep(traj, bad, (0.15,), cfg)
 
 
 # ---------------------------------------------------------------------------
