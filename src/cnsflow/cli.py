@@ -608,7 +608,12 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--out", required=True)
     fp.set_defaults(fn=cmd_flag)
 
-    mp = sub.add_parser("dimension", help="covering dimension of a flag set")
+    mp = sub.add_parser(
+        "dimension", help="covering dimension of a flag set",
+        description="Greedy covering counts and box-counting slope of the points "
+                    "in a flag CSV.  The counts use no periodic wrap, because a "
+                    "flag CSV carries no box length; `cnsflow pipeline` wraps at "
+                    "the run's box length.")
     mp.add_argument("--flags", required=True)
     mp.add_argument("--scales", required=True,
                     help="2^-a..2^-b or comma list")

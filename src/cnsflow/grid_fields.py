@@ -187,11 +187,16 @@ class ParabolicCylinder:
 
 def _spacetime_points(points) -> np.ndarray:
     """A set of spacetime points as a float (m, 4) array, one row
-    (x0, x1, x2, t) per point; any other shape raises ValueError."""
+    (x0, x1, x2, t) per point; any other shape, or a non-finite coordinate,
+    raises ValueError."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 4:
         raise ValueError(
             f"expected an (m, 4) array of (x0, x1, x2, t) rows, got shape {pts.shape}")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if len(bad):
+        raise ValueError(
+            f"point row {bad[0]} has a non-finite coordinate: {pts[bad[0]].tolist()}")
     return pts
 
 

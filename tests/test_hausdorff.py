@@ -4,6 +4,7 @@ against sets of known dimension."""
 import numpy as np
 import pytest
 
+from cnsflow import hausdorff
 from cnsflow import (
     ParabolicCylinder,
     contains_backward_half,
@@ -179,10 +180,25 @@ def test_point_sets_must_be_m_by_4():
             shifted_cover(bad, 0.1)
 
 
-def _oracle_counts(pts, scales, box_length):
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dimension_rejects_non_finite_points(bad):
+    pts = np.array([[0.1, 0.1, 0.1, 0.0], [0.9, 0.9, 0.9, 0.0],
+                    [bad, 0.5, 0.5, 0.0], [0.5, 0.5, 0.5, 0.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        dimension_estimate(pts, [0.25, 0.125, 0.0625])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_shifted_cover_rejects_non_finite_points(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        shifted_cover(np.array([[0.5, 0.5, 0.5, 0.0], [0.2, 0.8, 0.4, bad]]), 0.1)
+
+
+def _oracle_counts(pts, scales, box_length=None):
     """Greedy cover over the full pairwise parabolic-distance matrix."""
     d = pts[None, :, :3] - pts[:, None, :3]
-    d -= box_length * np.round(d / box_length)
+    if box_length is not None:
+        d -= box_length * np.round(d / box_length)
     dist = np.maximum(np.sqrt(np.sum(d * d, axis=2)),
                       np.sqrt(np.abs(pts[None, :, 3] - pts[:, None, 3])))
     counts = []
@@ -214,3 +230,80 @@ def test_periodic_counts_match_pairwise_oracle():
     moved = seam.copy()
     moved[:, :3] = (seam[:, :3] + 0.5 * L) % L
     assert dimension_estimate(moved, scales, box_length=L).counts == counts
+
+
+def test_open_counts_match_pairwise_oracle():
+    rng = np.random.default_rng(12)
+    scales = [0.25, 0.125, 0.0625, 0.03125]
+    pts = np.column_stack([rng.uniform(0.0, 1.0, (400, 3)),
+                           rng.uniform(-0.05, 0.0, 400)])
+    assert dimension_estimate(pts, scales).counts == _oracle_counts(pts, scales)
+
+
+def test_out_of_box_coordinates_match_pairwise_oracle():
+    # negative coordinates and coordinates beyond L, open and wrapped
+    rng = np.random.default_rng(13)
+    L, scales = 1.0, [0.3, 0.15, 0.075]
+    pts = np.column_stack([rng.uniform(-1.5, 2.5, (400, 3)),
+                           rng.uniform(-0.3, 0.2, 400)])
+    for box_length in (None, L):
+        assert dimension_estimate(pts, scales, box_length=box_length).counts \
+            == _oracle_counts(pts, scales, box_length)
+
+
+def test_narrow_box_falls_back_to_scan(monkeypatch):
+    # L / r = 2.5: fewer than 3 cells across, so no cell list
+    calls, scan = [], hausdorff._greedy_scan
+
+    def spy(points, r, box_length=None):
+        calls.append(r)
+        return scan(points, r, box_length)
+
+    monkeypatch.setattr(hausdorff, "_greedy_scan", spy)
+    rng = np.random.default_rng(14)
+    L, scales = 1.0, [0.4, 0.2, 0.1]
+    pts = np.column_stack([rng.uniform(0.0, L, (300, 3)),
+                           rng.uniform(-0.2, 0.0, 300)])
+    assert dimension_estimate(pts, scales, box_length=L).counts \
+        == _oracle_counts(pts, scales, L)
+    assert calls == [0.4]
+
+
+def test_exact_distance_ties_match_pairwise_oracle():
+    # a dyadic lattice spaced r/2 in space and r^2 in time: many pairs are
+    # at parabolic distance exactly r, and only `dist > r` keeps them apart
+    r, L = 0.125, 0.5
+    ax = np.arange(8) * (r / 2)
+    X0, X1, X2, T = np.meshgrid(ax, ax, ax[:2], -np.arange(5) * r * r, indexing="ij")
+    pts = np.column_stack([X0.ravel(), X1.ravel(), X2.ravel(), T.ravel()])
+    pts = pts[np.random.default_rng(15).permutation(len(pts))]
+    scales = [2 * r, r, r / 2]
+    for box_length in (None, L):
+        assert dimension_estimate(pts, scales, box_length=box_length).counts \
+            == _oracle_counts(pts, scales, box_length)
+
+
+def _scan_counts(pts, scales, box_length=None):
+    return [hausdorff._greedy_scan(pts, r, box_length)
+            for r in sorted(scales, reverse=True)]
+
+
+def test_large_sets_match_the_scan():
+    # 2e4-point sets like the benchmark's, too large for the pairwise oracle:
+    # a circle of radius 1/4 at one time, and a time segment at one point
+    rng = np.random.default_rng(16)
+    m = 20_000
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, m))
+    circle = np.zeros((m, 4))
+    circle[:, :3] = rng.uniform(0.3, 0.7, 3) + 0.25 * (
+        np.cos(theta)[:, None] * q[:, 0] + np.sin(theta)[:, None] * q[:, 1])
+    circle[:, 3] = rng.uniform()
+    scales = [2.0**-k for k in range(3, 7)]
+    for box_length in (None, 1.0):
+        assert dimension_estimate(circle, scales, box_length=box_length).counts \
+            == _scan_counts(circle, scales, box_length)
+    segment = np.tile(np.append(rng.uniform(0.0, 1.0, 3), 0.0), (m, 1))
+    segment[:, 3] = np.sort(rng.uniform() + rng.uniform(0.0, 1.0, m))
+    scales = [2.0**-k for k in range(2, 6)]
+    assert dimension_estimate(segment, scales).counts == _scan_counts(segment, scales)

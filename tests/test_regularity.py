@@ -190,6 +190,14 @@ def test_flag_reports_share_one_shape():
             flag_sweep(traj, bad, (0.15,), cfg)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_flag_sweep_rejects_non_finite_centres(bad):
+    traj, cfg = _quiet_traj(n_val=2.0), RegularityConfig(working_threshold=1e-12)
+    centers = np.array([[0.5, 0.5, 0.5, 0.0], [0.3, bad, 0.5, 0.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        flag_sweep(traj, centers, (0.15,), cfg)
+
+
 # ---------------------------------------------------------------------------
 # scale iteration
 # ---------------------------------------------------------------------------
