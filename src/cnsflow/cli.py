@@ -16,6 +16,7 @@ import json
 import sys
 import time
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from .grid_fields import (
     NonFiniteFieldError,
     ParabolicCylinder,
     RescaleError,
+    ball_mask,
 )
 from .hausdorff import dimension_estimate
 from .pressure import decompose_local, harmonic_residual
@@ -107,8 +109,6 @@ def config_get(cfg: dict, key: str, cast=str, default=_REQUIRED):
             raise ConfigError(f"missing config key {key!r}")
         return default
     try:
-        if cast is bool:
-            return cfg[key].lower() in ("1", "true", "yes", "on")
         return cast(cfg[key])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {key!r}: cannot parse {cfg[key]!r}") from exc
@@ -139,7 +139,6 @@ def build_sim_config(cfg: dict) -> tuple:
         seed=config_get(cfg, "sim.seed", int, 0),
         order=config_get(cfg, "sim.order", int, 1),
         init=init,
-        start_time=config_get(cfg, "sim.start_time", float, 0.0),
     )
     params = PhysParams(
         theta0=config_get(cfg, "phys.theta0", float, 1.0),
@@ -210,11 +209,7 @@ def write_manifest(out_dir, config_path, sim, params, phase_seconds,
         "config_sha256": _hash_file(config_path),
         "seed": sim.seed,
         "grid": {"n": sim.grid_n, "box_length": sim.grid_l, "dt": sim.dt},
-        "params": {
-            "theta0": params.theta0,
-            "chi_coeffs": list(params.chi_coeffs),
-            "gravity": params.gravity,
-        },
+        "params": asdict(params),
         "outputs": {k: str(v) for k, v in outputs.items()},
         "phase_seconds": phase_seconds,
     }
@@ -318,11 +313,11 @@ def cmd_diagnose_pressure(args) -> int:
         _, params = build_sim_config(parse_config(args.config))
     dec = decompose_local(state, center, rho, params=params)
     res = harmonic_residual(dec)
-    dist = np.sqrt(state.grid.min_image_distance_sq(tuple(center)))
     edges = np.linspace(0.0, rho, 17)
+    inside = [ball_mask(state.grid, center, r) for r in edges]
     rows = []
-    for lo, hi in zip(edges, edges[1:]):
-        sel = (dist >= lo) & (dist < hi)
+    for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        sel = inside[k + 1] & ~inside[k]
         if not np.any(sel):
             continue
         mid = 0.5 * (lo + hi)

@@ -3,8 +3,8 @@ energy bound, and the local energy inequality residual.
 
 The test functions are products of the backward heat kernel
 Psi_n(x,t) = (r_n^2 - t)^(-3/2) exp(-|x|^2 / (4 (r_n^2 - t))), r_k = 2^(-k),
-with a radial-in-space, quintic space-time cutoff xi that equals 1 on the
-cylinder Q_{r_4} and vanishes outside Q_{r_3}.  On the plateau the product
+with a radial-in-space, C^4 ninth-order space-time cutoff xi that equals 1
+on the cylinder Q_{r_4} and vanishes outside Q_{r_3}.  On the plateau the product
 is exactly backward caloric, so the (dt + Delta) terms of the local energy
 inequality vanish there analytically, not just to quadrature accuracy.
 """
@@ -28,6 +28,12 @@ def _smoothstep(s: np.ndarray) -> np.ndarray:
     return s**5 * (126.0 + s * (-420.0 + s * (540.0 + s * (-315.0 + 70.0 * s))))
 
 
+def cutoff_step(r, a: float, b: float) -> np.ndarray:
+    """The one radial step: 1 for r <= a, 0 for r >= b, the C^4
+    ninth-order step in between."""
+    return 1.0 - _smoothstep(np.clip((r - a) / (b - a), 0.0, 1.0))
+
+
 def _smoothstep_d1(s: np.ndarray) -> np.ndarray:
     return 630.0 * (s * (1.0 - s)) ** 4
 
@@ -49,7 +55,7 @@ class _RadialCutoff:
         return np.clip((rho - self.a_x) / (self.b_x - self.a_x), 0.0, 1.0)
 
     def x_val(self, rho):
-        return 1.0 - _smoothstep(self._sx(rho))
+        return cutoff_step(rho, self.a_x, self.b_x)
 
     def _on_x_seam(self, rho, fn):
         # fn(s) on the open seam a_x < rho < b_x and 0 elsewhere; only the
@@ -71,7 +77,7 @@ class _RadialCutoff:
         return np.clip((-t - self.a_t) / (self.b_t - self.a_t), 0.0, 1.0)
 
     def t_val(self, t):
-        return 1.0 - _smoothstep(self._st(t))
+        return cutoff_step(-t, self.a_t, self.b_t)
 
     def t_d1(self, t):
         t = np.asarray(t, dtype=float)
@@ -92,8 +98,9 @@ class TestFunction:
 
     psi = K X T with X(|x|) T(t) the cutoff and K the kernel factor:
     Psi_level for kind "heat_kernel", 1 for kind "smooth_bump".
-    Coordinates are relative to the function's own center; callers shift
-    by the cylinder center and apply the minimum-image convention.
+    Every evaluator takes the radius |x| and time relative to the
+    function's own center; callers measure |x| by the minimum-image
+    convention.
     """
 
     def __init__(self, kind: str, cutoff: _RadialCutoff,
@@ -149,13 +156,9 @@ class TestFunction:
         xi_heat = p.X * p.T_t + p.T * lap_x
         return (p.K * xi_heat + 2.0 * p.K_rho * p.X_rho * p.T) / self.scale**2
 
-    # -- grid-shaped evaluation --------------------------------------------
-    def value(self, xrel, t):
-        return self.value_rt(np.sqrt(np.sum(np.asarray(xrel) ** 2, axis=0)), t)
-
-    def dt_value(self, xrel, t):
-        """Analytic time derivative of psi."""
-        p = self._parts(np.sqrt(np.sum(np.asarray(xrel) ** 2, axis=0)), t)
+    def dt_rt(self, rho, t):
+        """dt psi as a function of radius and time (scaled)."""
+        p = self._parts(rho, t)
         return (p.K_t * p.X * p.T + p.K * p.X * p.T_t) / self.scale**2
 
 
@@ -412,7 +415,7 @@ def lei_residual(traj: Trajectory, tf: TestFunction, t: float,
     c0max = traj.initial_norms.c0_max
     vol = grid.cell_volume
     mask = ball_mask(grid, center_x, omega_radius)
-    xrel = grid.min_image_offsets(center_x)
+    rho = np.sqrt(grid.min_image_distance_sq(center_x))
     times = traj.times
     overlaps = _window_overlaps(times, t - tf.support_time, t)[0]
 
@@ -424,7 +427,7 @@ def lei_residual(traj: Trajectory, tf: TestFunction, t: float,
 
     # final-time terms at the snapshot nearest to t
     sf = traj.state_at(t)
-    psi_f = tf.value(xrel, sf.time - t)
+    psi_f = tf.value_rt(rho, sf.time - t)
     lhs["entropy_final"] = ball_sum(sf.derived("n_ln_n") * psi_f)
     lhs["grad_sqrt_c_final"] = (2.0 / theta0) * ball_sum(
         np.sum(sf.derived("grad_sqrt_c") ** 2, axis=0) * psi_f
@@ -439,7 +442,7 @@ def lei_residual(traj: Trajectory, tf: TestFunction, t: float,
         tm = 0.5 * (a + b)
         lam = (tm - times[i]) / (times[i + 1] - times[i])
         s0, s1 = traj.states[i], traj.states[i + 1]
-        psi = tf.value(xrel, tm - t)
+        psi = tf.value_rt(rho, tm - t)
         if not np.any(psi):
             continue
         # spatial derivatives of psi taken spectrally from the sampled
@@ -447,7 +450,7 @@ def lei_residual(traj: Trajectory, tf: TestFunction, t: float,
         # of Delta psi and of u . grad psi against constants vanishes);
         # the time derivative is analytic
         gpsi = gradient(grid, psi)
-        hres = tf.dt_value(xrel, tm - t) + laplacian(grid, psi)
+        hres = tf.dt_rt(rho, tm - t) + laplacian(grid, psi)
 
         def mid(name):
             return _interp_arrays(s0.derived(name), s1.derived(name), lam)

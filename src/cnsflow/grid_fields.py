@@ -143,18 +143,12 @@ class Grid:
         """Broadcastable cell-center coordinate arrays."""
         return self.x, self.y, self.z
 
-    def min_image_offsets(self, x0: Sequence[float]) -> np.ndarray:
-        """Periodic displacement from x0 to every cell center, each
-        component in [-L/2, L/2], shape (3, N, N, N)."""
-        L = self.box_length
-        return np.stack(np.broadcast_arrays(*(
-            np.mod(c - x0i + 0.5 * L, L) - 0.5 * L
-            for c, x0i in zip(self.coords(), x0)
-        )))
-
     def min_image_distance_sq(self, x0: Sequence[float]) -> np.ndarray:
-        """Squared periodic distance from every cell center to x0."""
-        return np.sum(self.min_image_offsets(x0) ** 2, axis=0)
+        """Squared periodic distance from every cell center to x0, each
+        displacement component taken in [-L/2, L/2]."""
+        L = self.box_length
+        return sum((np.mod(c - x0i + 0.5 * L, L) - 0.5 * L) ** 2
+                   for c, x0i in zip(self.coords(), x0))
 
 
 @dataclass(frozen=True)
@@ -177,12 +171,6 @@ class ParabolicCylinder:
         if self.shifted:
             return (self.center_t - 0.875 * r2, self.center_t + 0.125 * r2)
         return (self.center_t - r2, self.center_t)
-
-    def check_fits(self, grid: Grid) -> None:
-        if 2.0 * self.radius > 0.5 * grid.box_length:
-            raise CylinderRangeError(
-                f"cylinder radius {self.radius} too large for box {grid.box_length}"
-            )
 
 
 def _spacetime_points(points) -> np.ndarray:
@@ -263,7 +251,10 @@ def ball_mask(grid: Grid, x0: Sequence[float], radius: float) -> np.ndarray:
 
     A grid-point centre gets the integer-offset stencil |offset|^2 <
     (r/h)^2 (rounded when integer to rounding), the same at every grid
-    point; other centres use floating minimum-image distances."""
+    point; other centres use floating minimum-image distances.  Every
+    cell set "inside B_r(x0)" in the package comes from here, and this is
+    the one check that a ball fits the box (2r <= L/2, else
+    CylinderRangeError)."""
     if 2.0 * radius > 0.5 * grid.box_length:
         raise CylinderRangeError(
             f"ball radius {radius} exceeds box_length/4 = {grid.box_length / 4}"
@@ -332,7 +323,6 @@ def _window_overlaps(times: np.ndarray, t_lo: float, t_hi: float):
 def _ball_and_window(traj, Q: ParabolicCylinder):
     """Q's ball mask, the recorded times and Q's time interval: which
     cells and snapshots make up Q."""
-    Q.check_fits(traj.grid)
     mask = ball_mask(traj.grid, Q.center_x, Q.radius)
     return mask, traj.times, *Q.time_interval()
 

@@ -16,10 +16,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .energy import _smoothstep
+from .energy import cutoff_step
 from .grid_fields import (
     CylinderRangeError,
     Grid,
+    ball_mask,
     spectral_upsample,
 )
 from .state import PhysParams
@@ -57,16 +58,6 @@ def solve_pressure(s, params: PhysParams = PhysParams()) -> np.ndarray:
     return _poisson_div(s.grid, _force_hats(s.grid, s.u, s.n, params.gravity))
 
 
-def quintic_bump(dist: np.ndarray, rho: float) -> np.ndarray:
-    """Radial cutoff: 1 on B_{rho/2}, 0 outside B_rho, C^4 at both ends.
-
-    The high-order seam keeps spectral derivatives of cutoff products
-    accurate on moderate grids.
-    """
-    s = np.clip((np.asarray(dist, dtype=float) - 0.5 * rho) / (0.5 * rho), 0.0, 1.0)
-    return 1.0 - _smoothstep(s)
-
-
 def eval_field_at(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Trigonometric (exact interpolant) evaluation at arbitrary points.
 
@@ -99,7 +90,6 @@ class PressureDecomposition:
     grid: Grid
     center: tuple[float, float, float]
     rho: float
-    eta: np.ndarray
     p1: np.ndarray
     p2: np.ndarray
     mean_u: np.ndarray
@@ -122,8 +112,7 @@ class PressureDecomposition:
         g = grid.irfftn(np.stack(self.source_hat))
         fine = Grid(grid.n * upsample, grid.box_length) if upsample > 1 else grid
         g_fine = np.array([spectral_upsample(grid, g[i], upsample) for i in range(3)])
-        dist_f = np.sqrt(fine.min_image_distance_sq(self.center))
-        src_mask = dist_f < rho
+        src_mask = ball_mask(fine, self.center, rho)
         if int(np.sum(src_mask)) > MAX_SOURCE_CELLS:
             raise CylinderRangeError(
                 f"{int(np.sum(src_mask))} source cells exceed the {MAX_SOURCE_CELLS} cap"
@@ -140,27 +129,36 @@ class PressureDecomposition:
         )))
 
 
+def _pair_sum(grid: Grid, targets: np.ndarray, sources: np.ndarray,
+              per_target: Callable) -> np.ndarray:
+    """One value per target row: ``per_target(d, r2)`` on chunks of the
+    targets, d the (chunk, sources, 3) minimum-image displacements
+    target - source and r2 their squared lengths.  Chunks keep d near
+    2e6 pairs."""
+    L = grid.box_length
+    out = np.empty(len(targets))
+    chunk = max(1, int(2e6 // max(1, len(sources))))
+    for a0 in range(0, len(targets), chunk):
+        d = targets[a0:a0 + chunk, None, :] - sources[None, :, :]
+        d -= L * np.round(d / L)
+        out[a0:a0 + chunk] = per_target(d, np.sum(d * d, axis=2))
+    return out
+
+
 def _kernel_sum(grid: Grid, targets: np.ndarray, sources_xyz: np.ndarray,
                 sources_g: np.ndarray, vol: float) -> np.ndarray:
     """sum over sources of grad K(x - y) . g(y) dV with K the Newtonian
     kernel; the singular (coincident) cell is skipped, which is the exact
     ball-average of the odd kernel."""
-    L = grid.box_length
-    out = np.empty(len(targets))
-    chunk = max(1, int(2e6 // max(1, len(sources_xyz))))
-    for a0 in range(0, len(targets), chunk):
-        t = targets[a0:a0 + chunk]
-        d = t[:, None, :] - sources_xyz[None, :, :]
-        d -= L * np.round(d / L)
-        r2 = np.sum(d * d, axis=2)
+
+    def per_target(d, r2):
         r3 = r2 * np.sqrt(r2)
         with np.errstate(divide="ignore", invalid="ignore"):
             w = np.where(r3 > 1e-30, 1.0 / r3, 0.0)
-        out[a0:a0 + chunk] = (
-            -vol / (4.0 * np.pi)
-            * np.sum(w * np.einsum("abi,bi->ab", d, sources_g), axis=1)
-        )
-    return out
+        return (-vol / (4.0 * np.pi)
+                * np.sum(w * np.einsum("abi,bi->ab", d, sources_g), axis=1))
+
+    return _pair_sum(grid, targets, sources_xyz, per_target)
 
 
 def decompose_local(s, x0: Sequence[float], rho: float,
@@ -176,13 +174,10 @@ def decompose_local(s, x0: Sequence[float], rho: float,
     through ``p1_at``, which builds its source samples on each call.
     """
     grid = s.grid
-    if rho > grid.box_length / 4.0:
-        raise CylinderRangeError(f"rho = {rho} exceeds box_length/4")
     x0 = tuple(float(v) for v in x0)
-    dist = np.sqrt(grid.min_image_distance_sq(x0))
-    eta = quintic_bump(dist, rho)
-    mask_rho = dist < rho
-    mask_half = dist < 0.5 * rho
+    mask_rho = ball_mask(grid, x0, rho)
+    mask_half = ball_mask(grid, x0, 0.5 * rho)
+    eta = cutoff_step(np.sqrt(grid.min_image_distance_sq(x0)), 0.5 * rho, rho)
 
     mean_u = np.array([float(np.mean(s.u[i][mask_rho])) for i in range(3)])
     mean_n = float(np.mean(s.n[mask_rho]))
@@ -198,7 +193,7 @@ def decompose_local(s, x0: Sequence[float], rho: float,
     p2 = s.p - p1
 
     return PressureDecomposition(
-        grid=grid, center=x0, rho=rho, eta=eta, p1=p1, p2=p2,
+        grid=grid, center=x0, rho=rho, p1=p1, p2=p2,
         mean_u=mean_u, mean_n=mean_n, mask_rho=mask_rho, mask_half=mask_half,
         source_hat=g_hat,
     )
@@ -262,7 +257,6 @@ def riesz_potential(grid: Grid, f: np.ndarray, alpha: float, mask: np.ndarray,
     if target_mask is None:
         target_mask = mask
     vol = grid.cell_volume
-    L = grid.box_length
     xs, ys, zs = np.broadcast_arrays(*grid.coords())
     src = np.stack([xs[mask], ys[mask], zs[mask]], axis=1)
     fv = f[mask]
@@ -272,24 +266,21 @@ def riesz_potential(grid: Grid, f: np.ndarray, alpha: float, mask: np.ndarray,
     a = (3.0 / (4.0 * np.pi)) ** (1.0 / 3.0) * grid.h
     self_weight = 4.0 * np.pi * a**alpha / alpha  # integral of r^(alpha-3) over B_a
 
-    out_vals = np.empty(len(tgt))
-    chunk = max(1, int(2e6 // max(1, len(src))))
     tiny = 0.5 * grid.h * 1e-6
-    for a0 in range(0, len(tgt), chunk):
-        t = tgt[a0:a0 + chunk]
-        d = t[:, None, :] - src[None, :, :]
-        d -= L * np.round(d / L)
-        r = np.sqrt(np.sum(d * d, axis=2))
+
+    def per_target(d, r2):
+        r = np.sqrt(r2)
         with np.errstate(divide="ignore"):
             k = np.where(r > tiny, r ** (alpha - 3.0), 0.0)
         vals = np.sum(k * fv[None, :], axis=1) * vol
         # analytic self-cell for targets coinciding with a source cell
         hit = np.argmin(r, axis=1)
-        coincident = r[np.arange(len(t)), hit] < tiny
+        coincident = r[np.arange(len(r)), hit] < tiny
         vals[coincident] += self_weight * fv[hit[coincident]]
-        out_vals[a0:a0 + chunk] = vals
+        return vals
+
     out = np.zeros((grid.n,) * 3)
-    out[target_mask] = out_vals
+    out[target_mask] = _pair_sum(grid, tgt, src, per_target)
     return out
 
 

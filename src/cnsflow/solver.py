@@ -135,7 +135,6 @@ class SimulationConfig:
     seed: int = 0
     order: int = 1
     init: dict = field(default_factory=lambda: {"preset": "zero"})
-    start_time: float = 0.0
 
 
 def initial_state(cfg: SimulationConfig, params: PhysParams) -> State:
@@ -181,7 +180,7 @@ def initial_state(cfg: SimulationConfig, params: PhysParams) -> State:
     else:
         raise ValueError(f"unknown init preset {preset!r}")
 
-    return _with_pressure(grid, n, c, u, cfg.start_time, params)
+    return _with_pressure(grid, n, c, u, 0.0, params)
 
 
 def _band_limited(rng, grid: Grid, modes: int) -> np.ndarray:
@@ -208,7 +207,9 @@ def _band_limited(rng, grid: Grid, modes: int) -> np.ndarray:
 
 
 def simulate(cfg: SimulationConfig, params: PhysParams, out_dir=None) -> Trajectory:
-    """Run the solver and collect snapshots every ``output_stride`` steps.
+    """Run the solver and collect snapshots every ``output_stride`` steps,
+    from the initial state's own time (a restart's snapshot time) to
+    ``t_end``.
 
     Steps run on raw arrays (``advance``); a State, with its pressure
     solved, is built only for the initial and every kept snapshot.  When
@@ -233,7 +234,7 @@ def simulate(cfg: SimulationConfig, params: PhysParams, out_dir=None) -> Traject
     s = initial_state(cfg, params)
     keep(s)
     grid, n, c, u, t = s.grid, s.n, s.c, s.u, s.time
-    n_steps = int(round((cfg.t_end - cfg.start_time) / cfg.dt))
+    n_steps = int(round((cfg.t_end - t) / cfg.dt))
     mass0 = float(np.sum(n) * grid.cell_volume)
     run_log = {"clamp_mass_total": 0.0, "c_overshoot_max": 0.0, "mass_drift_max": 0.0}
     for i in range(1, n_steps + 1):

@@ -189,6 +189,29 @@ def test_missing_restart_snapshot_exits_4(tmp_path, monkeypatch):
     assert code == EXIT_IO
 
 
+def test_restart_runs_from_its_snapshot_time(traj_dir, tmp_path):
+    """A restart steps from its snapshot's own time up to sim.t_end, so it
+    reproduces the rest of the run it was cut from."""
+    times = json.loads((traj_dir / "trajectory.json").read_text())["times"]
+    snap = sorted(traj_dir.glob("snap_*.cns"))[1]
+    cfg = tmp_path / "restart.cfg"
+    cfg.write_text(CONFIG_TEXT.replace("init.preset = random_smooth",
+                                       f"init.preset = restart\ninit.path = {snap}"))
+    out = tmp_path / "resumed"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "trajectory.json").read_text())["times"] == times[1:]
+    assert (out / "snap_000003.cns").read_bytes() == \
+        sorted(traj_dir.glob("snap_*.cns"))[-1].read_bytes()
+
+
+def test_manifest_records_the_trajectory_physics(traj_dir):
+    """manifest.json and trajectory.json hold one record of the physics."""
+    manifest = json.loads((traj_dir / "manifest.json").read_text())
+    meta = json.loads((traj_dir / "trajectory.json").read_text())
+    assert manifest["params"] == meta["params"]
+    assert manifest["params"]["c0_max"] == 1.0
+
+
 def test_unwritable_output_exits_4(workdir, traj_dir, tmp_path):
     centers = tmp_path / "centers.csv"
     centers.write_text("x0,x1,x2,t0\n0.5,0.5,0.5,0.01\n")

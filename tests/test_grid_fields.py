@@ -175,16 +175,17 @@ def test_min_image_distance_wraps():
     assert abs(np.max(d2) - 0.75) < 1e-12
 
 
-def test_min_image_offsets_are_shortest_displacements():
+def test_min_image_distance_is_the_shortest_image():
+    """Against the nearest of the 27 periodic images of every cell centre."""
     g = Grid(16, 2.0)
-    x0 = (0.3, 1.7, 0.05)
-    off = g.min_image_offsets(x0)
-    assert off.shape == (3, 16, 16, 16)
-    assert np.all(np.abs(off) <= 0.5 * g.box_length)
-    for c, x0i, d in zip(np.broadcast_arrays(*g.coords()), x0, off):
-        wraps = (c - x0i - d) / g.box_length
-        assert np.max(np.abs(wraps - np.round(wraps))) < 1e-12
-    assert np.array_equal(np.sum(off**2, axis=0), g.min_image_distance_sq(x0))
+    x0 = np.array([0.3, 1.7, 0.05])
+    d2 = g.min_image_distance_sq(tuple(x0))
+    assert d2.shape == (16, 16, 16)
+    c = np.stack(np.broadcast_arrays(*g.coords()))
+    shifts = g.box_length * np.array(np.meshgrid(*[(-1, 0, 1)] * 3)).reshape(3, -1).T
+    ref = np.min([np.sum((c + (s - x0)[:, None, None, None]) ** 2, axis=0)
+                  for s in shifts], axis=0)
+    assert np.max(np.abs(d2 - ref)) < 1e-12
 
 
 def test_ball_mask_volume():
@@ -233,9 +234,13 @@ def test_cylinder_time_intervals():
 
 
 def test_cylinder_fit_check():
-    g = Grid(16, 1.0)
-    with pytest.raises(CylinderRangeError):
-        ParabolicCylinder((0.5, 0.5, 0.5), 0.0, 0.4).check_fits(g)
+    """ball_mask is the one box-fit check: both cylinder primitives refuse
+    a radius above L/4 and accept L/4 itself."""
+    traj, _ = _const_traj(N=16, L=1.0)
+    for fn in (integrate_cylinder, sup_over_time):
+        fn(traj, "sqrt_n", ParabolicCylinder((0.5, 0.5, 0.5), 0.0, 0.25))
+        with pytest.raises(CylinderRangeError):
+            fn(traj, "sqrt_n", ParabolicCylinder((0.5, 0.5, 0.5), 0.0, 0.26))
 
 
 def _const_traj(value=2.0, N=32, L=2.0):

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from cnsflow import (
+    CylinderRangeError,
     Grid,
     PhysParams,
     SimulationConfig,
+    State,
     ball_mask,
     cz_sanity_report,
     decompose_local,
@@ -22,6 +24,11 @@ from cnsflow import (
     solve_pressure,
     spectral_upsample,
 )
+from cnsflow.cli import main, read_csv
+from cnsflow.snapshot import write_snapshot
+
+#: (N, L, rho) of the whole-cell symmetry checks: rho = 6h and rho = 4h
+SYMMETRY_CASES = [(48, 1.0, 1.0 / 8.0), (32, 2.0 * np.pi, 4.0 * 2.0 * np.pi / 32)]
 
 
 def test_taylor_green_pressure_closed_form():
@@ -83,6 +90,68 @@ def test_kernel_sources_built_on_demand(smooth_traj, smooth_params, monkeypatch)
     assert len(calls) == 0
     d.p1_at(np.array([d.center]))
     assert len(calls) == 3
+
+
+def _smooth_state(n, box):
+    cfg = SimulationConfig(grid_n=n, grid_l=box, seed=3,
+                           init={"preset": "random_smooth", "amplitude": 0.05,
+                                 "n_mean": 1.0, "c0": 1.0, "modes": 2})
+    return initial_state(cfg, PhysParams(theta0=1.0, chi_coeffs=(0.5,),
+                                         gravity=0.5, c0_max=1.0))
+
+
+@pytest.mark.parametrize("n, box, rho", SYMMETRY_CASES)
+def test_decompose_local_masks_are_the_same_at_every_grid_centre(n, box, rho):
+    """B_rho and B_{rho/2} of the split are ball_mask's lattice balls:
+    at grid-point centres through every index they are the masks at the
+    origin rolled by the centre's index."""
+    g = Grid(n, box)
+    zeros = np.zeros((n,) * 3)
+    s = State(g, zeros, zeros, np.zeros((3,) + zeros.shape), zeros, 0.0)
+    base = decompose_local(s, (0.0, 0.0, 0.0), rho)
+    assert np.array_equal(base.mask_rho, ball_mask(g, (0.0, 0.0, 0.0), rho))
+    for i in range(n):
+        idx = (i, (5 * i + 3) % n, (11 * i + 7) % n)
+        d = decompose_local(s, tuple(j * g.h for j in idx), rho)
+        assert np.array_equal(d.mask_rho, np.roll(base.mask_rho, idx, axis=(0, 1, 2))), idx
+        assert np.array_equal(d.mask_half, np.roll(base.mask_half, idx, axis=(0, 1, 2))), idx
+
+
+@pytest.mark.parametrize("n, box, rho", SYMMETRY_CASES)
+def test_diagnose_pressure_rows_follow_a_whole_cell_shift(n, box, rho, tmp_path):
+    """A snapshot rolled by whole cells, split at the rolled centre, gives
+    the same `diagnose pressure` rows: the same shells, and values equal to
+    1e-12 relative.  The harmonic defect is a difference of P2 values, so
+    it is held to 1e-12 of the P2 scale it is normalised by (sup |P2| on
+    B_{rho/2}); harmonic_relative is that normalised defect."""
+    s = _smooth_state(n, box)
+    shift = (5, 17, 29)
+    rolled = State(s.grid, *(np.roll(a, shift, axis=(-3, -2, -1))
+                             for a in (s.n, s.c, s.u, s.p)), s.time)
+    centre = (3, 7, 11)
+    rows = []
+    for k, (state, idx) in enumerate(
+            ((s, centre), (rolled, tuple((c + m) % n for c, m in zip(centre, shift))))):
+        write_snapshot(tmp_path / f"{k}.cns", state)
+        assert main(["diagnose", "pressure", "--snapshot", str(tmp_path / f"{k}.cns"),
+                     "--center", ",".join(repr(j * s.grid.h) for j in idx),
+                     "--rho", repr(rho), "--out", str(tmp_path / f"{k}.csv")]) == 0
+        rows.append(read_csv(tmp_path / f"{k}.csv")[1])
+    a, b = rows
+    assert [r[:2] for r in a] == [r[:2] for r in b]
+    value = {r[0]: float(r[2]) for r in a}
+    p2_scale = value["harmonic_deviation"] / value["harmonic_relative"]
+    scale = {"harmonic_deviation": p2_scale, "harmonic_relative": 1.0}
+    for ra, rb in zip(a, b):
+        va, vb = float(ra[2]), float(rb[2])
+        assert abs(va - vb) <= 1e-12 * scale.get(ra[0], max(abs(va), abs(vb))), ra
+
+
+def test_decompose_local_refuses_a_ball_wider_than_a_quarter_box(decomp_setup):
+    s, _ = decomp_setup
+    decompose_local(s, (0.5, 0.5, 0.5), 0.25)
+    with pytest.raises(CylinderRangeError):
+        decompose_local(s, (0.5, 0.5, 0.5), 0.26)
 
 
 @pytest.mark.parametrize("n, m", [(16, 40), (64, 520)])

@@ -147,8 +147,7 @@ def test_restart_is_bitwise_identical(tmp_path):
     snap = tmp_path / "mid.cns"
     write_snapshot(snap, half.states[-1])
     resumed_cfg = SimulationConfig(
-        t_end=0.004, **{**base, "init": {"preset": "restart", "path": str(snap)},
-                        "start_time": 0.002},
+        t_end=0.004, **{**base, "init": {"preset": "restart", "path": str(snap)}},
     )
     resumed = simulate(resumed_cfg, params)
     a, b = full.states[-1], resumed.states[-1]
