@@ -7,11 +7,12 @@ function of (grid, array) that returns an array.  Derivatives are
 Fourier multipliers, so they are exact for band-limited data.
 Space-time integrals over parabolic cylinders use a binary ball mask
 (minimum-image distance) in space and the trapezoid rule on the
-piecewise-linear-in-time interpolant of the spatial integral.  Two
-primitives, ``cylinder_time_integral`` and ``cylinder_sup``, are the only
-code that decides which cells and snapshots make up a cylinder; each
-builds the mask and the window once for any number of integrands.  Their
-time window, and the local energy inequality's, follow one rule,
+piecewise-linear-in-time interpolant of the spatial integral.  Three
+primitives, ``cylinder_time_integral`` and ``cylinder_sup`` at one centre
+and ``cylinder_maps`` at every grid point at once, are the only code that
+decides which cells and snapshots make up a cylinder; each builds the
+mask and the window once for any number of integrands.  Their time
+window, and the local energy inequality's, follow one rule,
 ``_window_overlaps``.
 """
 
@@ -259,15 +260,26 @@ def ball_mask(grid: Grid, x0: Sequence[float], radius: float) -> np.ndarray:
         raise CylinderRangeError(
             f"ball radius {radius} exceeds box_length/4 = {grid.box_length / 4}"
         )
-    index = np.asarray(x0, dtype=float) / grid.h
-    if np.any(np.abs(index - np.round(index)) > 1e-9):
+    on_grid, index = _grid_index(grid, x0)
+    if not on_grid:
         return grid.min_image_distance_sq(x0) < radius**2
     q = (radius / grid.h) ** 2
     q = round(q) if abs(q - round(q)) < 1e-9 else q
     n = grid.n
-    ox, oy, oz = (((np.arange(n) - int(i) + n // 2) % n - n // 2) ** 2
-                  for i in np.round(index))
+    ox, oy, oz = (((np.arange(n) - i + n // 2) % n - n // 2) ** 2
+                  for i in index.tolist())
     return ox[:, None, None] + oy[None, :, None] + oz[None, None, :] < q
+
+
+def _grid_index(grid: Grid, x) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each point of an (..., 3) array is a grid point (every
+    coordinate within 1e-9 cells of one), and its grid index mod N."""
+    index = np.asarray(x, dtype=float) / grid.h
+    if not np.all(np.isfinite(index)):
+        raise ValueError("a grid index needs finite coordinates")
+    near = np.round(index)
+    on_grid = ~np.any(np.abs(index - near) > 1e-9, axis=-1)
+    return on_grid, np.mod(near, grid.n).astype(int)
 
 
 #: Fixed integrand catalog: the |.| quantities of the cylinder functionals,
@@ -285,20 +297,47 @@ INTEGRAND_NAMES = (
 )
 
 
-def ball_integrals(*integrands: tuple[str, float]) -> Callable:
-    """The ``spatial(state, mask)`` of catalog integrands: for each
-    (name, power) the ball integral of that integrand to that power, as
-    one array in the order given."""
+def catalog_fields(*integrands: tuple[str, float]) -> Callable:
+    """The pointwise ``fields(state, cells)`` of catalog integrands: for
+    each (name, power) that integrand to that power, one term each.
+
+    A ``fields(state, cells)`` returns one tuple of terms per integrand,
+    each term an array computed elementwise from the state's arrays
+    restricted to ``a[cells]`` (``a[..., cells]`` for a vector): a ball
+    mask for one centre, or ``slice(None)`` for the whole grid.  An
+    integrand is the sum of its terms (a term's leading axes, such as a
+    vector's components, summed too)."""
     for name, _ in integrands:
         if name not in INTEGRAND_NAMES:
             raise UnknownIntegrandError(f"unknown integrand {name!r}")
 
+    def fields(state, cells):
+        out = []
+        for name, p in integrands:
+            a = state.derived(name)[cells]
+            out.append((a if p == 1.0 else a**p,))  # a**1.0 is a: skip the pass
+        return out
+
+    return fields
+
+
+def ball_sums(fields: Callable) -> Callable:
+    """The ``spatial(state, mask)`` of pointwise integrands: the ball
+    integral of each integrand of ``fields``, as one array in its order."""
+
     def spatial(state, mask):
         vol = state.grid.cell_volume
-        return np.array([np.sum(state.derived(name)[mask] ** p) * vol
-                         for name, p in integrands])
+        return np.array([sum(np.sum(term) * vol for term in terms)
+                         for terms in fields(state, mask)])
 
     return spatial
+
+
+def ball_integrals(*integrands: tuple[str, float]) -> Callable:
+    """The ``spatial(state, mask)`` of catalog integrands: for each
+    (name, power) the ball integral of that integrand to that power, as
+    one array in the order given."""
+    return ball_sums(catalog_fields(*integrands))
 
 
 def _window_overlaps(times: np.ndarray, t_lo: float, t_hi: float):
@@ -360,16 +399,77 @@ def cylinder_time_integral(traj, Q: ParabolicCylinder, spatial: Callable):
     return float(total) if np.ndim(total) == 0 else total
 
 
-def cylinder_sup(traj, Q: ParabolicCylinder, spatial: Callable):
-    """Componentwise max of ``spatial(state, mask)`` over the recorded
-    snapshots in Q's time window; a float or an array like ``spatial``'s."""
-    mask, times, t_lo, t_hi = _ball_and_window(traj, Q)
+def _snapshot_weights(times: np.ndarray, t_lo: float, t_hi: float) -> dict:
+    """The trapezoid weight of each snapshot in the integral of the
+    piecewise-linear interpolant over [t_lo, t_hi], summed over segments."""
+    weights = {}
+    for i, w0, w1 in _interval_segments(times, t_lo, t_hi):
+        weights[i] = weights.get(i, 0.0) + w0
+        weights[i + 1] = weights.get(i + 1, 0.0) + w1
+    return weights
+
+
+def _sup_snapshots(times: np.ndarray, t_lo: float, t_hi: float) -> list:
+    """Indices of the recorded snapshots in the window (t_lo, t_hi)."""
     eps = _window_overlaps(times, t_lo, t_hi)[1]
     idx = [i for i, t in enumerate(times) if t_lo - eps <= t <= t_hi + eps]
     if not idx:
         raise CylinderRangeError("no snapshots in the cylinder time window")
-    best = np.max([spatial(traj.states[i], mask) for i in idx], axis=0)
+    return idx
+
+
+def cylinder_sup(traj, Q: ParabolicCylinder, spatial: Callable):
+    """Componentwise max of ``spatial(state, mask)`` over the recorded
+    snapshots in Q's time window; a float or an array like ``spatial``'s."""
+    mask, times, t_lo, t_hi = _ball_and_window(traj, Q)
+    best = np.max([spatial(traj.states[i], mask)
+                   for i in _sup_snapshots(times, t_lo, t_hi)], axis=0)
     return float(best) if np.ndim(best) == 0 else best
+
+
+def cylinder_maps(traj, t0: float, radius: float, integrals: Callable = None,
+                  sups: Callable = None):
+    """Whole-grid maps of ``cylinder_time_integral`` and ``cylinder_sup``
+    over Q_r((x, t0)) at every grid point x at once.
+
+    ``integrals`` and ``sups`` are pointwise ``fields(state, cells)`` (see
+    ``catalog_fields``).  A ball sum at a grid point is the periodic
+    convolution of the integrand with the lattice ball at the origin, so
+    each map is one real-FFT convolution: of the weighted sum over the
+    window's snapshots for the integrals (time weights applied before
+    transforming), and of each snapshot, then an elementwise max, for the
+    sups.  Returns (integral maps, sup maps), each a (k, N, N, N) array
+    indexed by the grid index of x, or None where no fields were given.
+    """
+    grid = traj.grid
+    stencil, times, t_lo, t_hi = _ball_and_window(
+        traj, ParabolicCylinder((0.0, 0.0, 0.0), t0, radius))
+    kernel = grid.rfftn(stencil.astype(float)) * grid.cell_volume
+
+    def pointwise(state, fields):
+        """Each integrand on the whole grid, its terms (and their
+        components) summed."""
+        return [sum(t if t.ndim == 3 else t.sum(axis=0) for t in terms)
+                for terms in fields(state, slice(None))]
+
+    def convolve(values):
+        return grid.irfftn(grid.rfftn(values) * kernel)
+
+    int_maps = sup_maps = None
+    if integrals is not None:
+        total = None
+        for i, w in _snapshot_weights(times, t_lo, t_hi).items():
+            values = pointwise(traj.states[i], integrals)
+            if total is None:
+                total = np.zeros((len(values),) + stencil.shape)
+            for acc, f in zip(total, values):
+                acc += w * f
+        int_maps = convolve(total)
+    if sups is not None:
+        for i in _sup_snapshots(times, t_lo, t_hi):
+            snap = convolve(np.stack(pointwise(traj.states[i], sups)))
+            sup_maps = snap if sup_maps is None else np.maximum(sup_maps, snap)
+    return int_maps, sup_maps
 
 
 def integrate_cylinder(traj, field_expr: str, Q: ParabolicCylinder, p: float = 1.0) -> float:

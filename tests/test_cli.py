@@ -157,6 +157,12 @@ def test_out_of_range_cylinder_exits_3(workdir, traj_dir, tmp_path, capsys):
                  "--centers", str(centers), "--radii", "0.9",
                  "--out", str(tmp_path / "q.csv")])
     assert code == EXIT_NUMERIC
+    # whole-grid flag maps: a ball wider than L/4, a window longer than
+    # the recorded span
+    for radius in ("0.3", "0.15"):
+        code = main(["flag", "--traj", str(traj_dir), "--grid-stride", "2",
+                     "--radii", radius, "--out", str(tmp_path / "f.csv")])
+        assert code == EXIT_NUMERIC
     # the test function's time support reaches before the first snapshot
     code = main(["verify-lei", "--traj", str(traj_dir),
                  "--psi", "bump:r=0.08,span=0.02", "--t", "0.01",

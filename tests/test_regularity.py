@@ -86,10 +86,9 @@ def _quiet_traj(N=32, L=1.0, n_val=0.0, t_lo=-0.1):
     return Trajectory(states)
 
 
-def test_one_ball_mask_per_pass(monkeypatch):
-    """Each functional builds one ball mask per pass over a cylinder: two
-    for compute_quantities (sup, integrals), one per radius for thm13, two
-    and one for thm16 variants i and ii, two per induction level."""
+def _count_ball_masks(monkeypatch):
+    """Patch grid_fields.ball_mask to record its calls; returns count(fn),
+    the number of ball masks fn() builds."""
     calls = []
     real = grid_fields.ball_mask
     monkeypatch.setattr(grid_fields, "ball_mask",
@@ -100,6 +99,14 @@ def test_one_ball_mask_per_pass(monkeypatch):
         fn()
         return len(calls)
 
+    return count
+
+
+def test_one_ball_mask_per_pass(monkeypatch):
+    """Each functional builds one ball mask per pass over a cylinder: two
+    for compute_quantities (sup, integrals), one per radius for thm13, two
+    and one for thm16 variants i and ii, two per induction level."""
+    count = _count_ball_masks(monkeypatch)
     traj, cfg = _quiet_traj(n_val=2.0), RegularityConfig()
     z0 = ((0.5, 0.5, 0.5), 0.0)
     Q = ParabolicCylinder(z0[0], z0[1], 0.2)
@@ -109,6 +116,116 @@ def test_one_ball_mask_per_pass(monkeypatch):
     assert count(lambda: flag_thm16(traj, z0, cfg, variant="ii", rho0=0.2)) == 1
     deep = _quiet_traj(N=32, L=2.0, n_val=2.0, t_lo=-0.3)
     assert count(lambda: induction_verify(deep, ((1.0, 1.0, 1.0), 0.0), 2, cfg)) == 4
+
+
+def _grid_centres(m, t0=0.0, n=32, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, n, size=(m, 3)) / n
+    return np.column_stack([x, np.full(m, t0)])
+
+
+def test_grid_sweep_one_ball_mask_per_radius(monkeypatch):
+    """A sweep of at least N grid-point centres at one time builds one ball
+    mask per radius (thm13) or one for the bundle (thm16), whatever their
+    number; fewer are evaluated one by one."""
+    count = _count_ball_masks(monkeypatch)
+    traj, cfg = _quiet_traj(n_val=2.0), RegularityConfig()
+    for m in (32, 200, 1000):
+        centers = _grid_centres(m, seed=m)
+        assert count(lambda: flag_sweep(traj, centers, (0.1, 0.15, 0.2), cfg)) == 3
+        for crit in ("thm16i", "thm16ii"):
+            assert count(lambda: flag_sweep(traj, centers, (0.1, 0.2), cfg,
+                                            criterion=crit)) == 1
+    few = _grid_centres(31)
+    assert count(lambda: flag_sweep(traj, few, (0.1, 0.15, 0.2), cfg)) == 31 * 3
+    assert count(lambda: flag_sweep(traj, few, (0.2,), cfg, criterion="thm16i")) == 31 * 2
+
+
+@pytest.mark.parametrize("criterion", ["thm13", "thm16i", "thm16ii"])
+def test_grid_sweep_raises_the_per_centre_errors(criterion):
+    traj, cfg = _quiet_traj(n_val=2.0), RegularityConfig()
+    centers = _grid_centres(40)
+    with pytest.raises(CylinderRangeError, match="box_length/4"):
+        flag_sweep(traj, centers, (0.3,), cfg, criterion=criterion)
+    late = _grid_centres(40, t0=0.5)  # past the last snapshot at t = 0
+    with pytest.raises(CylinderRangeError, match="recorded span"):
+        flag_sweep(traj, late, (0.1,), cfg, criterion=criterion)
+    early = _grid_centres(40, t0=-0.09)  # window reaches before t = -0.1
+    with pytest.raises(CylinderRangeError, match="recorded span"):
+        flag_sweep(traj, early, (0.2,), cfg, criterion=criterion)
+    empty = flag_sweep(traj, np.zeros((0, 4)), (0.1,), cfg, criterion=criterion)
+    assert len(empty) == 0 and empty.points.shape == (0, 4)
+    # no radius is an error for every criterion, centres or not
+    for pts in (centers, np.zeros((0, 4))):
+        with pytest.raises(CylinderRangeError, match="at least one radius"):
+            flag_sweep(traj, pts, (), cfg, criterion=criterion)
+
+
+def _per_centre(traj, pts, radii, cfg, criterion):
+    """flag_thm13 / flag_thm16 reports at each row, one centre at a time."""
+    reps = []
+    for *x0, t0 in pts.tolist():
+        if criterion == "thm13":
+            reps.append(flag_thm13(traj, (x0, t0), radii, cfg))
+        else:
+            reps.append(flag_thm16(traj, (x0, t0), cfg, variant=criterion[5:],
+                                   rho0=max(radii)))
+    return reps
+
+
+@pytest.mark.parametrize("criterion", ["thm13", "thm16i", "thm16ii"])
+def test_grid_maps_agree_with_per_centre_values(smooth_traj, criterion):
+    """Map values at every centre of a stride-4 lattice plus 64 random grid
+    points equal the per-centre values to 1e-12 relative, with the same
+    r_star and, away from the threshold, the same flags."""
+    radii, t0, n = (0.0625, 0.09375), float(smooth_traj.times[-1]), 32
+    axis = np.arange(0, n, 4) / n
+    lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+    centers = np.vstack([np.column_stack([lattice, np.full(len(lattice), t0)]),
+                         _grid_centres(64, t0=t0, seed=7)])
+    every = flag_sweep(smooth_traj, centers, radii,
+                       RegularityConfig(working_threshold=1e-300), criterion=criterion)
+    assert len(every) == len(centers)
+    reps = _per_centre(smooth_traj, every.points, radii, RegularityConfig(), criterion)
+    values = np.array([rep["value"] for rep in reps])
+    assert np.max(np.abs(every.value - values) / values) <= 1e-12
+    assert np.array_equal(every.r_star, [rep["r_star"] for rep in reps])
+    # a working threshold at the median flags about half of the centres
+    cfg = RegularityConfig(working_threshold=float(np.median(values)))
+    flagged = flag_sweep(smooth_traj, centers, radii, cfg, criterion=criterion)
+    clear = np.abs(values - cfg.working_threshold) > 1e-12 * cfg.working_threshold
+    mine = {tuple(p) for p in flagged.points.tolist()}
+    theirs = {tuple(p) for p, v in zip(every.points.tolist(), values)
+              if v > cfg.working_threshold}
+    near = {tuple(p) for p, c in zip(every.points.tolist(), clear) if not c}
+    assert 0 < len(theirs) < len(every)
+    assert mine - near == theirs - near
+
+
+@pytest.mark.parametrize("criterion", ["thm13", "thm16i"])
+def test_mixed_sweep_equals_centre_by_centre(smooth_traj, criterion):
+    """Grid and off-grid centres at three times in one sweep, two with
+    enough grid points for the maps: the FlagSet of the per-centre reports,
+    row for row."""
+    radii, h = (0.0625, 0.09375), 1.0 / 32
+    times = smooth_traj.times
+    rng = np.random.default_rng(11)
+    rows = []
+    for t0, m in ((float(times[-1]), 40), (float(times[-20]), 36), (float(times[-9]), 5)):
+        grid = rng.integers(0, 32, size=(m, 3)) * h
+        off = rng.uniform(0.0, 1.0, size=(6, 3))
+        rows += [[*x, t0] for x in np.vstack([grid, off]).tolist()]
+    centers = np.array(rows)
+    reps = _per_centre(smooth_traj, centers, radii, RegularityConfig(), criterion)
+    values = np.array([rep["value"] for rep in reps])
+    cfg = RegularityConfig(working_threshold=float(np.median(values)))
+    out = flag_sweep(smooth_traj, centers, radii, cfg, criterion=criterion)
+    keep = [i for i in np.lexsort(centers[:, [2, 1, 0, 3]].T)
+            if values[i] > cfg.working_threshold]
+    assert 0 < len(keep) < len(centers)
+    assert np.array_equal(out.points, centers[keep])
+    assert np.array_equal(out.r_star, [reps[i]["r_star"] for i in keep])
+    assert np.allclose(out.value, values[keep], rtol=1e-12, atol=0.0)
 
 
 def test_zero_field_never_flagged():
