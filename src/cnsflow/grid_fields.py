@@ -433,13 +433,17 @@ def cylinder_maps(traj, t0: float, radius: float, integrals: Callable = None,
     over Q_r((x, t0)) at every grid point x at once.
 
     ``integrals`` and ``sups`` are pointwise ``fields(state, cells)`` (see
-    ``catalog_fields``).  A ball sum at a grid point is the periodic
-    convolution of the integrand with the lattice ball at the origin, so
-    each map is one real-FFT convolution: of the weighted sum over the
-    window's snapshots for the integrals (time weights applied before
-    transforming), and of each snapshot, then an elementwise max, for the
-    sups.  Returns (integral maps, sup maps), each a (k, N, N, N) array
-    indexed by the grid index of x, or None where no fields were given.
+    ``catalog_fields``) whose integrands are nonnegative.  A ball sum at a
+    grid point is the periodic convolution of the integrand with the
+    lattice ball at the origin, so each map is one real-FFT convolution:
+    of the weighted sum over the window's snapshots for the integrals
+    (time weights applied before transforming), and of each snapshot,
+    then an elementwise max, for the sups.  A convolution's rounding
+    error scales with the map's largest value, not with the value at x,
+    so a ball holding only zeros may come out slightly negative; every
+    map is clipped at 0.  Returns (integral maps, sup maps), each a
+    (k, N, N, N) array indexed by the grid index of x, or None where no
+    fields were given.
     """
     grid = traj.grid
     stencil, times, t_lo, t_hi = _ball_and_window(
@@ -453,7 +457,8 @@ def cylinder_maps(traj, t0: float, radius: float, integrals: Callable = None,
                 for terms in fields(state, slice(None))]
 
     def convolve(values):
-        return grid.irfftn(grid.rfftn(values) * kernel)
+        out = grid.irfftn(grid.rfftn(values) * kernel)
+        return np.maximum(out, 0.0, out=out)
 
     int_maps = sup_maps = None
     if integrals is not None:

@@ -309,13 +309,11 @@ def flag_sweep(traj: Trajectory, centers: np.ndarray, radii: Sequence[float],
     """Evaluate one criterion at every row of an (m, 4) array of candidate
     centres; collect the flagged ones, ordered by (t, x0, x1, x2).
 
-    thm16i and thm16ii evaluate their bundle at rho0 = max(radii).  When
-    at least N of the rows at one time t0 are grid points (N the grid
-    size per axis), those rows are read from whole-grid criterion maps
-    (``cylinder_maps``); every other row is evaluated one by one.  The
-    two agree to rounding.  One set of maps costs about as much as 8-17
-    single centres at 32^3 and 20-86 at 64^3 (one thread), so fewer
-    centres at a time are cheaper one by one.
+    thm16i and thm16ii evaluate their bundle at rho0 = max(radii).  The
+    rows that are grid points are read from whole-grid criterion maps
+    (``cylinder_maps``), one set per time t0; off-grid rows are evaluated
+    one by one.  The two agree to rounding relative to the map's largest
+    value.
     """
     if criterion not in _PAPER_THRESHOLD:
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -327,8 +325,6 @@ def flag_sweep(traj: Trajectory, centers: np.ndarray, radii: Sequence[float],
     mapped = np.zeros(len(pts), dtype=bool)
     for t0 in np.unique(pts[on_grid, 3]).tolist():
         rows = np.flatnonzero(on_grid & (pts[:, 3] == t0))
-        if len(rows) < traj.grid.n:
-            continue
         at = tuple(index[rows].T)
         v_map, r_map = _criterion_maps(traj, t0, radii, cfg, criterion)
         value[rows], r_star[rows] = v_map[at], r_map[at]
