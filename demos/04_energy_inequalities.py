@@ -19,6 +19,7 @@ import numpy as np
 from cnsflow import (
     PhysParams,
     SimulationConfig,
+    Trajectory,
     check_heat_properties,
     global_energy_check,
     heat_test_function,
@@ -37,6 +38,7 @@ traj = simulate(cfg, params)
 shift = traj.states[-1].time
 for s in traj.states:
     s.time -= shift  # put the final snapshot at t = 0
+traj = Trajectory(traj.states, params, traj.initial_norms)
 
 rep = global_energy_check(traj)
 print(f"global energy: LHS(0) = {rep['lhs'][0]:.4f}, "

@@ -21,11 +21,9 @@ from .grid_fields import (
     divergence,
     gradient,
     hessian_components,
-    integrate_cylinder,
     laplacian,
     leray_project,
     spectral_upsample,
-    sup_over_time,
 )
 from .state import InitialNorms, PhysParams, State, Trajectory, rescale_state
 from .snapshot import (

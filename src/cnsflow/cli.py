@@ -128,8 +128,6 @@ def build_sim_config(cfg: dict) -> tuple:
                 init[name] = float(value) if name != "path" else value
             except ValueError:
                 init[name] = value
-    if init["preset"] in ("random_smooth",) and "modes" in init:
-        init["modes"] = int(init["modes"])
     sim = SimulationConfig(
         grid_n=config_get(cfg, "grid.n", int),
         grid_l=config_get(cfg, "grid.l", float),

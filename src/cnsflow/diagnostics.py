@@ -17,10 +17,9 @@ import numpy as np
 
 from .grid_fields import (
     ParabolicCylinder,
-    ball_integrals,
+    catalog_fields,
     cylinder_sup,
     cylinder_time_integral,
-    integrate_cylinder,
 )
 from .state import Trajectory, guarded_log, rescale_state
 
@@ -70,14 +69,14 @@ class LocalQuantities:
         return {f.name: getattr(self, f.name) for f in dc_fields(self)}
 
 
-def mean_removed_sum(f: np.ndarray, mask: np.ndarray, power: float,
-                     vol: float) -> float:
-    """Ball integral of |f - (f)_B|^power over the cells of ``mask``; a
-    vector field (3, N, N, N) has its ball mean removed componentwise."""
-    fm = f[..., mask]
-    centered = fm - fm.mean(axis=-1, keepdims=True)
-    mag = np.sqrt(np.sum(centered**2, axis=0)) if f.ndim == 4 else np.abs(centered)
-    return float(np.sum(mag**power) * vol)
+def mean_removed(a: np.ndarray, power: float) -> np.ndarray:
+    """The term |a - (a)_B|^power of a field's values ``a`` on one ball's
+    cells, (a)_B their mean: ``f[cells]`` for a scalar, or ``f[..., cells]``
+    for a vector, whose ball mean is removed componentwise.  A ball-mean
+    term, so for per-centre passes only."""
+    centered = a - a.mean(axis=-1, keepdims=True)
+    mag = np.sqrt(np.sum(centered**2, axis=0)) if a.ndim == 2 else np.abs(centered)
+    return mag**power
 
 
 def compute_quantities(traj: Trajectory, Q: ParabolicCylinder) -> LocalQuantities:
@@ -91,15 +90,14 @@ def compute_quantities(traj: Trajectory, Q: ParabolicCylinder) -> LocalQuantitie
     r = Q.radius
     inv_r = 1.0 / r
     inv_r2 = inv_r * inv_r
-    vol = traj.grid.cell_volume
-    sups = cylinder_sup(traj, Q, ball_integrals(
+    sups = cylinder_sup(traj, Q, catalog_fields(
         ("abs_u", 2.0), ("abs_grad_sqrt_c", 2.0), ("sqrt_n", 2.0), ("abs_n_ln_n", 1.0)))
-    catalog = ball_integrals(
+    catalog = catalog_fields(
         ("grad_u_sq", 1.0), ("hess_sqrt_c_sq", 1.0), ("grad_sqrt_n_sq", 1.0),
         ("abs_u", 3.0), ("sqrt_n", 3.0), ("abs_grad_sqrt_c", 3.0),
         ("abs_p", 1.5), ("abs_n_ln_n", 1.5))
-    ints = cylinder_time_integral(traj, Q, lambda s, mask: np.append(
-        catalog(s, mask), mean_removed_sum(s.u, mask, 3.0, vol)))
+    ints = cylinder_time_integral(traj, Q, lambda s, cells: [
+        *catalog(s, cells), (mean_removed(s.u[..., cells], 3.0),)])
     a_u, a_gc, a_sn, m = (inv_r * sups).tolist()
     e_u, e_gc, e_sn = (inv_r * ints[:3]).tolist()
     c_u, c_sn, c_gc, d, n_ent, c_ut = (inv_r2 * ints[3:]).tolist()
@@ -157,10 +155,11 @@ def verify_scaling_invariance(traj: Trajectory, rho0: float,
             "invariant": np.isclose(a, b, rtol=1e-6, atol=1e-300),
         }
     # weighted density-gradient functional: scales by exactly rho0^delta0
-    f_orig = Q.radius ** (-1.0 - delta0) * integrate_cylinder(
-        traj, "grad_sqrt_n_sq", Q)
-    f_resc = Qs.radius ** (-1.0 - delta0) * integrate_cylinder(
-        scaled, "grad_sqrt_n_sq", Qs)
+    grad_n = catalog_fields(("grad_sqrt_n_sq", 1.0))
+    (f_orig,) = cylinder_time_integral(traj, Q, grad_n).tolist()
+    (f_resc,) = cylinder_time_integral(scaled, Qs, grad_n).tolist()
+    f_orig *= Q.radius ** (-1.0 - delta0)
+    f_resc *= Qs.radius ** (-1.0 - delta0)
     report["weighted_grad_sqrt_n"] = {
         "original": f_orig,
         "rescaled": f_resc,
@@ -194,13 +193,11 @@ def log_split(traj: Trajectory, rho0: float, Q: ParabolicCylinder) -> LogSplit:
     if not 0.0 < rho0 < 1.0:
         raise ValueError(f"rho0 must lie in (0, 1), got {rho0}")
     lo, hi = rho0 ** (-1.5), rho0 ** (-2.0)
-    vol = traj.grid.cell_volume
 
-    def bands(state, mask):
-        n = np.maximum(state.n[mask], 0.0)
+    def bands(state, cells):
+        n = np.maximum(state.n[cells], 0.0)
         val = np.abs(n * guarded_log(n, rho0**2)) ** 1.5
-        return [np.sum(val[sel]) * vol
-                for sel in (n < lo, (n >= lo) & (n <= hi), n > hi)]
+        return [(val[sel],) for sel in (n < lo, (n >= lo) & (n <= hi), n > hi)]
 
     m1, m2, m3 = (rho0 ** (-2.0) * cylinder_time_integral(traj, Q, bands)).tolist()
     return LogSplit(rho0=rho0, m1=m1, m2=m2, m3=m3)

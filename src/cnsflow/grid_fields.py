@@ -11,9 +11,10 @@ piecewise-linear-in-time interpolant of the spatial integral.  Three
 primitives, ``cylinder_time_integral`` and ``cylinder_sup`` at one centre
 and ``cylinder_maps`` at every grid point at once, are the only code that
 decides which cells and snapshots make up a cylinder; each builds the
-mask and the window once for any number of integrands.  Their time
-window, and the local energy inequality's, follow one rule,
-``_window_overlaps``.
+mask and the window once for any number of integrands, and all three
+take their integrands in one form, a pointwise ``fields(state, cells)``
+(see ``catalog_fields``).  Their time window, and the local energy
+inequality's, follow one rule, ``_window_overlaps``.
 """
 
 from __future__ import annotations
@@ -283,7 +284,7 @@ def _grid_index(grid: Grid, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 #: Fixed integrand catalog: the |.| quantities of the cylinder functionals,
-#: each a derived field of ``State``; ``ball_integrals`` applies the powers.
+#: each a derived field of ``State``; ``catalog_fields`` applies the powers.
 INTEGRAND_NAMES = (
     "abs_u",
     "grad_u_sq",
@@ -301,12 +302,16 @@ def catalog_fields(*integrands: tuple[str, float]) -> Callable:
     """The pointwise ``fields(state, cells)`` of catalog integrands: for
     each (name, power) that integrand to that power, one term each.
 
-    A ``fields(state, cells)`` returns one tuple of terms per integrand,
-    each term an array computed elementwise from the state's arrays
-    restricted to ``a[cells]`` (``a[..., cells]`` for a vector): a ball
-    mask for one centre, or ``slice(None)`` for the whole grid.  An
-    integrand is the sum of its terms (a term's leading axes, such as a
-    vector's components, summed too)."""
+    ``fields(state, cells)`` is the one integrand form of the cylinder
+    primitives.  It returns one tuple of terms per integrand, each term an
+    array of values on the state's arrays restricted to ``a[cells]``
+    (``a[..., cells]`` for a vector): a ball mask for one centre, or
+    ``slice(None)`` for the whole grid.  An integrand is the sum of its
+    terms (a term's leading axes, such as a vector's components, summed
+    too).  ``cylinder_maps`` needs elementwise terms, as the catalog's
+    are; a per-centre pass may also use terms that depend on the whole
+    ball, such as a ball mean (``diagnostics.mean_removed``) or a selection
+    of its cells (``diagnostics.log_split``'s density bands)."""
     for name, _ in integrands:
         if name not in INTEGRAND_NAMES:
             raise UnknownIntegrandError(f"unknown integrand {name!r}")
@@ -321,23 +326,12 @@ def catalog_fields(*integrands: tuple[str, float]) -> Callable:
     return fields
 
 
-def ball_sums(fields: Callable) -> Callable:
-    """The ``spatial(state, mask)`` of pointwise integrands: the ball
-    integral of each integrand of ``fields``, as one array in its order."""
-
-    def spatial(state, mask):
-        vol = state.grid.cell_volume
-        return np.array([sum(np.sum(term) * vol for term in terms)
-                         for terms in fields(state, mask)])
-
-    return spatial
-
-
-def ball_integrals(*integrands: tuple[str, float]) -> Callable:
-    """The ``spatial(state, mask)`` of catalog integrands: for each
-    (name, power) the ball integral of that integrand to that power, as
-    one array in the order given."""
-    return ball_sums(catalog_fields(*integrands))
+def _ball_values(state, mask, fields: Callable) -> np.ndarray:
+    """The ball integral of each integrand of ``fields`` on one snapshot,
+    as one array in its order."""
+    vol = state.grid.cell_volume
+    return np.array([sum(np.sum(term) * vol for term in terms)
+                     for terms in fields(state, mask)])
 
 
 def _window_overlaps(times: np.ndarray, t_lo: float, t_hi: float):
@@ -366,47 +360,34 @@ def _ball_and_window(traj, Q: ParabolicCylinder):
     return mask, traj.times, *Q.time_interval()
 
 
-def _interval_segments(
-    times: np.ndarray, t_lo: float, t_hi: float
-) -> list[tuple[int, float, float]]:
-    """Segments (i, w_i, w_{i+1}) so that the integral of the linear
-    interpolant of g over [t_lo, t_hi] is sum(w_i g_i + w_{i+1} g_{i+1})."""
-    out = []
+def _snapshot_weights(times: np.ndarray, t_lo: float, t_hi: float) -> dict:
+    """The trapezoid weight of each snapshot in the integral of the
+    piecewise-linear interpolant over [t_lo, t_hi], summed over the
+    snapshot intervals the window overlaps."""
+    weights = {}
     for i, a, b in _window_overlaps(times, t_lo, t_hi)[0]:
         delta = times[i + 1] - times[i]
         la = (a - times[i]) / delta
         lb = (b - times[i]) / delta
         mid = 0.5 * (la + lb)
-        out.append((i, (b - a) * (1.0 - mid), (b - a) * mid))
-    if not out:
+        weights[i] = weights.get(i, 0.0) + (b - a) * (1.0 - mid)
+        weights[i + 1] = weights.get(i + 1, 0.0) + (b - a) * mid
+    if not weights:
         raise CylinderRangeError("no snapshots overlap the cylinder time window")
-    return out
+    return weights
 
 
-def cylinder_time_integral(traj, Q: ParabolicCylinder, spatial: Callable):
-    """Time integral over Q's window of ``spatial(state, mask)``.
+def cylinder_time_integral(traj, Q: ParabolicCylinder, fields: Callable) -> np.ndarray:
+    """Space-time integral over Q of each integrand of ``fields`` (see
+    ``catalog_fields``), as one array in its order.
 
-    ``spatial`` maps a snapshot plus the ball mask to a real number or to
-    an array; the time rule integrates the piecewise-linear interpolant of
-    each component, so one pass (one mask, one window) serves any number
-    of integrands.  Returns a float or an array of the same shape.
+    The time rule integrates the piecewise-linear interpolant of each
+    ball integral, so one pass (one mask, one window) serves any number
+    of integrands.
     """
     mask, times, t_lo, t_hi = _ball_and_window(traj, Q)
-    segments = _interval_segments(times, t_lo, t_hi)
-    needed = sorted({i for seg in segments for i in (seg[0], seg[0] + 1)})
-    g = {i: np.asarray(spatial(traj.states[i], mask), dtype=float) for i in needed}
-    total = sum(w0 * g[i] + w1 * g[i + 1] for i, w0, w1 in segments)
-    return float(total) if np.ndim(total) == 0 else total
-
-
-def _snapshot_weights(times: np.ndarray, t_lo: float, t_hi: float) -> dict:
-    """The trapezoid weight of each snapshot in the integral of the
-    piecewise-linear interpolant over [t_lo, t_hi], summed over segments."""
-    weights = {}
-    for i, w0, w1 in _interval_segments(times, t_lo, t_hi):
-        weights[i] = weights.get(i, 0.0) + w0
-        weights[i + 1] = weights.get(i + 1, 0.0) + w1
-    return weights
+    return sum(w * _ball_values(traj.states[i], mask, fields)
+               for i, w in _snapshot_weights(times, t_lo, t_hi).items())
 
 
 def _sup_snapshots(times: np.ndarray, t_lo: float, t_hi: float) -> list:
@@ -418,13 +399,12 @@ def _sup_snapshots(times: np.ndarray, t_lo: float, t_hi: float) -> list:
     return idx
 
 
-def cylinder_sup(traj, Q: ParabolicCylinder, spatial: Callable):
-    """Componentwise max of ``spatial(state, mask)`` over the recorded
-    snapshots in Q's time window; a float or an array like ``spatial``'s."""
+def cylinder_sup(traj, Q: ParabolicCylinder, fields: Callable) -> np.ndarray:
+    """Max over the recorded snapshots in Q's time window of the ball
+    integral of each integrand of ``fields``, as one array in its order."""
     mask, times, t_lo, t_hi = _ball_and_window(traj, Q)
-    best = np.max([spatial(traj.states[i], mask)
+    return np.max([_ball_values(traj.states[i], mask, fields)
                    for i in _sup_snapshots(times, t_lo, t_hi)], axis=0)
-    return float(best) if np.ndim(best) == 0 else best
 
 
 def cylinder_maps(traj, t0: float, radius: float, integrals: Callable = None,
@@ -432,16 +412,16 @@ def cylinder_maps(traj, t0: float, radius: float, integrals: Callable = None,
     """Whole-grid maps of ``cylinder_time_integral`` and ``cylinder_sup``
     over Q_r((x, t0)) at every grid point x at once.
 
-    ``integrals`` and ``sups`` are pointwise ``fields(state, cells)`` (see
-    ``catalog_fields``) whose integrands are nonnegative.  A ball sum at a
-    grid point is the periodic convolution of the integrand with the
-    lattice ball at the origin, so each map is one real-FFT convolution:
-    of the weighted sum over the window's snapshots for the integrals
-    (time weights applied before transforming), and of each snapshot,
-    then an elementwise max, for the sups.  A convolution's rounding
-    error scales with the map's largest value, not with the value at x,
-    so a ball holding only zeros may come out slightly negative; every
-    map is clipped at 0.  Returns (integral maps, sup maps), each a
+    ``integrals`` and ``sups`` are ``fields(state, cells)`` (see
+    ``catalog_fields``) whose terms are elementwise and whose integrands
+    are nonnegative.  A ball sum at a grid point is the periodic
+    convolution of the integrand with the lattice ball at the origin, so
+    each map is one real-FFT convolution: of the weighted sum over the
+    window's snapshots for the integrals (time weights applied before
+    transforming), and of each snapshot, then an elementwise max, for the
+    sups.  A convolution's rounding error scales with the map's largest
+    value, not with the value at x, so a ball holding only zeros may come
+    out slightly negative; every map is clipped at 0.  Returns (integral maps, sup maps), each a
     (k, N, N, N) array indexed by the grid index of x, or None where no
     fields were given.
     """
@@ -476,12 +456,3 @@ def cylinder_maps(traj, t0: float, radius: float, integrals: Callable = None,
             sup_maps = snap if sup_maps is None else np.maximum(sup_maps, snap)
     return int_maps, sup_maps
 
-
-def integrate_cylinder(traj, field_expr: str, Q: ParabolicCylinder, p: float = 1.0) -> float:
-    """Space-time integral of a catalog integrand to the power p over Q."""
-    return float(cylinder_time_integral(traj, Q, ball_integrals((field_expr, p)))[0])
-
-
-def sup_over_time(traj, field_expr: str, Q: ParabolicCylinder, p: float = 1.0) -> float:
-    """Max over recorded snapshots in Q's window of the ball integral."""
-    return float(cylinder_sup(traj, Q, ball_integrals((field_expr, p)))[0])

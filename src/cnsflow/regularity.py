@@ -17,14 +17,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .diagnostics import compute_quantities, mean_removed_sum
+from .diagnostics import compute_quantities, mean_removed
 from .grid_fields import (
     CylinderRangeError,
     ParabolicCylinder,
     _grid_index,
     _spacetime_points,
-    ball_integrals,
-    ball_sums,
     catalog_fields,
     cylinder_maps,
     cylinder_sup,
@@ -157,22 +155,11 @@ def _flag_report(value: float, r_star: float, cfg: RegularityConfig,
 _DISSIPATION = (("grad_sqrt_n_sq", 1.0), ("grad_u_sq", 1.0), ("hess_sqrt_c_sq", 1.0))
 
 
-def _weighted_gradient(r: float, delta0: float, integrals) -> dict:
+def _weighted_gradient(r: float, delta0: float, integrals):
     """The weighted-gradient functional from the three _DISSIPATION
-    cylinder integrals: floats at one centre, or whole-grid maps."""
+    cylinder integrals: a float at one centre, or a whole-grid map."""
     i_n, i_u, i_c = integrals
-    part_n = r ** (-1.0 - delta0) * i_n
-    part_uc = (1.0 / r) * (i_u + i_c)
-    return {"density_part": part_n, "velocity_chem_part": part_uc,
-            "total": part_n + part_uc}
-
-
-def weighted_gradient_functional(traj: Trajectory, Q: ParabolicCylinder,
-                                 delta0: float) -> dict:
-    """r^(-1-delta0) * integral of |grad sqrt(n)|^2 over Q plus
-    r^(-1) * integral of (|grad u|^2 + |hess sqrt(c)|^2), in one pass."""
-    return _weighted_gradient(Q.radius, delta0, cylinder_time_integral(
-        traj, Q, ball_integrals(*_DISSIPATION)).tolist())
+    return r ** (-1.0 - delta0) * i_n + (1.0 / r) * (i_u + i_c)
 
 
 def flag_thm13(traj: Trajectory, z0, radii: Sequence[float],
@@ -180,18 +167,22 @@ def flag_thm13(traj: Trajectory, z0, radii: Sequence[float],
     """Weighted-gradient smallness check at z0 over the supplied radii.
 
     The functional is the maximum over radii of the delta0-weighted
-    density-gradient integral plus the scale-invariant dissipation integral;
-    the point is flagged when it exceeds the working threshold.  The paper
-    threshold comes from the trajectory's physics.
+    density-gradient integral r^(-1-delta0) * int_Q |grad sqrt(n)|^2 plus
+    the scale-invariant dissipation integral r^(-1) * int_Q (|grad u|^2 +
+    |hess sqrt(c)|^2), one pass per radius; the point is flagged when it
+    exceeds the working threshold.  The paper threshold comes from the
+    trajectory's physics.
     """
     if not radii:
         raise CylinderRangeError("need at least one radius")
     x0, t0 = tuple(z0[0]), float(z0[1])
     per_radius = {}
     best_r, best_v = None, -np.inf
+    dissipation = catalog_fields(*_DISSIPATION)
     for r in sorted(radii):
-        Q = ParabolicCylinder(x0, t0, float(r))
-        val = weighted_gradient_functional(traj, Q, cfg.delta0)["total"]
+        ints = cylinder_time_integral(traj, ParabolicCylinder(x0, t0, float(r)),
+                                      dissipation).tolist()
+        val = _weighted_gradient(float(r), cfg.delta0, ints)
         per_radius[float(r)] = val
         if val > best_v:
             best_r, best_v = float(r), val
@@ -272,10 +263,8 @@ def flag_thm16(traj: Trajectory, z0, cfg: RegularityConfig,
         raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
     Q = ParabolicCylinder(tuple(z0[0]), float(z0[1]), float(rho0))
     ints, sups = _thm16_integrands(variant, rho0)
-    sup_values = (None if sups is None
-                  else cylinder_sup(traj, Q, ball_sums(sups)).tolist())
-    parts = _thm16_parts(variant, rho0,
-                         cylinder_time_integral(traj, Q, ball_sums(ints)).tolist(),
+    sup_values = None if sups is None else cylinder_sup(traj, Q, sups).tolist()
+    parts = _thm16_parts(variant, rho0, cylinder_time_integral(traj, Q, ints).tolist(),
                          sup_values)
     paper_thr = thresholds(cfg, traj.params)[_PAPER_THRESHOLD["thm16" + variant]]
     return _flag_report(sum(parts.values()), float(rho0), cfg, paper_thr,
@@ -292,7 +281,7 @@ def _criterion_maps(traj: Trajectory, t0: float, radii: Sequence[float],
         for r in sorted(radii):
             ints = cylinder_maps(traj, t0, float(r),
                                  integrals=catalog_fields(*_DISSIPATION))[0]
-            val = _weighted_gradient(float(r), cfg.delta0, ints)["total"]
+            val = _weighted_gradient(float(r), cfg.delta0, ints)
             better = val > best_v  # ties keep the smaller radius
             best_v = np.where(better, val, best_v)
             best_r = np.where(better, float(r), best_r)
@@ -454,11 +443,10 @@ def induction_verify(traj: Trajectory, z0, k_max: int, cfg: RegularityConfig,
     g = traj.grid
     eps0 = cfg.working_threshold if eps0 is None else float(eps0)
     bound = cfg.c1 * math.sqrt(eps0)
-    dissipation = ball_integrals(*_DISSIPATION)
+    dissipation = catalog_fields(*_DISSIPATION)
 
-    def integrals(state, mask):
-        return np.append(dissipation(state, mask),
-                         mean_removed_sum(state.p, mask, 1.5, g.cell_volume))
+    def integrals(state, cells):
+        return [*dissipation(state, cells), (mean_removed(state.p[cells], 1.5),)]
 
     levels = []
     for k in range(1, k_max + 1):
@@ -468,7 +456,7 @@ def induction_verify(traj: Trajectory, z0, k_max: int, cfg: RegularityConfig,
                 f"level k={k} needs >= 8 cells across B_r (r={r}, h={g.h})"
             )
         Q = ParabolicCylinder(x0, t0, r)
-        sup_part = r**-3 * float(cylinder_sup(traj, Q, ball_sums(_sup_bundle()))[0])
+        sup_part = r**-3 * float(cylinder_sup(traj, Q, _sup_bundle())[0])
         i_n, i_u, i_c, i_p = cylinder_time_integral(traj, Q, integrals).tolist()
         diss = r**-3 * (i_n + i_c + i_u)
         press = r**-4 * i_p

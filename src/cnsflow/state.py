@@ -195,8 +195,12 @@ class InitialNorms:
 
 
 class Trajectory:
-    """Time-ordered snapshots on one grid with a uniform output interval,
-    and the physics that produced them."""
+    """Snapshots on one grid at strictly increasing times, and the physics
+    that produced them.  The intervals between snapshots need not be
+    equal: a run whose step count is not a multiple of its output stride
+    ends with a shorter one.  ``times`` is read from the states once, when
+    the trajectory is built; to shift the states' times, build a new
+    trajectory from them."""
 
     def __init__(self, states: Sequence[State], params: PhysParams = PhysParams(),
                  initial_norms: Optional[InitialNorms] = None):
@@ -205,8 +209,8 @@ class Trajectory:
         grid = states[0].grid
         if any(s.grid != grid for s in states):
             raise ValueError("all states must share one grid")
-        times = np.array([s.time for s in states])
-        if np.any(np.diff(times) <= 0):
+        self.times = np.array([s.time for s in states])
+        if np.any(np.diff(self.times) <= 0):
             raise ValueError("snapshot times must be strictly increasing")
         self.states = list(states)
         self.params = params
@@ -217,10 +221,6 @@ class Trajectory:
     @property
     def grid(self) -> Grid:
         return self.states[0].grid
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.states])
 
     def state_at(self, t: float) -> State:
         """Snapshot closest to time t."""

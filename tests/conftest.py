@@ -10,6 +10,7 @@ from cnsflow import (
     SimulationConfig,
     State,
     Trajectory,
+    ball_mask,
     simulate,
 )
 
@@ -58,7 +59,7 @@ def lei_traj(smooth_params):
     shift = traj.states[-1].time
     for s in traj.states:
         s.time -= shift
-    return traj
+    return Trajectory(traj.states, smooth_params, traj.initial_norms)
 
 
 @pytest.fixture(scope="session")
@@ -90,3 +91,23 @@ def make_constant_u_traj(N=64, L=4.0, u0=(1.0, 0.0, 0.0),
         for t in np.linspace(t_lo, t_hi, count)
     ]
     return Trajectory(states)
+
+
+def mean_removed_oracle(traj, x0, t0, r, field, power):
+    """Integral over Q_r((x0, t0)) of |f - (f)_B|^power, f the state
+    attribute ``field``: per snapshot, the ball mean removed (per
+    component for a vector) and the ball sum taken; then the exact
+    integral of the piecewise-linear interpolant in time over
+    (t0 - r^2, t0), interpolated at the window's ends."""
+    g = traj.grid
+    mask = ball_mask(g, x0, r)
+    times = np.array([s.time for s in traj.states])
+    sums = []
+    for s in traj.states:
+        f = np.atleast_2d(getattr(s, field)[..., mask])  # (components, cells)
+        centered = f - f.mean(axis=1, keepdims=True)
+        mag = np.sqrt(np.sum(centered**2, axis=0))
+        sums.append(np.sum(mag**power) * g.cell_volume)
+    t_lo = t0 - r**2
+    ts = np.concatenate([[t_lo], times[(times > t_lo) & (times < t0)], [t0]])
+    return float(np.trapezoid(np.interp(ts, times, sums), ts))

@@ -18,7 +18,7 @@ from cnsflow import (
     verify_scaling_invariance,
 )
 
-from conftest import make_constant_u_traj
+from conftest import make_constant_u_traj, mean_removed_oracle
 
 
 def _zero_traj(N=24, L=2.0):
@@ -52,6 +52,16 @@ def test_constant_velocity_closed_forms():
     assert q.c_u_tilde < 1e-12
     # everything not built from u is zero
     assert q.a_sqrt_n == 0.0 and q.e_u == 0.0 and q.d == 0.0
+
+
+def test_mean_removed_velocity_matches_oracle(smooth_traj):
+    """C~_u on a window that starts inside a snapshot interval equals the
+    oracle's mean-removed cubic velocity integral over r^2."""
+    x0, t0, r = (0.5, 0.5, 0.5), 0.06, 0.15
+    got = compute_quantities(smooth_traj, ParabolicCylinder(x0, t0, r)).c_u_tilde
+    exact = mean_removed_oracle(smooth_traj, x0, t0, r, "u", 3.0) / r**2
+    assert exact > 0.0
+    assert abs(got - exact) <= 1e-12 * exact
 
 
 def test_cubic_velocity_grows_with_radius():

@@ -18,11 +18,9 @@ from cnsflow import (
 )
 from cnsflow.grid_fields import (
     UnknownIntegrandError,
-    ball_integrals,
+    catalog_fields,
     cylinder_sup,
     cylinder_time_integral,
-    integrate_cylinder,
-    sup_over_time,
 )
 from cnsflow import State, Trajectory
 
@@ -237,10 +235,11 @@ def test_cylinder_fit_check():
     """ball_mask is the one box-fit check: both cylinder primitives refuse
     a radius above L/4 and accept L/4 itself."""
     traj, _ = _const_traj(N=16, L=1.0)
-    for fn in (integrate_cylinder, sup_over_time):
-        fn(traj, "sqrt_n", ParabolicCylinder((0.5, 0.5, 0.5), 0.0, 0.25))
+    sqrt_n = catalog_fields(("sqrt_n", 1.0))
+    for fn in (cylinder_time_integral, cylinder_sup):
+        fn(traj, ParabolicCylinder((0.5, 0.5, 0.5), 0.0, 0.25), sqrt_n)
         with pytest.raises(CylinderRangeError):
-            fn(traj, "sqrt_n", ParabolicCylinder((0.5, 0.5, 0.5), 0.0, 0.26))
+            fn(traj, ParabolicCylinder((0.5, 0.5, 0.5), 0.0, 0.26), sqrt_n)
 
 
 def _const_traj(value=2.0, N=32, L=2.0):
@@ -252,22 +251,23 @@ def _const_traj(value=2.0, N=32, L=2.0):
     return Trajectory(states), g
 
 
-def test_integrate_cylinder_constant_field():
+def test_cylinder_time_integral_constant_field():
     traj, g = _const_traj()
     r = 0.4
     Q = ParabolicCylinder((1.0, 1.0, 1.0), 0.0, r)
-    got = integrate_cylinder(traj, "sqrt_n", Q, p=2.0)  # integrates n itself
+    n_itself = catalog_fields(("sqrt_n", 2.0))
+    got = cylinder_time_integral(traj, Q, n_itself)[0]
     mask = ball_mask(g, (1.0, 1.0, 1.0), r)
     exact = 2.0 * np.sum(mask) * g.cell_volume * r**2
     assert abs(got - exact) / exact < 1e-12
 
 
-def test_integrate_cylinder_partial_window():
+def test_cylinder_time_integral_partial_window():
     # time window clipped against the recorded span uses trapezoid weights:
     # for a field constant in time the answer is exact
     traj, g = _const_traj()
     Q = ParabolicCylinder((1.0, 1.0, 1.0), -0.05, 0.3)
-    got = integrate_cylinder(traj, "sqrt_n", Q, p=2.0)
+    got = cylinder_time_integral(traj, Q, catalog_fields(("sqrt_n", 2.0)))[0]
     mask = ball_mask(g, (1.0, 1.0, 1.0), 0.3)
     exact = 2.0 * np.sum(mask) * g.cell_volume * 0.09
     assert abs(got - exact) / exact < 1e-12
@@ -277,7 +277,7 @@ def test_integral_out_of_span_raises():
     traj, _ = _const_traj()
     Q = ParabolicCylinder((1.0, 1.0, 1.0), 5.0, 0.3)
     with pytest.raises(CylinderRangeError):
-        integrate_cylinder(traj, "sqrt_n", Q)
+        cylinder_time_integral(traj, Q, catalog_fields(("sqrt_n", 1.0)))
 
 
 def test_sup_out_of_span_raises():
@@ -289,12 +289,12 @@ def test_sup_out_of_span_raises():
                     zeros.copy(), t) for t in np.linspace(-0.1, 0.0, 5)]
     traj = Trajectory(states)
     Q = ParabolicCylinder((1.0, 1.0, 1.0), 0.0, 0.4)  # window (-0.16, 0]
-    for fn in (integrate_cylinder, sup_over_time):
+    for fn in (cylinder_time_integral, cylinder_sup):
         with pytest.raises(CylinderRangeError):
-            fn(traj, "abs_u", Q)
+            fn(traj, Q, catalog_fields(("abs_u", 1.0)))
 
 
-def test_sup_over_time_picks_max():
+def test_cylinder_sup_picks_max():
     g = Grid(16, 2.0)
     zeros = np.zeros((16,) * 3)
     states = []
@@ -304,33 +304,33 @@ def test_sup_over_time_picks_max():
         states.append(State(g, zeros.copy(), zeros.copy(), u, zeros.copy(), t))
     traj = Trajectory(states)
     Q = ParabolicCylinder((1.0, 1.0, 1.0), 0.0, 0.4)
-    got = sup_over_time(traj, "abs_u", Q, p=2.0)
+    got = cylinder_sup(traj, Q, catalog_fields(("abs_u", 2.0)))[0]
     mask = ball_mask(g, (1.0, 1.0, 1.0), 0.4)
     exact = 16.0 * np.sum(mask) * g.cell_volume
     assert abs(got - exact) / exact < 1e-12
 
 
 def test_array_passes_equal_scalar_passes(smooth_traj):
-    """One pass with an array-valued spatial gives, bit for bit, what one
-    scalar pass per component gives, for the integral and for the sup."""
+    """One pass over several integrands gives, bit for bit, what one pass
+    per integrand gives, for the integral and for the sup."""
     Q = ParabolicCylinder((0.5, 0.5, 0.5), 0.06, 0.15)
     terms = (("grad_u_sq", 1.0), ("abs_u", 3.0), ("abs_p", 1.5),
              ("abs_n_ln_n", 1.0), ("sqrt_n", 2.0))
-    vol = smooth_traj.grid.cell_volume
 
     def scalar(name, p):
-        return lambda s, mask: float(np.sum((s.derived(name) ** p)[mask]) * vol)
+        return lambda s, cells: [((s.derived(name) ** p)[cells],)]
 
-    integrals = cylinder_time_integral(smooth_traj, Q, ball_integrals(*terms))
-    sups = cylinder_sup(smooth_traj, Q, ball_integrals(*terms))
+    integrals = cylinder_time_integral(smooth_traj, Q, catalog_fields(*terms))
+    sups = cylinder_sup(smooth_traj, Q, catalog_fields(*terms))
     assert integrals.shape == sups.shape == (len(terms),)
     for k, (name, p) in enumerate(terms):
-        assert integrals[k] == cylinder_time_integral(smooth_traj, Q, scalar(name, p))
-        assert integrals[k] == integrate_cylinder(smooth_traj, name, Q, p)
-        assert sups[k] == cylinder_sup(smooth_traj, Q, scalar(name, p))
-        assert sups[k] == sup_over_time(smooth_traj, name, Q, p)
+        one = catalog_fields((name, p))
+        assert integrals[k] == cylinder_time_integral(smooth_traj, Q, scalar(name, p))[0]
+        assert integrals[k] == cylinder_time_integral(smooth_traj, Q, one)[0]
+        assert sups[k] == cylinder_sup(smooth_traj, Q, scalar(name, p))[0]
+        assert sups[k] == cylinder_sup(smooth_traj, Q, one)[0]
 
 
-def test_ball_integrals_rejects_unknown_integrand():
+def test_catalog_fields_rejects_unknown_integrand():
     with pytest.raises(UnknownIntegrandError):
-        ball_integrals(("abs_u", 2.0), ("abs_v", 2.0))
+        catalog_fields(("abs_u", 2.0), ("abs_v", 2.0))

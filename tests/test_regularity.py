@@ -26,6 +26,8 @@ from cnsflow import (
     trace_from_trajectory,
 )
 
+from conftest import mean_removed_oracle
+
 
 # ---------------------------------------------------------------------------
 # thresholds and configuration
@@ -432,6 +434,21 @@ def test_induction_constant_density_closed_form():
     got = out["levels"][0]["lhs"]
     assert abs(got - exact) / exact < 0.02
     assert out["all_hold"]
+
+
+def test_induction_pressure_matches_oracle(smooth_traj):
+    """The level k = 1 pressure term equals the oracle's mean-removed
+    |P - P_bar|^(3/2) integral over r^4.  smooth_traj's samples sit on a
+    4x box with times scaled by 16, so the ball r = 1/2 is resolved and
+    its window recorded."""
+    g = Grid(smooth_traj.grid.n, 4.0)
+    traj = Trajectory([State(g, s.n, s.c, s.u, s.p, 16.0 * s.time)
+                       for s in smooth_traj.states])
+    x0, t0, r = (2.0, 2.0, 2.0), float(traj.times[-1]), 0.5
+    out = induction_verify(traj, (x0, t0), 1, RegularityConfig())
+    exact = mean_removed_oracle(traj, x0, t0, r, "p", 1.5) / r**4
+    assert exact > 0.0
+    assert abs(out["levels"][0]["pressure"] - exact) <= 1e-12 * exact
 
 
 def test_induction_requires_resolved_ball():
