@@ -30,6 +30,9 @@ class CFLError(RuntimeError):
         self.suggested_dt = suggested_dt
 
 
+_CYCLIC = ((1, 2), (2, 0), (0, 1))  # (a, b) of component j of a cross product
+
+
 def _rhs_hats(grid: Grid, n, c, u, c_hat, u_hat, params: PhysParams):
     """Half-spectrum transforms of the explicit (non-diffusive) tendencies;
     derivatives come from the hats of c and u, and each product is
@@ -47,33 +50,36 @@ def _rhs_hats(grid: Grid, n, c, u, c_hat, u_hat, params: PhysParams):
     # c: advection + consumption
     adv_c = u[0] * grad_c[0] + u[1] * grad_c[1] + u[2] * grad_c[2]
     fc_hat = -grid.rfftn(adv_c + kappa_c * n) * mask
+    del grad_c, adv_c
 
-    # u: advection + buoyancy n grad_phi, with grad_phi = (0, 0, -gravity)
-    fu_hat = []
-    for j in range(3):
-        f = sum(u[i] * grid.irfftn(1j * ki * u_hat[j]) for i, ki in enumerate(k))
+    # u: u x curl u + buoyancy n grad_phi, with grad_phi = (0, 0, -gravity);
+    # the update's Leray projection removes the gradient part of
+    # u.grad u = grad(|u|^2/2) - u x curl u
+    omega = [grid.irfftn(1j * (k[a] * u_hat[b] - k[b] * u_hat[a])) for a, b in _CYCLIC]
+    fu_hat = np.empty_like(u_hat)
+    for j, (a, b) in enumerate(_CYCLIC):
+        f = u[a] * omega[b] - u[b] * omega[a]
         if j == 2:
-            f = f - params.gravity * n
-        fu_hat.append(-grid.rfftn(f) * mask)
-    return fn_hat, fc_hat, np.stack(fu_hat)
+            f += params.gravity * n
+        fu_hat[j] = grid.rfftn(f) * mask
+    return fn_hat, fc_hat, fu_hat
 
 
 def advance(grid: Grid, n, c, u, params: PhysParams, dt: float, order: int = 1):
     """One IMEX step on raw arrays: returns (n, c, u, step_log).
 
-    Makes 29 real transforms at order 1 and 54 at order 2, from the
+    Makes 23 real transforms at order 1 and 42 at order 2, from the
     physical arrays alone (no transform is carried between steps).
-    Diffusion uses the exact integrating factor exp(-|k|^2 dt); the
-    velocity is re-projected divergence-free; c is clamped to
-    [0, c0_max] and n at zero, with the clamped mass logged.  The new
-    arrays are checked for finiteness once.
+    Advection of u is in rotational form, u x curl u: the velocity is
+    re-projected divergence-free, which removes the gradient part of
+    u.grad u.  Diffusion uses the exact integrating factor
+    exp(-|k|^2 dt); c is clamped to [0, c0_max] and n at zero, with the
+    clamped mass logged.  The new arrays are checked for finiteness once.
     """
     max_u = float(np.max(np.sqrt(np.sum(u**2, axis=0))))
     cfl = max_u * dt / grid.h
     if cfl > 0.5:
         raise CFLError(cfl, 0.5 * grid.h / max_u)
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
 
     E = np.exp(-grid.k_sq * dt)
     n_hat, c_hat = grid.rfftn(n), grid.rfftn(c)
@@ -112,9 +118,8 @@ def _with_pressure(grid: Grid, n, c, u, time: float, params: PhysParams) -> Stat
 
 
 def step(s: State, params: PhysParams, dt: float, order: int = 1) -> State:
-    """One IMEX step (``advance``: 29 real transforms at order 1, 54 at
-    order 2), then the pressure solve; returns a new State with P and a
-    ``step_log`` dict attached."""
+    """One IMEX step (``advance``), then the pressure solve; returns a new
+    State with P and a ``step_log`` dict attached."""
     n, c, u, step_log = advance(s.grid, s.n, s.c, s.u, params, dt, order)
     new = _with_pressure(s.grid, n, c, u, s.time + dt, params)
     new.step_log = step_log
@@ -135,6 +140,14 @@ class SimulationConfig:
     seed: int = 0
     order: int = 1
     init: dict = field(default_factory=lambda: {"preset": "zero"})
+
+    def __post_init__(self):
+        if not self.dt > 0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
+        if self.output_stride < 1:
+            raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
+        if self.order not in (1, 2):
+            raise ValueError(f"order must be 1 or 2, got {self.order}")
 
 
 def initial_state(cfg: SimulationConfig, params: PhysParams) -> State:

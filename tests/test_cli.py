@@ -91,6 +91,17 @@ def test_missing_config_key_exits_2(workdir, tmp_path, capsys):
     assert "grid.n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("sim.dt", "0"), ("sim.dt", "-0.001"),
+                                        ("sim.output_stride", "0"), ("sim.order", "3")])
+def test_bad_run_parameter_exits_2_before_any_snapshot(tmp_path, capsys, key, value):
+    p = tmp_path / "bad.cfg"
+    p.write_text(CONFIG_TEXT + f"{key} = {value}\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == EXIT_CONFIG
+    assert key.split(".")[1] in capsys.readouterr().err
+    assert not list(out.glob("snap_*.cns"))
+
+
 def test_malformed_pipeline_key_exits_2(tmp_path, capsys):
     p = tmp_path / "bad.cfg"
     p.write_text(CONFIG_TEXT + "pipeline.flag_stride = abc\n")

@@ -262,7 +262,12 @@ def test_mixed_sweep_equals_centre_by_centre(smooth_traj, criterion):
     centers = np.array(rows)
     reps = _per_centre(smooth_traj, centers, radii, RegularityConfig(), criterion)
     values = np.array([rep["value"] for rep in reps])
-    cfg = RegularityConfig(working_threshold=float(np.median(values)))
+    # halfway between the two middle distinct values: map and per-centre
+    # values agree only to rounding, so no row may sit at the threshold
+    distinct = np.unique(values)
+    i = len(distinct) // 2
+    cfg = RegularityConfig(working_threshold=float(0.5 * (distinct[i - 1] + distinct[i])))
+    assert np.all(np.abs(values - cfg.working_threshold) > 1e-12 * cfg.working_threshold)
     out = flag_sweep(smooth_traj, centers, radii, cfg, criterion=criterion)
     keep = [i for i in np.lexsort(centers[:, [2, 1, 0, 3]].T)
             if values[i] > cfg.working_threshold]

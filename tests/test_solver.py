@@ -19,7 +19,8 @@ from cnsflow import (
     write_snapshot,
     write_trajectory,
 )
-from cnsflow.solver import _band_limited
+from cnsflow import solver
+from cnsflow.solver import _band_limited, advance
 
 
 def test_kappa_is_theta0_s_chi():
@@ -227,3 +228,64 @@ def test_crashed_run_keeps_snapshots_without_commit_marker(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [p.name for p in snaps]
     times = [read_snapshot(p).time for p in snaps]
     assert times == sorted(times) and times[0] == 0.0
+
+
+def _smooth_32(params):
+    cfg = SimulationConfig(grid_n=32, grid_l=1.0, seed=6,
+                           init={"preset": "random_smooth", "amplitude": 0.05,
+                                 "n_mean": 1.0, "c0": 1.0, "modes": 4})
+    return initial_state(cfg, params)
+
+
+@pytest.mark.parametrize("order, expected", [(1, 23), (2, 42)])
+def test_real_transforms_per_advance(monkeypatch, order, expected):
+    """Counts every real transform of one step by its number of N^3 fields
+    (3 for a vector)."""
+    params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.3, c0_max=1.0)
+    s = _smooth_32(params)
+    fields = []
+    rfftn, irfftn = Grid.rfftn, Grid.irfftn
+
+    def counted_rfftn(grid, values):
+        fields.append(values.size // grid.n**3)
+        return rfftn(grid, values)
+
+    def counted_irfftn(grid, hat):
+        out = irfftn(grid, hat)
+        fields.append(out.size // grid.n**3)
+        return out
+
+    monkeypatch.setattr(Grid, "rfftn", counted_rfftn)
+    monkeypatch.setattr(Grid, "irfftn", counted_irfftn)
+    advance(s.grid, s.n, s.c, s.u, params, 2e-4, order)
+    assert sum(fields) == expected
+
+
+_rotational_rhs_hats = solver._rhs_hats
+
+
+def _convective_rhs_hats(grid, n, c, u, c_hat, u_hat, params):
+    """The n and c tendencies of the solver, with the momentum tendency in
+    convective form -u.grad u + gravity n e_z from the nine d_i u_j."""
+    fn, fc, _ = _rotational_rhs_hats(grid, n, c, u, c_hat, u_hat, params)
+    fu = []
+    for j in range(3):
+        f = sum(u[i] * grid.irfftn(1j * ki * u_hat[j]) for i, ki in enumerate(grid.k))
+        if j == 2:
+            f = f - params.gravity * n
+        fu.append(-grid.rfftn(f) * grid.dealias_mask)
+    return fn, fc, np.stack(fu)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_rotational_advection_matches_convective_step(monkeypatch, order):
+    """On band-limited data the projection removes grad(|u|^2/2) exactly, so
+    the rotational step equals the convective one to rounding."""
+    params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.3, c0_max=1.0)
+    s = _smooth_32(params)
+    dt = 2e-3
+    got = advance(s.grid, s.n, s.c, s.u, params, dt, order)
+    monkeypatch.setattr(solver, "_rhs_hats", _convective_rhs_hats)
+    ref = advance(s.grid, s.n, s.c, s.u, params, dt, order)
+    for a, b in zip(got[:3], ref[:3]):
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
