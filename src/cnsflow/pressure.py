@@ -29,33 +29,37 @@ from .state import PhysParams
 MAX_SOURCE_CELLS = 40**3
 
 
-def _force_hats(grid: Grid, u, n, gravity: float, weight=1.0) -> list:
+def _force_hats(grid: Grid, transform, u, n, gravity: float, weight=1.0) -> list:
     """Half-spectrum transforms of g_i = sum_j d_j(weight u_i u_j) +
     weight n grad_phi_i, the field whose divergence drives the pressure;
-    grad_phi = (0, 0, -gravity)."""
-    k = grid.k
+    grad_phi = (0, 0, -gravity).  ``transform`` (``grid.rfftn`` or
+    ``grid.dealiased_rfftn``) takes each product to the half spectrum."""
+    ik = grid.ik
     g = [0.0, 0.0, 0.0]
     for i in range(3):
         for j in range(i, 3):
-            prod = grid.rfftn(weight * u[i] * u[j])
-            g[i] = g[i] + 1j * k[j] * prod
+            prod = transform(weight * u[i] * u[j])
+            g[i] = g[i] + ik[j] * prod
             if j != i:
-                g[j] = g[j] + 1j * k[i] * prod
+                g[j] = g[j] + ik[i] * prod
     if gravity:
-        g[2] = g[2] + grid.rfftn(weight * n * -gravity)
+        g[2] = g[2] + transform(weight * n * -gravity)
     return g
 
 
 def _poisson_div(grid: Grid, g_hat) -> np.ndarray:
     """Zero-mean periodic solve of -Delta p = div g, with g dealiased."""
-    div_hat = sum(1j * k * h for k, h in zip(grid.k, g_hat))
-    return grid.irfftn(grid.poisson_hat(grid.dealias_mask * div_hat))
+    div_hat = sum(ik * h for ik, h in zip(grid.ik, g_hat))
+    return grid.dealiased_irfftn(grid.poisson_hat(div_hat))
 
 
 def solve_pressure(s, params: PhysParams = PhysParams()) -> np.ndarray:
     """Zero-mean periodic solve of -Delta P = d_i d_j (u_i u_j) + div(n grad_phi);
-    returns the (N, N, N) array P."""
-    return _poisson_div(s.grid, _force_hats(s.grid, s.u, s.n, params.gravity))
+    returns the (N, N, N) array P.  All its transforms are pruned: the
+    products are dealiased as they are transformed."""
+    grid = s.grid
+    return _poisson_div(grid, _force_hats(grid, grid.dealiased_rfftn, s.u, s.n,
+                                          params.gravity))
 
 
 def eval_field_at(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -184,8 +188,9 @@ def decompose_local(s, x0: Sequence[float], rho: float,
     w = s.u - mean_u[:, None, None, None]
 
     # g_i = sum_j d_j(eta w_i w_j) + eta n grad_phi_i  (one derivative kept;
-    # the other acts on the kernel inside the sum)
-    g_hat = _force_hats(grid, w, s.n, params.gravity, weight=eta)
+    # the other acts on the kernel inside the sum); full transforms, since
+    # p1_at samples these sources unmasked
+    g_hat = _force_hats(grid, grid.rfftn, w, s.n, params.gravity, weight=eta)
 
     # grid values of P1: zero-mean periodic solve of -Delta P1 = div g,
     # with the same dealiased-product convention as the global pressure

@@ -120,6 +120,29 @@ def test_dealias_is_a_projection():
     assert np.max(np.abs(dealias(g, once) - once)) < 1e-12
 
 
+@pytest.mark.parametrize("n", range(8, 42, 2))
+def test_pruned_transforms_are_bitwise_full_ones(n):
+    """The pruned transforms equal their full-transform expressions bit
+    for bit, on scalar and vector white noise."""
+    g = Grid(n, 1.0)
+    rng = np.random.default_rng(n)
+    for shape in ((n,) * 3, (3,) + (n,) * 3):
+        v = rng.normal(size=shape)
+        assert np.array_equal(g.dealiased_rfftn(v), g.dealias_mask * g.rfftn(v))
+        h = g.rfftn(rng.normal(size=shape))
+        assert np.array_equal(g.dealiased_irfftn(h), g.irfftn(g.dealias_mask * h))
+
+
+@pytest.mark.parametrize("n", [8, 10, 32, 48, 64])
+def test_kept_ranges_rebuild_the_dealias_mask(n):
+    g = Grid(n, 1.0)
+    rows, m = g._kept
+    rebuilt = np.zeros_like(g.dealias_mask)
+    rebuilt[np.ix_(rows, rows, np.arange(m))] = True
+    assert np.array_equal(rebuilt, g.dealias_mask)
+    assert len(rows) == 2 * m - 1  # 0..m-1 and N-m+1..N-1
+
+
 def test_operators_match_complex_fft_formulas():
     """Each half-spectrum operator against its full complex-FFT formula,
     on white noise, which has energy on every Nyquist plane."""

@@ -237,28 +237,80 @@ def _smooth_32(params):
     return initial_state(cfg, params)
 
 
+def _count_transforms(monkeypatch):
+    """Wrap the full and the pruned real transforms of Grid; each call adds
+    its number of N^3 fields (3 for a vector) to counts["full"] or
+    counts["pruned"]."""
+    counts = {"full": 0, "pruned": 0}
+
+    def counted(name, kind):
+        method = getattr(Grid, name)
+
+        def wrapper(grid, a):
+            out = method(grid, a)
+            counts[kind] += a[..., 0, 0, 0].size
+            return out
+
+        monkeypatch.setattr(Grid, name, wrapper)
+
+    for name, kind in (("rfftn", "full"), ("irfftn", "full"),
+                       ("dealiased_rfftn", "pruned"), ("dealiased_irfftn", "pruned")):
+        counted(name, kind)
+    return counts
+
+
 @pytest.mark.parametrize("order, expected", [(1, 23), (2, 42)])
 def test_real_transforms_per_advance(monkeypatch, order, expected):
-    """Counts every real transform of one step by its number of N^3 fields
-    (3 for a vector)."""
+    """Counts every real transform of one step, full and pruned apart: each
+    tendency evaluation makes 7 pruned ones (16 + 7 at order 1, 28 + 14
+    at order 2)."""
     params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.3, c0_max=1.0)
     s = _smooth_32(params)
-    fields = []
-    rfftn, irfftn = Grid.rfftn, Grid.irfftn
+    counts = _count_transforms(monkeypatch)
+    advance(s.grid, s.n, s.c, s.u, params, 2e-4, order)
+    assert counts == {"full": expected - 7 * order, "pruned": 7 * order}
 
-    def counted_rfftn(grid, values):
-        fields.append(values.size // grid.n**3)
-        return rfftn(grid, values)
 
-    def counted_irfftn(grid, hat):
-        out = irfftn(grid, hat)
-        fields.append(out.size // grid.n**3)
+def test_real_transforms_per_pressure_solve(monkeypatch):
+    """The global pressure solve makes only pruned transforms: 7 forward
+    products (6 of u_i u_j, 1 of the buoyancy) and 1 inverse."""
+    params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.3, c0_max=1.0)
+    s = _smooth_32(params)
+    counts = _count_transforms(monkeypatch)
+    solve_pressure(s, params)
+    assert counts == {"full": 0, "pruned": 8}
+
+
+@pytest.mark.parametrize("order", [0, 3])
+def test_advance_and_step_reject_other_orders(order):
+    params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.3, c0_max=1.0)
+    s = _smooth_32(params)
+    with pytest.raises(ValueError, match="order must be 1 or 2"):
+        advance(s.grid, s.n, s.c, s.u, params, 2e-4, order)
+    with pytest.raises(ValueError, match="order must be 1 or 2"):
+        step(s, params, 2e-4, order=order)
+
+
+def test_pruned_transforms_leave_step_and_pressure_bitwise_unchanged(monkeypatch):
+    """One order-1 and one order-2 step and one pressure solve, with the
+    pruned transforms and again with their full-transform expressions:
+    every output is equal with ==."""
+    params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.3, c0_max=1.0)
+    s = _smooth_32(params)
+
+    def outputs():
+        out = [solve_pressure(s, params)]
+        for order in (1, 2):
+            out += advance(s.grid, s.n, s.c, s.u, params, 2e-3, order)[:3]
         return out
 
-    monkeypatch.setattr(Grid, "rfftn", counted_rfftn)
-    monkeypatch.setattr(Grid, "irfftn", counted_irfftn)
-    advance(s.grid, s.n, s.c, s.u, params, 2e-4, order)
-    assert sum(fields) == expected
+    pruned = outputs()
+    monkeypatch.setattr(Grid, "dealiased_rfftn",
+                        lambda grid, v: grid.dealias_mask * grid.rfftn(v))
+    monkeypatch.setattr(Grid, "dealiased_irfftn",
+                        lambda grid, h: grid.irfftn(grid.dealias_mask * h))
+    for a, b in zip(pruned, outputs()):
+        assert np.all(a == b)
 
 
 _rotational_rhs_hats = solver._rhs_hats
