@@ -385,15 +385,16 @@ def cmd_flag(args) -> int:
 
 
 def _parse_scales(spec: str) -> list:
-    """Either 2^-a..2^-b or a comma list of radii."""
+    """Either 2^-a..2^-b or a comma list of radii.  A bare exponent range
+    such as 3..5 is refused: it does not say whether 2^3 or 2^-3 is meant."""
     if ".." in spec:
         lo, hi = spec.split("..")
 
         def expo(tok):
             tok = tok.strip()
-            if tok.startswith("2^"):
-                return int(tok[2:])
-            return int(tok)
+            if not tok.startswith("2^"):
+                raise ConfigError(f"--scales {spec!r}: write a range as 2^-a..2^-b")
+            return int(tok[2:])
 
         a, b = expo(lo), expo(hi)
         lo_e, hi_e = min(-a, -b), max(-a, -b)

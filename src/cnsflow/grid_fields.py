@@ -315,10 +315,14 @@ def ball_mask(grid: Grid, x0: Sequence[float], radius: float) -> np.ndarray:
         return grid.min_image_distance_sq(x0) < radius**2
     q = (radius / grid.h) ** 2
     q = round(q) if abs(q - round(q)) < 1e-9 else q
-    n = grid.n
-    ox, oy, oz = (((np.arange(n) - i + n // 2) % n - n // 2) ** 2
-                  for i in index.tolist())
-    return ox[:, None, None] + oy[None, :, None] + oz[None, None, :] < q
+    return _offset_sq(grid.n, index.tolist()) < q
+
+
+def _offset_sq(n: int, index) -> np.ndarray:
+    """(N, N, N) integer |offset|^2 of every cell from the cell ``index``,
+    each offset component the minimum image in [-N/2, N/2)."""
+    ox, oy, oz = (((np.arange(n) - i + n // 2) % n - n // 2) ** 2 for i in index)
+    return ox[:, None, None] + oy[None, :, None] + oz[None, None, :]
 
 
 def _grid_index(grid: Grid, x) -> tuple[np.ndarray, np.ndarray]:

@@ -4,8 +4,9 @@ The global pressure solves the periodic Poisson problem obtained by taking
 the divergence of the momentum equation.  Locally, P splits into P1 (a
 Newtonian potential of the cutoff nonlinear sources, evaluated by direct
 kernel quadrature over masked cells) and P2 = P - P1, which is harmonic on
-the half-radius ball; the module also provides Riesz potentials and an
-interior-estimate checker for harmonic functions.
+the half-radius ball; the module also provides Riesz potentials on the
+grid (one periodic FFT convolution with the lattice kernel, on supports of
+any size) and an interior-estimate checker for harmonic functions.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ from .energy import cutoff_step
 from .grid_fields import (
     CylinderRangeError,
     Grid,
+    _offset_sq,
     ball_mask,
     spectral_upsample,
 )
 from .state import PhysParams
 
-#: Hard cap on the number of source cells in one direct potential sum.
+#: Hard cap on the number of source cells in ``p1_at``'s direct kernel sum.
 MAX_SOURCE_CELLS = 40**3
 
 
@@ -133,36 +135,25 @@ class PressureDecomposition:
         )))
 
 
-def _pair_sum(grid: Grid, targets: np.ndarray, sources: np.ndarray,
-              per_target: Callable) -> np.ndarray:
-    """One value per target row: ``per_target(d, r2)`` on chunks of the
-    targets, d the (chunk, sources, 3) minimum-image displacements
-    target - source and r2 their squared lengths.  Chunks keep d near
-    2e6 pairs."""
-    L = grid.box_length
-    out = np.empty(len(targets))
-    chunk = max(1, int(2e6 // max(1, len(sources))))
-    for a0 in range(0, len(targets), chunk):
-        d = targets[a0:a0 + chunk, None, :] - sources[None, :, :]
-        d -= L * np.round(d / L)
-        out[a0:a0 + chunk] = per_target(d, np.sum(d * d, axis=2))
-    return out
-
-
 def _kernel_sum(grid: Grid, targets: np.ndarray, sources_xyz: np.ndarray,
                 sources_g: np.ndarray, vol: float) -> np.ndarray:
     """sum over sources of grad K(x - y) . g(y) dV with K the Newtonian
-    kernel; the singular (coincident) cell is skipped, which is the exact
-    ball-average of the odd kernel."""
-
-    def per_target(d, r2):
+    kernel, d = x - y the minimum-image displacement; the singular
+    (coincident) cell is skipped, which is the exact ball-average of the
+    odd kernel.  Chunks of targets keep d near 2e6 pairs."""
+    L = grid.box_length
+    out = np.empty(len(targets))
+    chunk = max(1, int(2e6 // max(1, len(sources_xyz))))
+    for a0 in range(0, len(targets), chunk):
+        d = targets[a0:a0 + chunk, None, :] - sources_xyz[None, :, :]
+        d -= L * np.round(d / L)
+        r2 = np.sum(d * d, axis=2)
         r3 = r2 * np.sqrt(r2)
         with np.errstate(divide="ignore", invalid="ignore"):
             w = np.where(r3 > 1e-30, 1.0 / r3, 0.0)
-        return (-vol / (4.0 * np.pi)
-                * np.sum(w * np.einsum("abi,bi->ab", d, sources_g), axis=1))
-
-    return _pair_sum(grid, targets, sources_xyz, per_target)
+        dot = np.einsum("abi,bi->ab", d, sources_g)
+        out[a0:a0 + chunk] = -vol / (4.0 * np.pi) * np.sum(w * dot, axis=1)
+    return out
 
 
 def decompose_local(s, x0: Sequence[float], rho: float,
@@ -252,40 +243,25 @@ def riesz_potential(grid: Grid, f: np.ndarray, alpha: float, mask: np.ndarray,
     """I_alpha f(x) = integral of f(y) |x-y|^(alpha-3) over the masked support,
     as an (N, N, N) array that is zero off ``target_mask`` (default ``mask``).
 
-    Direct midpoint quadrature; the coincident cell uses the closed-form
-    kernel integral over the volume-equivalent ball.
+    Midpoint quadrature over the support's cells, the coincident cell taking
+    the closed-form kernel integral over the volume-equivalent ball.  Targets
+    and sources are grid cells, so their minimum-image offset depends only on
+    the index difference mod N: the sum is one periodic real-FFT convolution
+    of f on the support with the lattice kernel (the particle-mesh method),
+    at any support size.
     """
     if not 0.0 < alpha < 3.0:
         raise ValueError(f"alpha must lie in (0, 3), got {alpha}")
-    if int(np.sum(mask)) > MAX_SOURCE_CELLS:
-        raise CylinderRangeError("masked support exceeds the source-cell cap")
     if target_mask is None:
         target_mask = mask
-    vol = grid.cell_volume
-    xs, ys, zs = np.broadcast_arrays(*grid.coords())
-    src = np.stack([xs[mask], ys[mask], zs[mask]], axis=1)
-    fv = f[mask]
-    tgt = np.stack([xs[target_mask], ys[target_mask], zs[target_mask]], axis=1)
-
-    # volume-equivalent ball radius of one cell
+    r2 = grid.h**2 * _offset_sq(grid.n, (0, 0, 0))
+    r2[0, 0, 0] = 1.0  # the self cell, weighted below
+    kernel = grid.cell_volume * r2 ** (0.5 * (alpha - 3.0))
+    # volume-equivalent ball radius of one cell; integral of r^(alpha-3) over B_a
     a = (3.0 / (4.0 * np.pi)) ** (1.0 / 3.0) * grid.h
-    self_weight = 4.0 * np.pi * a**alpha / alpha  # integral of r^(alpha-3) over B_a
-
-    tiny = 0.5 * grid.h * 1e-6
-
-    def per_target(d, r2):
-        r = np.sqrt(r2)
-        with np.errstate(divide="ignore"):
-            k = np.where(r > tiny, r ** (alpha - 3.0), 0.0)
-        vals = np.sum(k * fv[None, :], axis=1) * vol
-        # analytic self-cell for targets coinciding with a source cell
-        hit = np.argmin(r, axis=1)
-        coincident = r[np.arange(len(r)), hit] < tiny
-        vals[coincident] += self_weight * fv[hit[coincident]]
-        return vals
-
-    out = np.zeros((grid.n,) * 3)
-    out[target_mask] = _pair_sum(grid, tgt, src, per_target)
+    kernel[0, 0, 0] = 4.0 * np.pi * a**alpha / alpha
+    out = grid.irfftn(grid.rfftn(np.where(mask, f, 0.0)) * grid.rfftn(kernel))
+    out[~target_mask] = 0.0
     return out
 
 

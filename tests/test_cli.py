@@ -3,6 +3,9 @@ trips, and byte-identical rerun determinism."""
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +63,20 @@ def traj_dir(workdir):
 # ---------------------------------------------------------------------------
 # configuration plumbing
 # ---------------------------------------------------------------------------
+
+def test_package_and_cli_import_without_scipy():
+    """The package never imports scipy: importing scipy.fft alone raised the
+    setup time of a 64^3 solve from about 0.2 s to 0.5 s.  Checked in a
+    fresh interpreter, since the tests themselves import scipy."""
+    code = ("import sys, cnsflow, cnsflow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
+
 
 def test_parse_config_comments_and_namespaces(tmp_path):
     p = tmp_path / "c.cfg"
@@ -306,6 +323,21 @@ def test_dimension_synthetic_flags(tmp_path):
     _, rows = read_csv(out)
     slope = [float(r[2]) for r in rows if r[0] == "slope"][0]
     assert abs(slope - 1.0) < 0.2
+
+
+@pytest.mark.parametrize("scales", ["3..5", "2^-3..5", "-3..-5"])
+def test_dimension_rejects_bare_exponent_range(tmp_path, capsys, scales):
+    """3..5 once ran at scales 32, 16, 8 (2^k for a bare k), while the help
+    text reads as 2^-3..2^-5: a bare exponent is a config error, and
+    nothing is written."""
+    flags = tmp_path / "flags.csv"
+    flags.write_text(FLAG_HEADER + "0.0,0.1,0.2,0.3,0.1,1.0,0.5,0.5,2.0\n")
+    out = tmp_path / "dim.csv"
+    capsys.readouterr()
+    assert main(["dimension", "--flags", str(flags), f"--scales={scales}",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "2^-a..2^-b" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

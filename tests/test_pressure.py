@@ -189,25 +189,55 @@ def test_riesz_uniform_ball_closed_form():
     assert abs(got - exact) / exact < 0.01
 
 
-def test_riesz_matches_direct_sum_with_self_cell():
+RIESZ_MASKS = {
+    "ball": lambda g: ball_mask(g, (0.5, 0.5, 0.5), 0.2),
+    "random": lambda g: np.random.default_rng(5).random((g.n,) * 3) < 0.05,
+}
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.5, 2.9])
+@pytest.mark.parametrize("support", sorted(RIESZ_MASKS))
+def test_riesz_matches_direct_sum_with_self_cell(support, alpha):
     """Against the direct periodic sum over the support, skipping the
-    coincident cell and adding its closed-form ball integral."""
+    coincident cell and adding its closed-form ball integral; every cell is
+    a target, on the support and off it."""
     g = Grid(16, 1.0)
-    mask = ball_mask(g, (0.5, 0.5, 0.5), 0.2)
+    mask = RIESZ_MASKS[support](g)
     f = np.random.default_rng(8).normal(size=(16,) * 3)
-    alpha = 1.5
-    got = riesz_potential(g, f, alpha, mask)[mask]
+    everywhere = np.ones((16,) * 3, dtype=bool)
+    got = riesz_potential(g, f, alpha, mask, target_mask=everywhere)[everywhere]
     xs, ys, zs = np.broadcast_arrays(*g.coords())
-    pts = np.stack([xs[mask], ys[mask], zs[mask]], axis=1)
+    src = np.stack([xs[mask], ys[mask], zs[mask]], axis=1)
+    tgt = np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=1)
     fv = f[mask]
-    d = pts[:, None, :] - pts[None, :, :]
+    d = tgt[:, None, :] - src[None, :, :]
     d -= np.round(d)  # unit box
     r = np.sqrt(np.sum(d * d, axis=2))
     with np.errstate(divide="ignore"):
         kernel = np.where(r > 0, r ** (alpha - 3.0), 0.0)
     a = (3.0 / (4.0 * np.pi)) ** (1.0 / 3.0) * g.h
-    ref = kernel @ fv * g.cell_volume + 4.0 * np.pi * a**alpha / alpha * fv
+    self_cell = np.where(mask.ravel(), 4.0 * np.pi * a**alpha / alpha * f.ravel(), 0.0)
+    ref = kernel @ fv * g.cell_volume + self_cell
     assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def test_riesz_support_above_the_old_cell_cap():
+    """Supports of any size: B_0.24 on a 128^3 unit box (121 409 cells, over
+    the 40^3 cap the pair sum had) gives I_2 = 2 pi R^2 at the centre, and
+    f = 1 on the whole 48^3 box gives the same value at every cell."""
+    g = Grid(128, 1.0)
+    R = 0.24
+    mask = ball_mask(g, (0.5, 0.5, 0.5), R)
+    assert int(mask.sum()) == 121409
+    center = np.zeros((128,) * 3, dtype=bool)
+    center[64, 64, 64] = True
+    got = riesz_potential(g, mask.astype(float), 2.0, mask, target_mask=center)
+    assert abs(got[64, 64, 64] - 2.0 * np.pi * R**2) < 0.01 * 2.0 * np.pi * R**2
+    g = Grid(48, 1.0)
+    full = np.ones((48,) * 3, dtype=bool)
+    for alpha in (0.3, 1.5, 2.9):
+        out = riesz_potential(g, np.ones((48,) * 3), alpha, full)
+        assert np.ptp(out) <= 1e-12 * np.max(out)
 
 
 def test_riesz_memory_does_not_grow_with_cell_pairs():
