@@ -2,7 +2,8 @@
 orchestration, CSV emission, and deterministic manifests.
 
 Configuration files are flat ``key = value`` text with dotted namespaces
-(``grid.n = 32``); ``#`` starts a comment.  All tabular outputs are CSV
+(``grid.n = 32``); ``#`` starts a comment, and a key no command reads
+(``CONFIG_KEYS``) is an error.  All tabular outputs are CSV
 with a stable header and deterministic float formatting, so a rerun with
 an identical manifest produces byte-identical files.
 """
@@ -97,6 +98,29 @@ def parse_config(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         cfg[key.strip()] = value.strip()
+    return cfg
+
+
+#: every key a command reads from a config file
+CONFIG_KEYS = frozenset((
+    "grid.n", "grid.l",
+    "sim.dt", "sim.t_end", "sim.output_stride", "sim.seed", "sim.order",
+    "phys.theta0", "phys.chi", "phys.gravity", "phys.c0_max",
+    "init.preset", "init.amplitude", "init.width", "init.c0", "init.modes",
+    "init.n_mean", "init.path",
+    "reg.delta0", "reg.eps1", "reg.theta0", "reg.c1", "reg.working_threshold",
+    "pipeline.flag_stride", "pipeline.radii",
+))
+
+
+def read_config(path) -> dict:
+    """``parse_config`` for a command: a key outside ``CONFIG_KEYS``, such
+    as a misspelt one, is a ConfigError rather than a silent default."""
+    cfg = parse_config(path)
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    if unknown:
+        names = ", ".join(map(repr, unknown))
+        raise ConfigError(f"{path}: unknown config key(s) {names}")
     return cfg
 
 
@@ -277,7 +301,7 @@ def _read_centers(path) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
-    cfg = parse_config(args.config)
+    cfg = read_config(args.config)
     sim, params = build_sim_config(cfg)
     out = Path(args.out)
     t0 = time.perf_counter()
@@ -308,7 +332,7 @@ def cmd_diagnose_pressure(args) -> int:
     rho = float(args.rho)
     params = PhysParams()  # a lone snapshot records no physics
     if args.config:
-        _, params = build_sim_config(parse_config(args.config))
+        _, params = build_sim_config(read_config(args.config))
     dec = decompose_local(state, center, rho, params=params)
     res = harmonic_residual(dec)
     edges = np.linspace(0.0, rho, 17)
@@ -376,7 +400,7 @@ def cmd_flag(args) -> int:
     radii = _float_list(args.radii)
     if not radii:
         raise ConfigError("empty --radii")
-    reg = build_reg_config(parse_config(args.config)) if args.config \
+    reg = build_reg_config(read_config(args.config)) if args.config \
         else RegularityConfig()
     centers = _candidate_centers(traj, int(args.grid_stride))
     flags = flag_sweep(traj, centers, radii, reg, criterion=args.criterion)
@@ -420,7 +444,7 @@ def cmd_dimension(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    cfg = parse_config(args.config)
+    cfg = read_config(args.config)
     sim, params = build_sim_config(cfg)
     reg = build_reg_config(cfg)
     # parsed before the run, so a malformed value is a config error

@@ -388,10 +388,6 @@ class LEIReport:
         )
 
 
-def _interp_arrays(a, b, lam):
-    return a + lam * (b - a)
-
-
 def lei_residual(traj: Trajectory, tf: TestFunction, t: float,
                  center_x, omega_radius: float) -> LEIReport:
     """All terms of the local energy inequality for the test function tf
@@ -403,9 +399,10 @@ def lei_residual(traj: Trajectory, tf: TestFunction, t: float,
     rule of the cylinder quadrature (CylinderRangeError outside the
     recorded span), with the midpoint rule on the analytic psi factor and
     linear interpolation of the fields between snapshots; final-time ball
-    integrals use the snapshot nearest to t.  Returns the named terms and
-    the residual rhs_total - lhs_total (nonnegative when the inequality
-    holds).
+    integrals use the snapshot nearest to t.  Integrands are formed on
+    Omega's cells only, from psi's spectral derivatives taken on the full
+    grid.  Returns the named terms and the residual rhs_total - lhs_total
+    (nonnegative when the inequality holds).
     """
     if tf.support_radius > omega_radius:
         raise ValueError("test-function support exceeds the integration ball")
@@ -413,8 +410,9 @@ def lei_residual(traj: Trajectory, tf: TestFunction, t: float,
     params = traj.params
     theta0 = params.theta0
     c0max = traj.initial_norms.c0_max
+    kin = (18.0 / theta0) * c0max  # the weight of the kinetic terms
     vol = grid.cell_volume
-    mask = ball_mask(grid, center_x, omega_radius)
+    cells = np.flatnonzero(ball_mask(grid, center_x, omega_radius))
     rho = np.sqrt(grid.min_image_distance_sq(center_x))
     times = traj.times
     overlaps = _window_overlaps(times, t - tf.support_time, t)[0]
@@ -422,19 +420,23 @@ def lei_residual(traj: Trajectory, tf: TestFunction, t: float,
     lhs = {name: 0.0 for name in LHS_TERM_NAMES}
     rhs = {name: 0.0 for name in RHS_TERM_NAMES}
 
+    def om(a):
+        # a's values on Omega's cells, in the order of a[..., mask]
+        return np.take(a.reshape(a.shape[:-3] + (-1,)), cells, axis=-1)
+
     def ball_sum(arr):
-        return float(np.sum(arr[mask]) * vol)
+        return float(np.sum(arr) * vol)
+
+    rho_om = om(rho)
 
     # final-time terms at the snapshot nearest to t
     sf = traj.state_at(t)
-    psi_f = tf.value_rt(rho, sf.time - t)
-    lhs["entropy_final"] = ball_sum(sf.derived("n_ln_n") * psi_f)
+    psi_f = tf.value_rt(rho_om, sf.time - t)
+    lhs["entropy_final"] = ball_sum(om(sf.derived("n_ln_n")) * psi_f)
     lhs["grad_sqrt_c_final"] = (2.0 / theta0) * ball_sum(
-        np.sum(sf.derived("grad_sqrt_c") ** 2, axis=0) * psi_f
+        np.sum(om(sf.derived("grad_sqrt_c")) ** 2, axis=0) * psi_f
     )
-    lhs["kinetic_final"] = (18.0 / theta0) * c0max * ball_sum(
-        np.sum(sf.u**2, axis=0) * psi_f
-    )
+    lhs["kinetic_final"] = kin * ball_sum(np.sum(om(sf.u) ** 2, axis=0) * psi_f)
 
     # time-integrated terms: midpoint in psi, linear in the fields
     for i, a, b in overlaps:
@@ -449,16 +451,20 @@ def lei_residual(traj: Trajectory, tf: TestFunction, t: float,
         # array, so discrete integration by parts is exact (the cell sum
         # of Delta psi and of u . grad psi against constants vanishes);
         # the time derivative is analytic
-        gpsi = gradient(grid, psi)
-        hres = tf.dt_rt(rho, tm - t) + laplacian(grid, psi)
+        gpsi = om(gradient(grid, psi))
+        hres = tf.dt_rt(rho_om, tm - t) + om(laplacian(grid, psi))
+        psi = om(psi)
 
         def mid(name):
-            return _interp_arrays(s0.derived(name), s1.derived(name), lam)
+            # a base or derived field on Omega's cells, linear in time
+            f0, f1 = (om(getattr(s, name) if name in ("n", "c", "u", "p")
+                         else s.derived(name)) for s in (s0, s1))
+            return f0 + lam * (f1 - f0)
 
-        u = _interp_arrays(s0.u, s1.u, lam)
-        n = np.maximum(_interp_arrays(s0.n, s1.n, lam), 0.0)
-        c = np.clip(_interp_arrays(s0.c, s1.c, lam), 0.0, None)
-        p = _interp_arrays(s0.p, s1.p, lam)
+        u = mid("u")
+        n = np.maximum(mid("n"), 0.0)
+        c = np.clip(mid("c"), 0.0, None)
+        p = mid("p")
         nln = mid("n_ln_n")
         gsc_sq = np.sum(mid("grad_sqrt_c") ** 2, axis=0)
         u_gpsi = np.sum(u * gpsi, axis=0)
@@ -470,9 +476,7 @@ def lei_residual(traj: Trajectory, tf: TestFunction, t: float,
         lhs["lap_sqrt_c"] += (4.0 / (3.0 * theta0)) * w * ball_sum(
             mid("lap_sqrt_c") ** 2 * psi
         )
-        lhs["grad_u"] += (18.0 / theta0) * c0max * w * ball_sum(
-            mid("grad_u_sq") * psi
-        )
+        lhs["grad_u"] += kin * w * ball_sum(mid("grad_u_sq") * psi)
         lhs["entropy_quartic"] += (2.0 / (3.0 * theta0)) * w * ball_sum(
             gsc_sq**2 / (c + EPS_FLOOR) * psi
         )
@@ -484,13 +488,10 @@ def lei_residual(traj: Trajectory, tf: TestFunction, t: float,
         rhs["grad_sqrt_c_heat"] += (2.0 / theta0) * w * ball_sum(gsc_sq * hres)
         rhs["grad_sqrt_c_advect"] += (2.0 / theta0) * w * ball_sum(gsc_sq * u_gpsi)
         u_sq = np.sum(u**2, axis=0)
-        rhs["kinetic_heat"] += (18.0 / theta0) * c0max * w * ball_sum(u_sq * hres)
-        rhs["kinetic_advect"] += (18.0 / theta0) * c0max * w * ball_sum(
-            u_sq * u_gpsi
-        )
-        p_bar = float(np.mean(p[mask]))
+        rhs["kinetic_heat"] += kin * w * ball_sum(u_sq * hres)
+        rhs["kinetic_advect"] += kin * w * ball_sum(u_sq * u_gpsi)
         rhs["pressure_advect"] += (36.0 / theta0) * c0max * w * ball_sum(
-            (p - p_bar) * u_gpsi
+            (p - np.mean(p)) * u_gpsi
         )
         # grad_phi = (0, 0, -gravity)
         rhs["buoyancy"] += -(36.0 / theta0) * c0max * w * ball_sum(

@@ -187,8 +187,9 @@ def _greedy_count(points: np.ndarray, r: float,
     parabolic distance r of a centre lies in a neighbouring cell.  The
     relative margin and an allowance of a few ulps of the largest coordinate
     (or box length) keep that true after rounding, and bound the cell
-    indices by 2^48.  In a periodic box s = L / cells and spatial indices
-    wrap mod cells; a box fewer than 3 cells wide falls back to the scan.
+    indices by 2^48.  In a periodic box s = L / cells with cells =
+    max(1, floor(L / s)), and spatial indices wrap mod cells; in a box 1
+    or 2 cells wide every cell neighbours every other and is visited once.
     The distances and the ``dist > r`` rule are the scan's, so the counts
     are equal.
     """
@@ -196,9 +197,7 @@ def _greedy_count(points: np.ndarray, r: float,
     side = np.array([r, r, r, r * r]) * (1.0 + 1e-6) + 16 * np.finfo(float).eps * reach
     wrap = [None] * 4
     if box_length is not None:
-        cells = math.floor(box_length / side[0])
-        if cells < 3:
-            return _greedy_scan(points, r, box_length)
+        cells = max(1, math.floor(box_length / side[0]))
         side[:3] = box_length / cells
         wrap[:3] = [cells] * 3
     keys = np.floor(points / side).astype(np.int64)
@@ -211,7 +210,7 @@ def _greedy_count(points: np.ndarray, r: float,
     table = {tuple(k): order[a:b] for k, (a, b) in zip(sorted_keys[starts].tolist(), bounds)}
 
     def around(k, n):
-        return (k - 1, k, k + 1) if n is None else ((k - 1) % n, k, (k + 1) % n)
+        return (k - 1, k, k + 1) if n is None else {(k - 1) % n, k, (k + 1) % n}
 
     xs, ts = points[:, :3], points[:, 3]
     alive = np.ones(len(points), dtype=bool)

@@ -243,11 +243,14 @@ def _band_limited(rng, grid: Grid, modes: int) -> np.ndarray:
     ab = rng.normal(size=(len(kx), 2)) / (1.0 + kx * kx + ky * ky + kz * kz)[:, None]
     coeff = 0.5 * (ab[:, 0] - 1j * ab[:, 1])
     n = grid.n
-    full = np.zeros((n, n, n), dtype=complex)
-    # add.at: with 2 modes + 1 > N, aliased modes share a grid wavenumber
-    np.add.at(full, (kx % n, ky % n, kz % n), coeff)
-    np.add.at(full, (-kx % n, -ky % n, -kz % n), np.conj(coeff))
-    out = n**3 * grid.irfftn(full[..., : n // 2 + 1])
+    half = np.zeros((n, n, n // 2 + 1), dtype=complex)
+    # add.at, in the draw order: with 2 modes + 1 > N, aliased modes share
+    # a grid wavenumber; only columns kz mod N <= N/2 are kept
+    for sign, value in ((1, coeff), (-1, np.conj(coeff))):
+        idx = (sign * kx % n, sign * ky % n, sign * kz % n)
+        kept = idx[2] <= n // 2
+        np.add.at(half, tuple(k[kept] for k in idx), value[kept])
+    out = n**3 * grid.irfftn(half)
     return out / max(1.0, float(np.max(np.abs(out))))
 
 

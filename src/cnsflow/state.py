@@ -23,6 +23,10 @@ from .grid_fields import (
 EPS_FLOOR = 1e-14
 
 
+def _floored_sqrt(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.maximum(a, 0.0) + EPS_FLOOR)
+
+
 def guarded_log(n: np.ndarray, w: float) -> np.ndarray:
     """log(w n) where n > 0 and 0 elsewhere, so n log(w n) is 0 at n = 0."""
     with np.errstate(divide="ignore"):
@@ -32,9 +36,10 @@ def guarded_log(n: np.ndarray, w: float) -> np.ndarray:
 class State:
     """One snapshot (n, c, u, P) at a fixed time.
 
-    Derived fields (square roots, gradients, Hessians, entropy densities)
-    are computed spectrally on demand and cached; states are treated as
-    immutable after construction.
+    ``derived(name)`` computes a field that some functional integrates
+    (square roots, gradients, Hessians, entropy densities) spectrally on
+    first use and caches it; intermediates such as the floored square
+    roots are not kept.  States are immutable after construction.
     """
 
     def __init__(self, grid: Grid, n, c, u, p, time: float):
@@ -72,23 +77,17 @@ class State:
             return out
         if name == "sqrt_n":
             return np.sqrt(np.maximum(self.n, 0.0))
-        if name == "sqrt_n_floored":
-            return np.sqrt(np.maximum(self.n, 0.0) + EPS_FLOOR)
-        if name == "grad_sqrt_n":
-            return gradient(g, self.derived("sqrt_n_floored"))
         if name == "grad_sqrt_n_sq":
-            return np.sum(self.derived("grad_sqrt_n") ** 2, axis=0)
-        if name == "sqrt_c_floored":
-            return np.sqrt(np.maximum(self.c, 0.0) + EPS_FLOOR)
+            return np.sum(gradient(g, _floored_sqrt(self.n)) ** 2, axis=0)
         if name == "grad_sqrt_c":
-            return gradient(g, self.derived("sqrt_c_floored"))
+            return gradient(g, _floored_sqrt(self.c))
         if name == "abs_grad_sqrt_c":
             return np.sqrt(np.sum(self.derived("grad_sqrt_c") ** 2, axis=0))
         if name == "hess_sqrt_c_sq":
-            hess = hessian_components(g, self.derived("sqrt_c_floored"))
+            hess = hessian_components(g, _floored_sqrt(self.c))
             return sum(hess[(i, j)] ** 2 for i in range(3) for j in range(3))
         if name == "lap_sqrt_c":
-            return laplacian(g, self.derived("sqrt_c_floored"))
+            return laplacian(g, _floored_sqrt(self.c))
         if name == "grad_c":
             return gradient(g, self.c)
         if name == "grad_sqrt_n1_sq":

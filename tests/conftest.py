@@ -1,5 +1,7 @@
 """Shared fixtures: small solver runs reused across test modules."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -22,9 +24,23 @@ settings.load_profile("cnsflow")
 
 
 def pytest_collection_modifyitems(items):
-    # the demos run in child processes of up to ~2.5 GB; run them first,
-    # before the session fixtures below fill this process's memory
+    # the demos run in child processes of up to ~2.6 GB (demo 04); run them
+    # first, before the session fixtures below fill this process's memory
     items.sort(key=lambda item: "test_demos.py" not in item.nodeid)
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Peak resident memory of this process and of its largest child."""
+    try:
+        import resource
+    except ImportError:  # not on this platform
+        return
+    # ru_maxrss is in kB on Linux and in bytes on macOS
+    unit = 1e6 if sys.platform == "darwin" else 1e3
+    peaks = [resource.getrusage(who).ru_maxrss / unit
+             for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+    terminalreporter.write_line(
+        "peak RSS: pytest process {:.0f} MB, largest child {:.0f} MB".format(*peaks))
 
 
 @pytest.fixture(scope="session")

@@ -119,6 +119,34 @@ def test_bad_run_parameter_exits_2_before_any_snapshot(tmp_path, capsys, key, va
     assert not list(out.glob("snap_*.cns"))
 
 
+@pytest.mark.parametrize("line", ["sim.output_strid = 2", "init.mdoes = 3"])
+def test_misspelt_config_key_exits_2_before_any_snapshot(tmp_path, capsys, line):
+    p = tmp_path / "typo.cfg"
+    p.write_text(CONFIG_TEXT + line + "\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == EXIT_CONFIG
+    assert line.split(" =")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_misspelt_config_key_fails_pipeline_and_flag(traj_dir, tmp_path, capsys):
+    """A misspelt key fails every command that reads a config; a full run
+    config, whose keys the flag command does not all read, still works."""
+    p = tmp_path / "typo.cfg"
+    p.write_text(CONFIG_TEXT + "reg.working_treshold = 5\n")
+    out = tmp_path / "o"
+    assert main(["pipeline", "--config", str(p), "--out", str(out)]) == EXIT_CONFIG
+    assert "reg.working_treshold" in capsys.readouterr().err
+    assert not out.exists()
+    flag = ["flag", "--traj", str(traj_dir), "--radii", "0.05", "--grid-stride", "8",
+            "--out", str(tmp_path / "f.csv"), "--config"]
+    assert main(flag + [str(p)]) == EXIT_CONFIG
+    assert not (tmp_path / "f.csv").exists()
+    full = tmp_path / "run.cfg"
+    full.write_text(CONFIG_TEXT + "sim.order = 1\npipeline.flag_stride = 4\n")
+    assert main(flag + [str(full)]) == EXIT_OK
+
+
 def test_malformed_pipeline_key_exits_2(tmp_path, capsys):
     p = tmp_path / "bad.cfg"
     p.write_text(CONFIG_TEXT + "pipeline.flag_stride = abc\n")

@@ -251,22 +251,22 @@ def test_out_of_box_coordinates_match_pairwise_oracle():
             == _oracle_counts(pts, scales, box_length)
 
 
-def test_narrow_box_falls_back_to_scan(monkeypatch):
-    # L / r = 2.5: fewer than 3 cells across, so no cell list
-    calls, scan = [], hausdorff._greedy_scan
-
-    def spy(points, r, box_length=None):
-        calls.append(r)
-        return scan(points, r, box_length)
-
-    monkeypatch.setattr(hausdorff, "_greedy_scan", spy)
+def test_narrow_box_matches_scan():
+    # L / r from 2.5 down to 2/3: a box 1 or 2 cells wide, where each cell
+    # is every cell's neighbour and must be visited once
     rng = np.random.default_rng(14)
-    L, scales = 1.0, [0.4, 0.2, 0.1]
+    L, scales = 1.0, [0.4, 0.5, 1.0, 1.5]
     pts = np.column_stack([rng.uniform(0.0, L, (300, 3)),
                            rng.uniform(-0.2, 0.0, 300)])
     assert dimension_estimate(pts, scales, box_length=L).counts \
         == _oracle_counts(pts, scales, L)
-    assert calls == [0.4]
+    for seed in range(40):
+        rng = np.random.default_rng([14, seed])
+        pts = np.column_stack([rng.uniform(-0.5 * L, 1.5 * L, (60, 3)),
+                               rng.uniform(-0.5, 0.0, 60)])
+        for r in rng.uniform(0.34, 3.0, 3) * L:
+            assert hausdorff._greedy_count(pts, r, L) \
+                == hausdorff._greedy_scan(pts, r, L)
 
 
 def test_exact_distance_ties_match_pairwise_oracle():

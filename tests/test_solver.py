@@ -187,6 +187,28 @@ def test_band_limited_matches_direct_mode_sum():
     assert np.max(np.abs(got - ref)) < 1e-13
 
 
+@pytest.mark.parametrize("n, modes", [(8, 2), (8, 5), (16, 2), (32, 4)])
+def test_band_limited_half_spectrum_is_bitwise_the_full_one(n, modes):
+    """Accumulating only the kept half of the spectrum gives the bits of
+    the full (N, N, N) construction it replaced; (8, 5) aliases modes."""
+    g = Grid(n, 1.0)
+    got = _band_limited(np.random.default_rng(5), g, modes)
+
+    rng = np.random.default_rng(5)
+    m = np.arange(-modes, modes + 1)
+    kx, ky, kz = (a.ravel() for a in np.meshgrid(m, m, m, indexing="ij"))
+    keep = (kx != 0) | (ky != 0) | (kz != 0)
+    kx, ky, kz = kx[keep], ky[keep], kz[keep]
+    ab = rng.normal(size=(len(kx), 2)) / (1.0 + kx * kx + ky * ky + kz * kz)[:, None]
+    coeff = 0.5 * (ab[:, 0] - 1j * ab[:, 1])
+    full = np.zeros((n, n, n), dtype=complex)
+    np.add.at(full, (kx % n, ky % n, kz % n), coeff)
+    np.add.at(full, (-kx % n, -ky % n, -kz % n), np.conj(coeff))
+    ref = n**3 * g.irfftn(full[..., : n // 2 + 1])
+    ref = ref / max(1.0, float(np.max(np.abs(ref))))
+    assert np.array_equal(got, ref)
+
+
 def test_kept_states_carry_their_pressure():
     cfg = SimulationConfig(
         grid_n=16, grid_l=1.0, dt=2e-4, t_end=0.003, output_stride=4, seed=5,

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from cnsflow import Grid, InitialNorms, State, Trajectory, rescale_state
-from cnsflow.grid_fields import RescaleError
+from cnsflow.grid_fields import (
+    INTEGRAND_NAMES,
+    RescaleError,
+    gradient,
+    hessian_components,
+    laplacian,
+)
+from cnsflow.state import EPS_FLOOR
 
 
 def _state(N=16, L=1.0, n=None, c=None, u=None, t=0.0):
@@ -37,6 +44,47 @@ def test_constant_concentration_has_no_gradients():
     assert np.max(np.abs(s.derived("grad_sqrt_c"))) < 1e-12
     assert np.max(np.abs(s.derived("hess_sqrt_c_sq"))) < 1e-12
     assert np.max(s.derived("entropy_quartic")) < 1e-12
+
+
+def _seeded_state(N=8):
+    """Rough seeded fields, with negative n and c cells to floor."""
+    rng = np.random.default_rng(17)
+    shape = (N,) * 3
+    return State(Grid(N, 1.0), rng.normal(1.0, 0.6, shape),
+                 rng.uniform(-0.1, 1.0, shape), rng.normal(size=(3,) + shape),
+                 rng.normal(size=shape), 0.0)
+
+
+def test_floored_intermediates_are_not_derived_fields():
+    s = _seeded_state()
+    for name in ("sqrt_n_floored", "sqrt_c_floored", "grad_sqrt_n"):
+        with pytest.raises(KeyError):
+            s.derived(name)
+
+
+@pytest.mark.parametrize("name", INTEGRAND_NAMES + (
+    "grad_sqrt_c", "grad_c", "lap_sqrt_c", "n_ln_n", "grad_sqrt_n1_sq"))
+def test_derived_fields_are_finite_with_their_shape(name):
+    s = _seeded_state()
+    a = s.derived(name)
+    vector = name in ("grad_sqrt_c", "grad_c")
+    assert a.shape == ((3,) if vector else ()) + (8, 8, 8)
+    assert np.all(np.isfinite(a))
+
+
+def test_floored_root_derivatives_are_bitwise_their_operators():
+    s = _seeded_state()
+    g = s.grid
+    root_n, root_c = (np.sqrt(np.maximum(a, 0.0) + EPS_FLOOR) for a in (s.n, s.c))
+    hess = hessian_components(g, root_c)
+    expected = {
+        "grad_sqrt_n_sq": np.sum(gradient(g, root_n) ** 2, axis=0),
+        "grad_sqrt_c": gradient(g, root_c),
+        "hess_sqrt_c_sq": sum(hess[(i, j)] ** 2 for i in range(3) for j in range(3)),
+        "lap_sqrt_c": laplacian(g, root_c),
+    }
+    for name, ref in expected.items():
+        assert np.array_equal(s.derived(name), ref), name
 
 
 def test_velocity_magnitude():
