@@ -142,6 +142,15 @@ def _float_list(text: str) -> tuple:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
+def _center(text: str) -> tuple:
+    """A ``--center`` value: exactly three comma-separated coordinates."""
+    center = _float_list(text)
+    if len(center) != 3:
+        raise ConfigError(
+            f"--center needs exactly three comma-separated values, got {text!r}")
+    return center
+
+
 def build_sim_config(cfg: dict) -> tuple:
     """Assemble the simulation config and physical parameters."""
     init = {"preset": config_get(cfg, "init.preset", str, "zero")}
@@ -326,9 +335,7 @@ def cmd_diagnose_quantities(args) -> int:
 
 def cmd_diagnose_pressure(args) -> int:
     state = read_snapshot(args.snapshot)
-    center = _float_list(args.center)
-    if len(center) != 3:
-        raise ConfigError("--center needs exactly three comma-separated values")
+    center = _center(args.center)
     rho = float(args.rho)
     params = PhysParams()  # a lone snapshot records no physics
     if args.config:
@@ -353,30 +360,41 @@ def cmd_diagnose_pressure(args) -> int:
     return EXIT_OK
 
 
+#: the options each kind of ``--psi`` test function takes
+_PSI_OPTIONS = {"heat": ("k", "scale"), "bump": ("r", "span")}
+
+
 def _parse_psi(spec: str, box_length: float):
-    """Test-function spec: heat:k=3[,scale=S] or bump:r=R,span=T."""
+    """Test-function spec: heat:k=3[,scale=S] or bump:r=R,span=T.  Any
+    other option, or a level k that is not an integer, is a ConfigError."""
     kind, _, rest = spec.partition(":")
+    if kind not in _PSI_OPTIONS:
+        raise ConfigError(f"unknown test-function spec {spec!r}")
     opts = {}
     for tok in rest.split(","):
         if tok:
             k, _, v = tok.partition("=")
-            opts[k.strip()] = float(v)
+            k = k.strip()
+            if k not in _PSI_OPTIONS[kind]:
+                raise ConfigError(f"--psi {kind} has no option {k!r}; "
+                                  f"it takes {' and '.join(_PSI_OPTIONS[kind])}")
+            opts[k] = float(v)
     if kind == "heat":
-        level = int(opts.get("k", 3))
+        level = opts.get("k", 3.0)
+        if not level.is_integer():
+            raise ConfigError(f"--psi heat: k must be an integer, got {level!r}")
         scale = opts.get("scale", box_length)
-        return heat_test_function(level, scale=scale)
-    if kind == "bump":
-        radius = opts.get("r", box_length / 8.0)
-        span = opts.get("span", (box_length / 8.0) ** 2)
-        return smooth_bump(radius, span)
-    raise ConfigError(f"unknown test-function spec {spec!r}")
+        return heat_test_function(int(level), scale=scale)
+    radius = opts.get("r", box_length / 8.0)
+    span = opts.get("span", (box_length / 8.0) ** 2)
+    return smooth_bump(radius, span)
 
 
 def cmd_verify_lei(args) -> int:
     traj = read_trajectory(args.traj)
     L = traj.grid.box_length
     tf = _parse_psi(args.psi, L)
-    center = _float_list(args.center) if args.center else (L / 2,) * 3
+    center = _center(args.center) if args.center else (L / 2,) * 3
     omega = float(args.omega) if args.omega else L / 4.0
     t = float(args.t)
     write_csv(args.out, LEI_COLUMNS, [_lei_row(traj, tf, t, center, omega)])

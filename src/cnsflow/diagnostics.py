@@ -15,12 +15,7 @@ from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
-from .grid_fields import (
-    ParabolicCylinder,
-    catalog_fields,
-    cylinder_sup,
-    cylinder_time_integral,
-)
+from .grid_fields import ParabolicCylinder, catalog_fields, cylinder_values
 from .state import Trajectory, guarded_log, rescale_state
 
 #: quantity names whose values are exactly preserved by the rescaling
@@ -80,8 +75,8 @@ def mean_removed(a: np.ndarray, power: float) -> np.ndarray:
 
 
 def compute_quantities(traj: Trajectory, Q: ParabolicCylinder) -> LocalQuantities:
-    """Evaluate every cylinder quantity on Q in two passes over Q: one sup
-    in time (the a_* and m) and one space-time integral (the rest, with
+    """Evaluate every cylinder quantity on Q in one pass over Q: sups in
+    time (the a_* and m) and space-time integrals (the rest, with
     c_u_tilde's ball mean removed snapshot by snapshot).
 
     The pressure integral d uses raw |P|; the mean-removed pressure enters
@@ -90,14 +85,16 @@ def compute_quantities(traj: Trajectory, Q: ParabolicCylinder) -> LocalQuantitie
     r = Q.radius
     inv_r = 1.0 / r
     inv_r2 = inv_r * inv_r
-    sups = cylinder_sup(traj, Q, catalog_fields(
-        ("abs_u", 2.0), ("abs_grad_sqrt_c", 2.0), ("sqrt_n", 2.0), ("abs_n_ln_n", 1.0)))
     catalog = catalog_fields(
         ("grad_u_sq", 1.0), ("hess_sqrt_c_sq", 1.0), ("grad_sqrt_n_sq", 1.0),
         ("abs_u", 3.0), ("sqrt_n", 3.0), ("abs_grad_sqrt_c", 3.0),
         ("abs_p", 1.5), ("abs_n_ln_n", 1.5))
-    ints = cylinder_time_integral(traj, Q, lambda s, cells: [
-        *catalog(s, cells), (mean_removed(s.u[..., cells], 3.0),)])
+    ints, sups = cylinder_values(
+        traj, Q,
+        integrals=lambda s, cells: [*catalog(s, cells),
+                                    (mean_removed(s.u[..., cells], 3.0),)],
+        sups=catalog_fields(("abs_u", 2.0), ("abs_grad_sqrt_c", 2.0),
+                            ("sqrt_n", 2.0), ("abs_n_ln_n", 1.0)))
     a_u, a_gc, a_sn, m = (inv_r * sups).tolist()
     e_u, e_gc, e_sn = (inv_r * ints[:3]).tolist()
     c_u, c_sn, c_gc, d, n_ent, c_ut = (inv_r2 * ints[3:]).tolist()
@@ -156,8 +153,8 @@ def verify_scaling_invariance(traj: Trajectory, rho0: float,
         }
     # weighted density-gradient functional: scales by exactly rho0^delta0
     grad_n = catalog_fields(("grad_sqrt_n_sq", 1.0))
-    (f_orig,) = cylinder_time_integral(traj, Q, grad_n).tolist()
-    (f_resc,) = cylinder_time_integral(scaled, Qs, grad_n).tolist()
+    (f_orig,) = cylinder_values(traj, Q, grad_n)[0].tolist()
+    (f_resc,) = cylinder_values(scaled, Qs, grad_n)[0].tolist()
     f_orig *= Q.radius ** (-1.0 - delta0)
     f_resc *= Qs.radius ** (-1.0 - delta0)
     report["weighted_grad_sqrt_n"] = {
@@ -199,5 +196,5 @@ def log_split(traj: Trajectory, rho0: float, Q: ParabolicCylinder) -> LogSplit:
         val = np.abs(n * guarded_log(n, rho0**2)) ** 1.5
         return [(val[sel],) for sel in (n < lo, (n >= lo) & (n <= hi), n > hi)]
 
-    m1, m2, m3 = (rho0 ** (-2.0) * cylinder_time_integral(traj, Q, bands)).tolist()
+    m1, m2, m3 = (rho0 ** (-2.0) * cylinder_values(traj, Q, bands)[0]).tolist()
     return LogSplit(rho0=rho0, m1=m1, m2=m2, m3=m3)

@@ -7,13 +7,13 @@ function of (grid, array) that returns an array.  Derivatives are
 Fourier multipliers, so they are exact for band-limited data.
 Space-time integrals over parabolic cylinders use a binary ball mask
 (minimum-image distance) in space and the trapezoid rule on the
-piecewise-linear-in-time interpolant of the spatial integral.  Three
-primitives, ``cylinder_time_integral`` and ``cylinder_sup`` at one centre
-and ``cylinder_maps`` at every grid point at once, are the only code that
-decides which cells and snapshots make up a cylinder; each builds the
-mask and the window once for any number of integrands, and all three
-take their integrands in one form, a pointwise ``fields(state, cells)``
-(see ``catalog_fields``).  Their time window, and the local energy
+piecewise-linear-in-time interpolant of the spatial integral.  Two
+primitives, ``cylinder_values`` at one centre and ``cylinder_maps`` at
+every grid point at once, are the only code that decides which cells and
+snapshots make up a cylinder.  Both build the mask and the window once
+for any number of integrands, take their integrands in one form, a
+pointwise ``fields(state, cells)`` (see ``catalog_fields``), and return
+one shape, (integrals, sups).  Their time window, and the local energy
 inequality's, follow one rule, ``_window_overlaps``.
 """
 
@@ -305,7 +305,10 @@ def ball_mask(grid: Grid, x0: Sequence[float], radius: float) -> np.ndarray:
     point; other centres use floating minimum-image distances.  Every
     cell set "inside B_r(x0)" in the package comes from here, and this is
     the one check that a ball fits the box (2r <= L/2, else
-    CylinderRangeError)."""
+    CylinderRangeError) and has a centre of three coordinates (else
+    ValueError)."""
+    if np.shape(x0) != (3,):
+        raise ValueError(f"a ball centre needs three coordinates, got {x0!r}")
     if 2.0 * radius > 0.5 * grid.box_length:
         raise CylinderRangeError(
             f"ball radius {radius} exceeds box_length/4 = {grid.box_length / 4}"
@@ -430,19 +433,6 @@ def _snapshot_weights(times: np.ndarray, t_lo: float, t_hi: float) -> dict:
     return weights
 
 
-def cylinder_time_integral(traj, Q: ParabolicCylinder, fields: Callable) -> np.ndarray:
-    """Space-time integral over Q of each integrand of ``fields`` (see
-    ``catalog_fields``), as one array in its order.
-
-    The time rule integrates the piecewise-linear interpolant of each
-    ball integral, so one pass (one mask, one window) serves any number
-    of integrands.
-    """
-    mask, times, t_lo, t_hi = _ball_and_window(traj, Q)
-    return sum(w * _ball_values(traj.states[i], mask, fields)
-               for i, w in _snapshot_weights(times, t_lo, t_hi).items())
-
-
 def _sup_snapshots(times: np.ndarray, t_lo: float, t_hi: float) -> list:
     """Indices of the recorded snapshots in the window (t_lo, t_hi)."""
     eps = _window_overlaps(times, t_lo, t_hi)[1]
@@ -452,18 +442,33 @@ def _sup_snapshots(times: np.ndarray, t_lo: float, t_hi: float) -> list:
     return idx
 
 
-def cylinder_sup(traj, Q: ParabolicCylinder, fields: Callable) -> np.ndarray:
-    """Max over the recorded snapshots in Q's time window of the ball
-    integral of each integrand of ``fields``, as one array in its order."""
+def cylinder_values(traj, Q: ParabolicCylinder, integrals: Callable = None,
+                    sups: Callable = None):
+    """Q's space-time integral of each integrand of ``integrals`` and, of
+    each integrand of ``sups``, the max over the recorded snapshots in Q's
+    time window of its ball integral (see ``catalog_fields``).
+
+    The time rule integrates the piecewise-linear interpolant of each
+    ball integral, so one pass (one mask, one window) serves any number
+    of integrands.  Returns (integrals, sups), each one array in its
+    fields' order, or None where no fields were given: the shape
+    ``cylinder_maps`` returns at every grid point.
+    """
     mask, times, t_lo, t_hi = _ball_and_window(traj, Q)
-    return np.max([_ball_values(traj.states[i], mask, fields)
-                   for i in _sup_snapshots(times, t_lo, t_hi)], axis=0)
+    int_values = sup_values = None
+    if integrals is not None:
+        int_values = sum(w * _ball_values(traj.states[i], mask, integrals)
+                         for i, w in _snapshot_weights(times, t_lo, t_hi).items())
+    if sups is not None:
+        sup_values = np.max([_ball_values(traj.states[i], mask, sups)
+                             for i in _sup_snapshots(times, t_lo, t_hi)], axis=0)
+    return int_values, sup_values
 
 
 def cylinder_maps(traj, t0: float, radius: float, integrals: Callable = None,
                   sups: Callable = None):
-    """Whole-grid maps of ``cylinder_time_integral`` and ``cylinder_sup``
-    over Q_r((x, t0)) at every grid point x at once.
+    """Whole-grid maps of ``cylinder_values`` over Q_r((x, t0)) at every
+    grid point x at once.
 
     ``integrals`` and ``sups`` are ``fields(state, cells)`` (see
     ``catalog_fields``) whose terms are elementwise and whose integrands

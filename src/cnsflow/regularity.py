@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,8 +26,7 @@ from .grid_fields import (
     _spacetime_points,
     catalog_fields,
     cylinder_maps,
-    cylinder_sup,
-    cylinder_time_integral,
+    cylinder_values,
 )
 from .state import Trajectory, guarded_log
 
@@ -141,54 +141,8 @@ class FlagSet:
                     self.value.tolist(), self.margin.tolist())]
 
 
-def _flag_report(value: float, r_star: float, cfg: RegularityConfig,
-                 paper_threshold: float, **detail) -> dict:
-    """The report shape of every criterion: flagged when the value is not
-    certified to lie at or below the working threshold."""
-    thr = cfg.working_threshold
-    return {"value": value, "r_star": r_star, "working_threshold": thr,
-            "paper_threshold": paper_threshold, "flagged": not value <= thr,
-            "margin": value / thr, **detail}
-
-
 #: the dissipation integrands |grad sqrt(n)|^2, |grad u|^2, |hess sqrt(c)|^2
 _DISSIPATION = (("grad_sqrt_n_sq", 1.0), ("grad_u_sq", 1.0), ("hess_sqrt_c_sq", 1.0))
-
-
-def _weighted_gradient(r: float, delta0: float, integrals):
-    """The weighted-gradient functional from the three _DISSIPATION
-    cylinder integrals: a float at one centre, or a whole-grid map."""
-    i_n, i_u, i_c = integrals
-    return r ** (-1.0 - delta0) * i_n + (1.0 / r) * (i_u + i_c)
-
-
-def flag_thm13(traj: Trajectory, z0, radii: Sequence[float],
-               cfg: RegularityConfig) -> dict:
-    """Weighted-gradient smallness check at z0 over the supplied radii.
-
-    The functional is the maximum over radii of the delta0-weighted
-    density-gradient integral r^(-1-delta0) * int_Q |grad sqrt(n)|^2 plus
-    the scale-invariant dissipation integral r^(-1) * int_Q (|grad u|^2 +
-    |hess sqrt(c)|^2), one pass per radius; the point is flagged when it
-    exceeds the working threshold.  The paper threshold comes from the
-    trajectory's physics.
-    """
-    if not radii:
-        raise CylinderRangeError("need at least one radius")
-    x0, t0 = tuple(z0[0]), float(z0[1])
-    per_radius = {}
-    best_r, best_v = None, -np.inf
-    dissipation = catalog_fields(*_DISSIPATION)
-    for r in sorted(radii):
-        ints = cylinder_time_integral(traj, ParabolicCylinder(x0, t0, float(r)),
-                                      dissipation).tolist()
-        val = _weighted_gradient(float(r), cfg.delta0, ints)
-        per_radius[float(r)] = val
-        if val > best_v:
-            best_r, best_v = float(r), val
-    return _flag_report(best_v, best_r, cfg,
-                        thresholds(cfg, traj.params)[_PAPER_THRESHOLD["thm13"]],
-                        per_radius=per_radius)
 
 
 def _sup_bundle(w: float = 1.0):
@@ -220,24 +174,78 @@ def _cubic_bundle(w: float):
     return fields
 
 
-def _thm16_integrands(variant: str, rho0: float):
-    """The (time-integrated, sup-in-time) pointwise fields of a thm16
-    bundle at working radius rho0; variant "ii" has no sup part."""
-    if variant == "i":
-        return catalog_fields(*_DISSIPATION, ("abs_p", 1.5)), _sup_bundle(rho0**2)
-    return _cubic_bundle(rho0**2), None
+def _criterion(criterion: str, radii: Sequence[float], cfg: RegularityConfig,
+               cylinder):
+    """The one definition of each criterion (see ``flag_thm13`` and
+    ``flag_thm16``; thm16 takes rho0 = max(radii)), at one centre or at
+    every grid point at once.
+
+    ``cylinder(r, integrals, sups)`` returns the (integrals, sups) of the
+    cylinder of radius r: ``cylinder_values`` at one centre, whose entries
+    are floats, or ``cylinder_maps`` at one time, whose entries are
+    whole-grid maps.  Returns (value, r_star, detail), scalars or maps
+    alike; detail is thm13's value per radius or a thm16 bundle's parts.
+    """
+    if criterion == "thm13":
+        per_radius = {}
+        best_v = best_r = -np.inf
+        for r in sorted(float(r) for r in radii):
+            i_n, i_u, i_c = cylinder(r, catalog_fields(*_DISSIPATION), None)[0]
+            val = r ** (-1.0 - cfg.delta0) * i_n + (1.0 / r) * (i_u + i_c)
+            per_radius[r] = val
+            better = val > best_v  # ties keep the smaller radius
+            best_v = np.where(better, val, best_v)
+            best_r = np.where(better, r, best_r)
+        return best_v, best_r, per_radius
+    rho0 = float(max(radii))
+    if criterion == "thm16i":
+        (i_n, i_u, i_c, i_p), (sup,) = cylinder(
+            rho0, catalog_fields(*_DISSIPATION, ("abs_p", 1.5)), _sup_bundle(rho0**2))
+        parts = {"sup_part": (1.0 / rho0) * sup,
+                 "dissipation": (1.0 / rho0) * (i_n + i_u + i_c),
+                 "pressure": rho0**-2 * i_p}
+    else:
+        ints = cylinder(rho0, _cubic_bundle(rho0**2), None)[0]
+        parts = dict(zip(("density", "chemo", "velocity", "pressure"),
+                         (rho0**-2 * v for v in ints)))
+    value = sum(parts.values())
+    return value, np.full(np.shape(value), rho0), parts
 
 
-def _thm16_parts(variant: str, rho0: float, integrals, sups) -> dict:
-    """A thm16 bundle's parts from its cylinder integrals and sups: floats
-    at one centre, or whole-grid maps."""
-    if variant == "i":
-        i_n, i_u, i_c, i_p = integrals
-        return {"sup_part": (1.0 / rho0) * sups[0],
-                "dissipation": (1.0 / rho0) * (i_n + i_u + i_c),
-                "pressure": rho0**-2 * i_p}
-    dens, chem, velo, press = (rho0**-2 * v for v in integrals)
-    return {"density": dens, "chemo": chem, "velocity": velo, "pressure": press}
+def _at_centre(traj: Trajectory, x0, t0: float):
+    """``_criterion``'s ``cylinder`` at the one centre (x0, t0)."""
+    return lambda r, integrals, sups: cylinder_values(
+        traj, ParabolicCylinder(x0, t0, r), integrals, sups)
+
+
+def _centre_report(traj: Trajectory, z0, criterion: str, radii, cfg: RegularityConfig,
+                   detail: str) -> dict:
+    """The report shape of every criterion at one centre z0, its detail
+    under the key ``detail``: flagged when the value is not certified to
+    lie at or below the working threshold."""
+    value, r_star, parts = _criterion(criterion, radii, cfg,
+                                      _at_centre(traj, tuple(z0[0]), float(z0[1])))
+    value, thr = float(value), cfg.working_threshold
+    return {"value": value, "r_star": float(r_star), "working_threshold": thr,
+            "paper_threshold": thresholds(cfg, traj.params)[_PAPER_THRESHOLD[criterion]],
+            "flagged": not value <= thr, "margin": value / thr,
+            detail: {k: float(v) for k, v in parts.items()}}
+
+
+def flag_thm13(traj: Trajectory, z0, radii: Sequence[float],
+               cfg: RegularityConfig) -> dict:
+    """Weighted-gradient smallness check at z0 over the supplied radii.
+
+    The functional is the maximum over radii of the delta0-weighted
+    density-gradient integral r^(-1-delta0) * int_Q |grad sqrt(n)|^2 plus
+    the scale-invariant dissipation integral r^(-1) * int_Q (|grad u|^2 +
+    |hess sqrt(c)|^2), one pass per radius; the point is flagged when it
+    exceeds the working threshold.  The paper threshold comes from the
+    trajectory's physics.
+    """
+    if not radii:
+        raise CylinderRangeError("need at least one radius")
+    return _centre_report(traj, z0, "thm13", radii, cfg, "per_radius")
 
 
 def flag_thm16(traj: Trajectory, z0, cfg: RegularityConfig,
@@ -255,42 +263,13 @@ def flag_thm16(traj: Trajectory, z0, cfg: RegularityConfig,
     (weights rho0^-1 for the quadratic terms, rho0^-2 for the cubic and
     pressure terms, with ln n shifted to ln(rho0^2 n)); both variants are
     evaluated in that exact form, so no field interpolation occurs.
-    Variant "i" takes two passes over Q (the sup, then the integrals),
-    variant "ii" one.  The point is flagged (inconclusive) unless the
-    bundle is at or below the working threshold (regular); r_star is rho0.
+    Either variant takes one pass over Q.  The point is flagged
+    (inconclusive) unless the bundle is at or below the working threshold
+    (regular); r_star is rho0.
     """
     if variant not in ("i", "ii"):
         raise ValueError(f"variant must be 'i' or 'ii', got {variant!r}")
-    Q = ParabolicCylinder(tuple(z0[0]), float(z0[1]), float(rho0))
-    ints, sups = _thm16_integrands(variant, rho0)
-    sup_values = None if sups is None else cylinder_sup(traj, Q, sups).tolist()
-    parts = _thm16_parts(variant, rho0, cylinder_time_integral(traj, Q, ints).tolist(),
-                         sup_values)
-    paper_thr = thresholds(cfg, traj.params)[_PAPER_THRESHOLD["thm16" + variant]]
-    return _flag_report(sum(parts.values()), float(rho0), cfg, paper_thr,
-                        parts=parts)
-
-
-def _criterion_maps(traj: Trajectory, t0: float, radii: Sequence[float],
-                    cfg: RegularityConfig, criterion: str):
-    """Whole-grid (value, r_star) maps of a sweep criterion at every grid
-    point at time t0: flag_thm13's or flag_thm16's value and r_star at
-    each grid-point centre, from one cylinder_maps pass per radius."""
-    if criterion == "thm13":
-        best_v = best_r = -np.inf
-        for r in sorted(radii):
-            ints = cylinder_maps(traj, t0, float(r),
-                                 integrals=catalog_fields(*_DISSIPATION))[0]
-            val = _weighted_gradient(float(r), cfg.delta0, ints)
-            better = val > best_v  # ties keep the smaller radius
-            best_v = np.where(better, val, best_v)
-            best_r = np.where(better, float(r), best_r)
-        return best_v, best_r
-    variant, rho0 = criterion[5:], max(radii)
-    ints, sups = _thm16_integrands(variant, rho0)
-    value = sum(_thm16_parts(variant, rho0, *cylinder_maps(
-        traj, t0, float(rho0), integrals=ints, sups=sups)).values())
-    return value, np.full(value.shape, float(rho0))
+    return _centre_report(traj, z0, "thm16" + variant, (rho0,), cfg, "parts")
 
 
 def flag_sweep(traj: Trajectory, centers: np.ndarray, radii: Sequence[float],
@@ -301,8 +280,9 @@ def flag_sweep(traj: Trajectory, centers: np.ndarray, radii: Sequence[float],
     thm16i and thm16ii evaluate their bundle at rho0 = max(radii).  The
     rows that are grid points are read from whole-grid criterion maps
     (``cylinder_maps``), one set per time t0; off-grid rows are evaluated
-    one by one.  The two agree to rounding relative to the map's largest
-    value.
+    one by one (``cylinder_values``), by the same ``_criterion`` as
+    ``flag_thm13`` / ``flag_thm16``.  Map and per-centre values agree to
+    rounding relative to the map's largest value.
     """
     if criterion not in _PAPER_THRESHOLD:
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -311,21 +291,16 @@ def flag_sweep(traj: Trajectory, centers: np.ndarray, radii: Sequence[float],
     pts = _spacetime_points(centers)
     value, r_star = np.empty(len(pts)), np.empty(len(pts))
     on_grid, index = _grid_index(traj.grid, pts[:, :3])
-    mapped = np.zeros(len(pts), dtype=bool)
     for t0 in np.unique(pts[on_grid, 3]).tolist():
         rows = np.flatnonzero(on_grid & (pts[:, 3] == t0))
         at = tuple(index[rows].T)
-        v_map, r_map = _criterion_maps(traj, t0, radii, cfg, criterion)
+        v_map, r_map, _ = _criterion(criterion, radii, cfg,
+                                     partial(cylinder_maps, traj, t0))
         value[rows], r_star[rows] = v_map[at], r_map[at]
-        mapped[rows] = True
-    for row in np.flatnonzero(~mapped).tolist():
+    for row in np.flatnonzero(~on_grid).tolist():
         *x0, t0 = pts[row].tolist()
-        if criterion == "thm13":
-            rep = flag_thm13(traj, (x0, t0), radii, cfg)
-        else:
-            rep = flag_thm16(traj, (x0, t0), cfg, variant=criterion[5:],
-                             rho0=max(radii))
-        value[row], r_star[row] = rep["value"], rep["r_star"]
+        value[row], r_star[row], _ = _criterion(criterion, radii, cfg,
+                                                _at_centre(traj, x0, t0))
     keep = ~(value <= cfg.working_threshold)
     order = np.lexsort(pts[:, [2, 1, 0, 3]].T)  # by t, then x0, x1, x2
     order = order[keep[order]]
@@ -435,7 +410,7 @@ def induction_verify(traj: Trajectory, z0, k_max: int, cfg: RegularityConfig,
 
     with P_bar the ball mean per snapshot.  eps0 defaults to the working
     threshold; each level needs at least 8 grid cells across B_{r_k}; each
-    level takes two passes over its cylinder (the sup, then the integrals).
+    level takes one pass over its cylinder.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -455,9 +430,10 @@ def induction_verify(traj: Trajectory, z0, k_max: int, cfg: RegularityConfig,
             raise CylinderRangeError(
                 f"level k={k} needs >= 8 cells across B_r (r={r}, h={g.h})"
             )
-        Q = ParabolicCylinder(x0, t0, r)
-        sup_part = r**-3 * float(cylinder_sup(traj, Q, _sup_bundle())[0])
-        i_n, i_u, i_c, i_p = cylinder_time_integral(traj, Q, integrals).tolist()
+        ints, sups = cylinder_values(traj, ParabolicCylinder(x0, t0, r), integrals,
+                                     _sup_bundle())
+        sup_part = r**-3 * float(sups[0])
+        i_n, i_u, i_c, i_p = ints.tolist()
         diss = r**-3 * (i_n + i_c + i_u)
         press = r**-4 * i_p
         lhs = sup_part + diss + press

@@ -16,6 +16,7 @@ from cnsflow.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     ConfigError,
+    _parse_psi,
     config_get,
     main,
     parse_config,
@@ -181,6 +182,43 @@ def test_pipeline_phase_exits_with_its_exception_code(workdir, traj_dir, tmp_pat
 def test_non_positive_grid_stride_exits_2(traj_dir, tmp_path, stride):
     assert main(["flag", "--traj", str(traj_dir), f"--grid-stride={stride}",
                  "--radii", "0.05", "--out", str(tmp_path / "f.csv")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("center", ["0.51,0.52", "0.5,0.5", "0.5,0.5,0.5,0.5"])
+def test_centre_of_other_than_three_values_exits_2(traj_dir, tmp_path, capsys, center):
+    """verify-lei and diagnose pressure take a centre of exactly three
+    coordinates; any other count exits 2 and writes no CSV."""
+    snap = sorted(traj_dir.glob("snap_*.cns"))[-1]
+    out = tmp_path / "out.csv"
+    for argv in (["verify-lei", "--traj", str(traj_dir), "--psi", "bump:r=0.08,span=0.004",
+                  "--t", "0.01"],
+                 ["diagnose", "pressure", "--snapshot", str(snap), "--rho", "0.2"]):
+        capsys.readouterr()
+        assert main(argv + ["--center", center, "--out", str(out)]) == EXIT_CONFIG
+        assert "exactly three" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("psi, message", [("bump:rr=0.1", "no option 'rr'"),
+                                          ("heat:k=3,scle=9", "no option 'scle'"),
+                                          ("heat:k=3.7", "k must be an integer")])
+def test_unknown_or_fractional_psi_option_exits_2(traj_dir, tmp_path, capsys, psi, message):
+    """An option a test function does not take, or a fractional heat
+    level, exits 2 naming it, and writes no CSV."""
+    out = tmp_path / "lei.csv"
+    capsys.readouterr()
+    assert main(["verify-lei", "--traj", str(traj_dir), "--psi", psi, "--t", "0.01",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_psi_specs_set_their_options():
+    heat = _parse_psi("heat:k=3,scale=2", 1.0)
+    assert (heat.kind, heat.level, heat.scale) == ("heat_kernel", 3, 2.0)
+    assert _parse_psi("heat:k=4.0", 1.0).level == 4
+    bump = _parse_psi("bump:r=0.1,span=0.01", 1.0)
+    assert (bump.kind, bump.support_radius, bump.support_time) == ("smooth_bump", 0.1, 0.01)
 
 
 FLAG_HEADER = "t0,x0,x1,x2,r_star,value,working_threshold,paper_threshold,margin\n"

@@ -19,8 +19,7 @@ from cnsflow import (
 from cnsflow.grid_fields import (
     UnknownIntegrandError,
     catalog_fields,
-    cylinder_sup,
-    cylinder_time_integral,
+    cylinder_values,
 )
 from cnsflow import State, Trajectory
 
@@ -245,6 +244,12 @@ def test_ball_mask_radius_cap():
         ball_mask(g, (0.5, 0.5, 0.5), 0.3)
 
 
+@pytest.mark.parametrize("x0", [(0.5, 0.5), (0.5, 0.5, 0.5, 0.5), 0.5])
+def test_ball_mask_needs_three_coordinates(x0):
+    with pytest.raises(ValueError, match="three coordinates"):
+        ball_mask(Grid(16, 1.0), x0, 0.1)
+
+
 def test_cylinder_time_intervals():
     q = ParabolicCylinder((0.0, 0.0, 0.0), 0.0, 0.5)
     assert q.time_interval() == (-0.25, 0.0)
@@ -254,12 +259,20 @@ def test_cylinder_time_intervals():
     assert abs(hi - 0.125 * 0.25) < 1e-15
 
 
+def _integrals_only(traj, Q, fields):
+    return cylinder_values(traj, Q, integrals=fields)
+
+
+def _sups_only(traj, Q, fields):
+    return cylinder_values(traj, Q, sups=fields)
+
+
 def test_cylinder_fit_check():
-    """ball_mask is the one box-fit check: both cylinder primitives refuse
-    a radius above L/4 and accept L/4 itself."""
+    """ball_mask is the one box-fit check: cylinder_values, for integrals
+    and for sups, refuses a radius above L/4 and accepts L/4 itself."""
     traj, _ = _const_traj(N=16, L=1.0)
     sqrt_n = catalog_fields(("sqrt_n", 1.0))
-    for fn in (cylinder_time_integral, cylinder_sup):
+    for fn in (_integrals_only, _sups_only):
         fn(traj, ParabolicCylinder((0.5, 0.5, 0.5), 0.0, 0.25), sqrt_n)
         with pytest.raises(CylinderRangeError):
             fn(traj, ParabolicCylinder((0.5, 0.5, 0.5), 0.0, 0.26), sqrt_n)
@@ -279,7 +292,7 @@ def test_cylinder_time_integral_constant_field():
     r = 0.4
     Q = ParabolicCylinder((1.0, 1.0, 1.0), 0.0, r)
     n_itself = catalog_fields(("sqrt_n", 2.0))
-    got = cylinder_time_integral(traj, Q, n_itself)[0]
+    got = cylinder_values(traj, Q, integrals=n_itself)[0][0]
     mask = ball_mask(g, (1.0, 1.0, 1.0), r)
     exact = 2.0 * np.sum(mask) * g.cell_volume * r**2
     assert abs(got - exact) / exact < 1e-12
@@ -290,7 +303,7 @@ def test_cylinder_time_integral_partial_window():
     # for a field constant in time the answer is exact
     traj, g = _const_traj()
     Q = ParabolicCylinder((1.0, 1.0, 1.0), -0.05, 0.3)
-    got = cylinder_time_integral(traj, Q, catalog_fields(("sqrt_n", 2.0)))[0]
+    got = cylinder_values(traj, Q, integrals=catalog_fields(("sqrt_n", 2.0)))[0][0]
     mask = ball_mask(g, (1.0, 1.0, 1.0), 0.3)
     exact = 2.0 * np.sum(mask) * g.cell_volume * 0.09
     assert abs(got - exact) / exact < 1e-12
@@ -300,7 +313,7 @@ def test_integral_out_of_span_raises():
     traj, _ = _const_traj()
     Q = ParabolicCylinder((1.0, 1.0, 1.0), 5.0, 0.3)
     with pytest.raises(CylinderRangeError):
-        cylinder_time_integral(traj, Q, catalog_fields(("sqrt_n", 1.0)))
+        cylinder_values(traj, Q, integrals=catalog_fields(("sqrt_n", 1.0)))
 
 
 def test_sup_out_of_span_raises():
@@ -312,7 +325,7 @@ def test_sup_out_of_span_raises():
                     zeros.copy(), t) for t in np.linspace(-0.1, 0.0, 5)]
     traj = Trajectory(states)
     Q = ParabolicCylinder((1.0, 1.0, 1.0), 0.0, 0.4)  # window (-0.16, 0]
-    for fn in (cylinder_time_integral, cylinder_sup):
+    for fn in (_integrals_only, _sups_only):
         with pytest.raises(CylinderRangeError):
             fn(traj, Q, catalog_fields(("abs_u", 1.0)))
 
@@ -327,15 +340,16 @@ def test_cylinder_sup_picks_max():
         states.append(State(g, zeros.copy(), zeros.copy(), u, zeros.copy(), t))
     traj = Trajectory(states)
     Q = ParabolicCylinder((1.0, 1.0, 1.0), 0.0, 0.4)
-    got = cylinder_sup(traj, Q, catalog_fields(("abs_u", 2.0)))[0]
+    got = cylinder_values(traj, Q, sups=catalog_fields(("abs_u", 2.0)))[1][0]
     mask = ball_mask(g, (1.0, 1.0, 1.0), 0.4)
     exact = 16.0 * np.sum(mask) * g.cell_volume
     assert abs(got - exact) / exact < 1e-12
 
 
 def test_array_passes_equal_scalar_passes(smooth_traj):
-    """One pass over several integrands gives, bit for bit, what one pass
-    per integrand gives, for the integral and for the sup."""
+    """One pass over several integrands, integrals and sups together,
+    gives, bit for bit, what one pass per integrand gives, and what the
+    integrals-only and sups-only passes give."""
     Q = ParabolicCylinder((0.5, 0.5, 0.5), 0.06, 0.15)
     terms = (("grad_u_sq", 1.0), ("abs_u", 3.0), ("abs_p", 1.5),
              ("abs_n_ln_n", 1.0), ("sqrt_n", 2.0))
@@ -343,15 +357,17 @@ def test_array_passes_equal_scalar_passes(smooth_traj):
     def scalar(name, p):
         return lambda s, cells: [((s.derived(name) ** p)[cells],)]
 
-    integrals = cylinder_time_integral(smooth_traj, Q, catalog_fields(*terms))
-    sups = cylinder_sup(smooth_traj, Q, catalog_fields(*terms))
+    both = catalog_fields(*terms)
+    integrals, sups = cylinder_values(smooth_traj, Q, both, both)
     assert integrals.shape == sups.shape == (len(terms),)
+    assert cylinder_values(smooth_traj, Q, integrals=both)[1] is None
+    assert cylinder_values(smooth_traj, Q, sups=both)[0] is None
+    assert np.all(integrals == _integrals_only(smooth_traj, Q, both)[0])
+    assert np.all(sups == _sups_only(smooth_traj, Q, both)[1])
     for k, (name, p) in enumerate(terms):
-        one = catalog_fields((name, p))
-        assert integrals[k] == cylinder_time_integral(smooth_traj, Q, scalar(name, p))[0]
-        assert integrals[k] == cylinder_time_integral(smooth_traj, Q, one)[0]
-        assert sups[k] == cylinder_sup(smooth_traj, Q, scalar(name, p))[0]
-        assert sups[k] == cylinder_sup(smooth_traj, Q, one)[0]
+        for one in (scalar(name, p), catalog_fields((name, p))):
+            assert integrals[k] == _integrals_only(smooth_traj, Q, one)[0][0]
+            assert sups[k] == _sups_only(smooth_traj, Q, one)[1][0]
 
 
 def test_catalog_fields_rejects_unknown_integrand():

@@ -105,19 +105,20 @@ def _count_ball_masks(monkeypatch):
 
 
 def test_one_ball_mask_per_pass(monkeypatch):
-    """Each functional builds one ball mask per pass over a cylinder: two
-    for compute_quantities (sup, integrals), one per radius for thm13, two
-    and one for thm16 variants i and ii, two per induction level."""
+    """Each functional builds one ball mask per pass over a cylinder, and
+    takes one pass per cylinder: one for compute_quantities, one per
+    radius for thm13, one for either thm16 variant, one per induction
+    level."""
     count = _count_ball_masks(monkeypatch)
     traj, cfg = _quiet_traj(n_val=2.0), RegularityConfig()
     z0 = ((0.5, 0.5, 0.5), 0.0)
     Q = ParabolicCylinder(z0[0], z0[1], 0.2)
-    assert count(lambda: compute_quantities(traj, Q)) == 2
+    assert count(lambda: compute_quantities(traj, Q)) == 1
     assert count(lambda: flag_thm13(traj, z0, (0.1, 0.2), cfg)) == 2
-    assert count(lambda: flag_thm16(traj, z0, cfg, variant="i", rho0=0.2)) == 2
+    assert count(lambda: flag_thm16(traj, z0, cfg, variant="i", rho0=0.2)) == 1
     assert count(lambda: flag_thm16(traj, z0, cfg, variant="ii", rho0=0.2)) == 1
     deep = _quiet_traj(N=32, L=2.0, n_val=2.0, t_lo=-0.3)
-    assert count(lambda: induction_verify(deep, ((1.0, 1.0, 1.0), 0.0), 2, cfg)) == 4
+    assert count(lambda: induction_verify(deep, ((1.0, 1.0, 1.0), 0.0), 2, cfg)) == 2
 
 
 def _grid_centres(m, t0=0.0, n=32, seed=0):
@@ -245,6 +246,23 @@ def test_grid_maps_on_localized_data(criterion):
                                           sups=fields):
         assert maps.min() >= 0.0 and np.any(maps == 0.0)
         assert np.median(maps) <= 1e-12 * maps.max()
+
+
+@pytest.mark.parametrize("criterion", ["thm13", "thm16i", "thm16ii"])
+def test_off_grid_sweep_rows_are_the_per_centre_reports(smooth_traj, criterion):
+    """Off-grid rows of a sweep run the per-centre reports' code: the same
+    value and r_star, with ==, at three times, radii given out of order."""
+    rng = np.random.default_rng(23)
+    times = smooth_traj.times
+    centers = np.column_stack([rng.uniform(0.0, 1.0, size=(9, 3)),
+                               np.repeat([times[-1], times[-4], times[-11]], 3)])
+    radii = (0.09375, 0.0625, 0.078125)
+    out = flag_sweep(smooth_traj, centers, radii,
+                     RegularityConfig(working_threshold=1e-300), criterion=criterion)
+    assert len(out) == len(centers)
+    reps = _per_centre(smooth_traj, out.points, radii, RegularityConfig(), criterion)
+    assert out.value.tolist() == [rep["value"] for rep in reps]
+    assert out.r_star.tolist() == [rep["r_star"] for rep in reps]
 
 
 @pytest.mark.parametrize("criterion", ["thm13", "thm16i"])
