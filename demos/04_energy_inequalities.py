@@ -38,7 +38,7 @@ traj = simulate(cfg, params)
 shift = traj.states[-1].time
 for s in traj.states:
     s.time -= shift  # put the final snapshot at t = 0
-traj = Trajectory(traj.states, params, traj.initial_norms)
+traj = Trajectory(traj.states, params)
 
 rep = global_energy_check(traj)
 print(f"global energy: LHS(0) = {rep['lhs'][0]:.4f}, "

@@ -23,9 +23,8 @@ from .grid_fields import (
     hessian_components,
     laplacian,
     leray_project,
-    spectral_upsample,
 )
-from .state import InitialNorms, PhysParams, State, Trajectory, rescale_state
+from .state import PhysParams, State, Trajectory, rescale_state
 from .snapshot import (
     read_snapshot,
     read_trajectory,

@@ -109,8 +109,8 @@ class TestFunction:
             raise ValueError(f"unknown test-function kind {kind!r}")
         if kind == "heat_kernel" and (level is None or level < 2):
             raise ValueError("heat-kernel test functions need level >= 2")
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        if not scale > 0:
+            raise ValueError(f"scale must be positive, got {scale}")
         self.kind = kind
         self.cutoff = cutoff
         self.level = level
@@ -293,8 +293,6 @@ def global_energy_check(traj: Trajectory) -> dict:
     C* = max_t LHS(t)/(1+t-t_start), and whether LHS ever exceeds
     LHS(start) + C*(t - t_start) beyond tolerance.
     """
-    if traj.initial_norms is None:
-        raise ValueError("trajectory lacks an initial-norm record")
     theta0 = traj.params.theta0
     vol = traj.grid.cell_volume
     times = traj.times
@@ -392,7 +390,8 @@ def lei_residual(traj: Trajectory, tf: TestFunction, t: float,
                  center_x, omega_radius: float) -> LEIReport:
     """All terms of the local energy inequality for the test function tf
     centered at (center_x, t), integrated over Omega = B_omega_radius,
-    with the trajectory's physics.
+    with the trajectory's physics; ||c0|| in the kinetic weight
+    (18/Theta0)||c0|| is the max of c in the first snapshot.
 
     Time integrals run over the overlaps of the window
     (t - tf.support_time, t] with the snapshot intervals, by the window
@@ -409,7 +408,7 @@ def lei_residual(traj: Trajectory, tf: TestFunction, t: float,
     grid = traj.grid
     params = traj.params
     theta0 = params.theta0
-    c0max = traj.initial_norms.c0_max
+    c0max = float(np.max(traj.states[0].c))
     kin = (18.0 / theta0) * c0max  # the weight of the kinetic terms
     vol = grid.cell_volume
     cells = np.flatnonzero(ball_mask(grid, center_x, omega_radius))

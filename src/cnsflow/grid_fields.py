@@ -213,8 +213,8 @@ class ParabolicCylinder:
     shifted: bool = False
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not self.radius > 0:
+            raise ValueError(f"cylinder radius must be positive, got {self.radius}")
         object.__setattr__(self, "center_x", tuple(float(v) for v in self.center_x))
 
     def time_interval(self) -> tuple[float, float]:
@@ -281,18 +281,6 @@ def dealias(grid: Grid, values: np.ndarray) -> np.ndarray:
     return grid.dealiased_irfftn(grid.dealiased_rfftn(values))
 
 
-def spectral_upsample(grid: Grid, values: np.ndarray, factor: int) -> np.ndarray:
-    """Trigonometric interpolation of a field onto a factor-times-finer grid."""
-    if factor == 1:
-        return np.array(values)
-    n, m = grid.n, grid.n * factor
-    fh = np.fft.fftn(values)
-    out = np.zeros((m, m, m), dtype=complex)
-    idx = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    out[np.ix_(idx, idx, idx)] = fh
-    return np.real(np.fft.ifftn(out)) * factor**3
-
-
 # ---------------------------------------------------------------------------
 # cylinder quadrature
 # ---------------------------------------------------------------------------
@@ -305,10 +293,12 @@ def ball_mask(grid: Grid, x0: Sequence[float], radius: float) -> np.ndarray:
     point; other centres use floating minimum-image distances.  Every
     cell set "inside B_r(x0)" in the package comes from here, and this is
     the one check that a ball fits the box (2r <= L/2, else
-    CylinderRangeError) and has a centre of three coordinates (else
-    ValueError)."""
+    CylinderRangeError), has a radius r >= 0 and a centre of three
+    coordinates (else ValueError); r = 0 gives the empty ball."""
     if np.shape(x0) != (3,):
         raise ValueError(f"a ball centre needs three coordinates, got {x0!r}")
+    if not radius >= 0:
+        raise ValueError(f"ball radius must be >= 0, got {radius}")
     if 2.0 * radius > 0.5 * grid.box_length:
         raise CylinderRangeError(
             f"ball radius {radius} exceeds box_length/4 = {grid.box_length / 4}"
@@ -394,12 +384,13 @@ def _window_overlaps(times: np.ndarray, t_lo: float, t_hi: float):
     """The one rule for which recorded times a window (t_lo, t_hi) uses.
 
     Raises CylinderRangeError unless the window lies in the recorded span
-    up to the tolerance eps = 1e-12 max(1, span).  Returns the overlaps
+    up to the tolerance eps = 1e-12 max(1, span); a window with a NaN
+    bound lies in no span.  Returns the overlaps
     (i, a, b), a < b, of the window with each snapshot interval
     [t_i, t_{i+1}], and eps.
     """
     eps = 1e-12 * max(1.0, abs(times[-1] - times[0]))
-    if t_lo < times[0] - eps or t_hi > times[-1] + eps:
+    if not (t_lo >= times[0] - eps and t_hi <= times[-1] + eps):
         raise CylinderRangeError(
             f"time window ({t_lo}, {t_hi}) outside recorded span "
             f"({times[0]}, {times[-1]})"

@@ -2,8 +2,8 @@
 
 The global pressure solves the periodic Poisson problem obtained by taking
 the divergence of the momentum equation.  Locally, P splits into P1 (a
-Newtonian potential of the cutoff nonlinear sources, evaluated by direct
-kernel quadrature over masked cells) and P2 = P - P1, which is harmonic on
+Newtonian potential of the cutoff nonlinear sources, solved on the grid by
+the same pruned Poisson path as P) and P2 = P - P1, which is harmonic on
 the half-radius ball; the module also provides Riesz potentials on the
 grid (one periodic FFT convolution with the lattice kernel, on supports of
 any size) and an interior-estimate checker for harmonic functions.
@@ -18,50 +18,33 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .energy import cutoff_step
-from .grid_fields import (
-    CylinderRangeError,
-    Grid,
-    _offset_sq,
-    ball_mask,
-    spectral_upsample,
-)
+from .grid_fields import Grid, _offset_sq, ball_mask
 from .state import PhysParams
 
-#: Hard cap on the number of source cells in ``p1_at``'s direct kernel sum.
-MAX_SOURCE_CELLS = 40**3
 
-
-def _force_hats(grid: Grid, transform, u, n, gravity: float, weight=1.0) -> list:
-    """Half-spectrum transforms of g_i = sum_j d_j(weight u_i u_j) +
-    weight n grad_phi_i, the field whose divergence drives the pressure;
-    grad_phi = (0, 0, -gravity).  ``transform`` (``grid.rfftn`` or
-    ``grid.dealiased_rfftn``) takes each product to the half spectrum."""
+def _poisson_of_forces(grid: Grid, u, n, gravity: float, weight=1.0) -> np.ndarray:
+    """Zero-mean periodic solve of -Delta p = div g, where g_i =
+    sum_j d_j(weight u_i u_j) + weight n grad_phi_i and grad_phi =
+    (0, 0, -gravity).  All its transforms are pruned: the products are
+    dealiased as they are transformed."""
     ik = grid.ik
     g = [0.0, 0.0, 0.0]
     for i in range(3):
         for j in range(i, 3):
-            prod = transform(weight * u[i] * u[j])
+            prod = grid.dealiased_rfftn(weight * u[i] * u[j])
             g[i] = g[i] + ik[j] * prod
             if j != i:
                 g[j] = g[j] + ik[i] * prod
     if gravity:
-        g[2] = g[2] + transform(weight * n * -gravity)
-    return g
-
-
-def _poisson_div(grid: Grid, g_hat) -> np.ndarray:
-    """Zero-mean periodic solve of -Delta p = div g, with g dealiased."""
-    div_hat = sum(ik * h for ik, h in zip(grid.ik, g_hat))
+        g[2] = g[2] + grid.dealiased_rfftn(weight * n * -gravity)
+    div_hat = sum(k * h for k, h in zip(ik, g))
     return grid.dealiased_irfftn(grid.poisson_hat(div_hat))
 
 
 def solve_pressure(s, params: PhysParams = PhysParams()) -> np.ndarray:
     """Zero-mean periodic solve of -Delta P = d_i d_j (u_i u_j) + div(n grad_phi);
-    returns the (N, N, N) array P.  All its transforms are pruned: the
-    products are dealiased as they are transformed."""
-    grid = s.grid
-    return _poisson_div(grid, _force_hats(grid, grid.dealiased_rfftn, s.u, s.n,
-                                          params.gravity))
+    returns the (N, N, N) array P."""
+    return _poisson_of_forces(s.grid, s.u, s.n, params.gravity)
 
 
 def eval_field_at(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -90,7 +73,8 @@ class PressureDecomposition:
 
     p1 and p2 are full-grid periodic arrays; the split is meaningful on the
     ball B_rho(x0), where P1 carries the cutoff local sources and P2 is
-    harmonic on B_{rho/2} up to discretization error.
+    harmonic on B_{rho/2} up to discretization error.  Off the grid, either
+    part is its trigonometric interpolant, ``eval_field_at(grid, p1, pts)``.
     """
 
     grid: Grid
@@ -102,31 +86,6 @@ class PressureDecomposition:
     mean_n: float
     mask_rho: np.ndarray
     mask_half: np.ndarray
-    source_hat: list  # half spectra of the cutoff sources g_i
-
-    def p1_at(self, points) -> np.ndarray:
-        """Kernel-sum evaluation of P1 at arbitrary points.
-
-        One integration by parts moves the outer derivative of each source
-        onto the kernel; the sources on B_rho are sampled on a twice-finer
-        grid via trigonometric interpolation (on the grid itself where the
-        finer one would exceed MAX_SOURCE_CELLS).
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        grid, rho = self.grid, self.rho
-        upsample = 2 if np.ceil(4.19 * (rho / (grid.h / 2)) ** 3) <= MAX_SOURCE_CELLS else 1
-        g = grid.irfftn(np.stack(self.source_hat))
-        fine = Grid(grid.n * upsample, grid.box_length) if upsample > 1 else grid
-        g_fine = np.array([spectral_upsample(grid, g[i], upsample) for i in range(3)])
-        src_mask = ball_mask(fine, self.center, rho)
-        if int(np.sum(src_mask)) > MAX_SOURCE_CELLS:
-            raise CylinderRangeError(
-                f"{int(np.sum(src_mask))} source cells exceed the {MAX_SOURCE_CELLS} cap"
-            )
-        xs, ys, zs = np.broadcast_arrays(*fine.coords())
-        src_xyz = np.stack([xs[src_mask], ys[src_mask], zs[src_mask]], axis=1)
-        src_g = np.stack([g_fine[i][src_mask] for i in range(3)], axis=1)
-        return _kernel_sum(grid, pts, src_xyz, src_g, fine.cell_volume)
 
     def identity_residual(self, p_values: np.ndarray) -> float:
         """max |P - (P1 + P2)| over B_{rho/2} (zero by construction)."""
@@ -135,39 +94,20 @@ class PressureDecomposition:
         )))
 
 
-def _kernel_sum(grid: Grid, targets: np.ndarray, sources_xyz: np.ndarray,
-                sources_g: np.ndarray, vol: float) -> np.ndarray:
-    """sum over sources of grad K(x - y) . g(y) dV with K the Newtonian
-    kernel, d = x - y the minimum-image displacement; the singular
-    (coincident) cell is skipped, which is the exact ball-average of the
-    odd kernel.  Chunks of targets keep d near 2e6 pairs."""
-    L = grid.box_length
-    out = np.empty(len(targets))
-    chunk = max(1, int(2e6 // max(1, len(sources_xyz))))
-    for a0 in range(0, len(targets), chunk):
-        d = targets[a0:a0 + chunk, None, :] - sources_xyz[None, :, :]
-        d -= L * np.round(d / L)
-        r2 = np.sum(d * d, axis=2)
-        r3 = r2 * np.sqrt(r2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(r3 > 1e-30, 1.0 / r3, 0.0)
-        dot = np.einsum("abi,bi->ab", d, sources_g)
-        out[a0:a0 + chunk] = -vol / (4.0 * np.pi) * np.sum(w * dot, axis=1)
-    return out
-
-
 def decompose_local(s, x0: Sequence[float], rho: float,
                     params: PhysParams = PhysParams()) -> PressureDecomposition:
     """Split the pressure near x0: P1 = Newtonian potential of the cutoff
     sources (velocity part with the ball-mean removed, buoyancy part with
     the cell density), P2 = P - P1.
 
-    The grid values of P1 come from a spectral Poisson solve against the
-    cutoff sources, which pins down P1 up to a function harmonic on the
-    ball (so P2 = P - P1 is harmonic on B_{rho/2} to spectral accuracy).
-    The direct Newtonian kernel quadrature is kept for off-grid evaluation
-    through ``p1_at``, which builds its source samples on each call.
+    P1 is the zero-mean periodic Poisson solve against the cutoff sources,
+    with the same pruned, dealiased transforms as ``solve_pressure``; this
+    pins down P1 up to a function harmonic on the ball (so P2 = P - P1 is
+    harmonic on B_{rho/2} to spectral accuracy).  Raises ValueError unless
+    rho > 0.
     """
+    if not rho > 0:
+        raise ValueError(f"rho must be positive, got {rho}")
     grid = s.grid
     x0 = tuple(float(v) for v in x0)
     mask_rho = ball_mask(grid, x0, rho)
@@ -178,20 +118,13 @@ def decompose_local(s, x0: Sequence[float], rho: float,
     mean_n = float(np.mean(s.n[mask_rho]))
     w = s.u - mean_u[:, None, None, None]
 
-    # g_i = sum_j d_j(eta w_i w_j) + eta n grad_phi_i  (one derivative kept;
-    # the other acts on the kernel inside the sum); full transforms, since
-    # p1_at samples these sources unmasked
-    g_hat = _force_hats(grid, grid.rfftn, w, s.n, params.gravity, weight=eta)
-
-    # grid values of P1: zero-mean periodic solve of -Delta P1 = div g,
-    # with the same dealiased-product convention as the global pressure
-    p1 = _poisson_div(grid, g_hat)
+    # sources g_i = sum_j d_j(eta w_i w_j) + eta n grad_phi_i
+    p1 = _poisson_of_forces(grid, w, s.n, params.gravity, weight=eta)
     p2 = s.p - p1
 
     return PressureDecomposition(
         grid=grid, center=x0, rho=rho, p1=p1, p2=p2,
         mean_u=mean_u, mean_n=mean_n, mask_rho=mask_rho, mask_half=mask_half,
-        source_hat=g_hat,
     )
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid_fields import Grid
-from .state import InitialNorms, PhysParams, State, Trajectory
+from .state import PhysParams, State, Trajectory
 
 MAGIC = b"CNS1"
 HEADER_BYTES = 24
@@ -68,22 +68,14 @@ def write_trajectory(out_dir, traj: Trajectory) -> None:
 
 
 def write_trajectory_meta(out_dir, traj: Trajectory) -> None:
-    """Write ``trajectory.json`` (times, norms, the physics and, when the
+    """Write ``trajectory.json`` (times, grid, the physics and, when the
     trajectory has one, its run log) through a temporary file; written
     after the snapshots, it marks the trajectory complete."""
-    norms = traj.initial_norms
     meta = {
         "format": "CNS1",
         "count": len(traj.states),
         "times": [s.time for s in traj.states],
         "grid": {"n": traj.grid.n, "box_length": traj.grid.box_length},
-        "initial_norms": {
-            "n_l1": norms.n_l1,
-            "c0_max": norms.c0_max,
-            "u_l2": norms.u_l2,
-            "grad_sqrt_c_l2": norms.grad_sqrt_c_l2,
-            "n_entropy_l1": norms.n_entropy_l1,
-        },
         "params": asdict(traj.params),
     }
     if traj.run_log is not None:
@@ -111,9 +103,7 @@ def read_trajectory(in_dir) -> Trajectory:
         if not paths:
             raise FileNotFoundError(f"no snapshots under {src}")
     try:
-        norms = InitialNorms(**meta["initial_norms"]) if meta else None
         params = PhysParams(**meta.get("params", {}))
     except TypeError as exc:  # an unknown or missing key
         raise ValueError(f"{meta_path}: {exc}") from exc
-    return Trajectory([read_snapshot(p) for p in paths], params=params,
-                      initial_norms=norms)
+    return Trajectory([read_snapshot(p) for p in paths], params=params)

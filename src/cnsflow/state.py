@@ -168,31 +168,6 @@ class PhysParams:
         return total
 
 
-@dataclass
-class InitialNorms:
-    """Norms of the initial data entering the global energy bound."""
-
-    n_l1: float
-    c0_max: float
-    u_l2: float
-    grad_sqrt_c_l2: float
-    n_entropy_l1: float  # integral of (n0+1) ln(n0+1)
-
-    @classmethod
-    def from_state(cls, s: State) -> "InitialNorms":
-        vol = s.grid.cell_volume
-        n = np.maximum(s.n, 0.0)
-        return cls(
-            n_l1=float(np.sum(n) * vol),
-            c0_max=float(np.max(s.c)),
-            u_l2=float(np.sqrt(np.sum(s.u**2) * vol)),
-            grad_sqrt_c_l2=float(
-                np.sqrt(np.sum(s.derived("grad_sqrt_c") ** 2) * vol)
-            ),
-            n_entropy_l1=float(np.sum((n + 1.0) * np.log1p(n)) * vol),
-        )
-
-
 class Trajectory:
     """Snapshots on one grid at strictly increasing times, and the physics
     that produced them.  The intervals between snapshots need not be
@@ -201,8 +176,7 @@ class Trajectory:
     the trajectory is built; to shift the states' times, build a new
     trajectory from them."""
 
-    def __init__(self, states: Sequence[State], params: PhysParams = PhysParams(),
-                 initial_norms: Optional[InitialNorms] = None):
+    def __init__(self, states: Sequence[State], params: PhysParams = PhysParams()):
         if not states:
             raise ValueError("trajectory needs at least one state")
         grid = states[0].grid
@@ -213,7 +187,6 @@ class Trajectory:
             raise ValueError("snapshot times must be strictly increasing")
         self.states = list(states)
         self.params = params
-        self.initial_norms = initial_norms or InitialNorms.from_state(states[0])
         #: solver health of the run that produced the states, when known
         self.run_log: Optional[dict] = None
 
@@ -256,4 +229,4 @@ def rescale_state(traj: Trajectory, rho0: float) -> Trajectory:
         )
         for s in traj.states
     ]
-    return Trajectory(states, params=traj.params, initial_norms=traj.initial_norms)
+    return Trajectory(states, params=traj.params)

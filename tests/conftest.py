@@ -75,7 +75,7 @@ def lei_traj(smooth_params):
     shift = traj.states[-1].time
     for s in traj.states:
         s.time -= shift
-    return Trajectory(traj.states, smooth_params, traj.initial_norms)
+    return Trajectory(traj.states, smooth_params)
 
 
 @pytest.fixture(scope="session")

@@ -201,10 +201,11 @@ def test_centre_of_other_than_three_values_exits_2(traj_dir, tmp_path, capsys, c
 
 @pytest.mark.parametrize("psi, message", [("bump:rr=0.1", "no option 'rr'"),
                                           ("heat:k=3,scle=9", "no option 'scle'"),
-                                          ("heat:k=3.7", "k must be an integer")])
+                                          ("heat:k=3.7", "k must be an integer"),
+                                          ("heat:k=3,scale=nan", "scale must be positive, got nan")])
 def test_unknown_or_fractional_psi_option_exits_2(traj_dir, tmp_path, capsys, psi, message):
-    """An option a test function does not take, or a fractional heat
-    level, exits 2 naming it, and writes no CSV."""
+    """An option a test function does not take, a fractional heat level
+    or a NaN scale exits 2 naming it, and writes no CSV."""
     out = tmp_path / "lei.csv"
     capsys.readouterr()
     assert main(["verify-lei", "--traj", str(traj_dir), "--psi", psi, "--t", "0.01",
@@ -219,6 +220,29 @@ def test_psi_specs_set_their_options():
     assert _parse_psi("heat:k=4.0", 1.0).level == 4
     bump = _parse_psi("bump:r=0.1,span=0.01", 1.0)
     assert (bump.kind, bump.support_radius, bump.support_time) == ("smooth_bump", 0.1, 0.01)
+
+
+@pytest.mark.parametrize("command, radius", [
+    ("pressure", "-0.2"), ("pressure", "0"), ("pressure", "nan"),
+    ("flag", "nan"), ("quantities", "nan")])
+def test_non_positive_or_nan_radius_exits_2(traj_dir, tmp_path, capsys, command, radius):
+    """A radius that is not > 0 (a negative, zero or NaN --rho, a NaN in
+    --radii) exits 2 naming the radius, and writes no CSV."""
+    snap = sorted(traj_dir.glob("snap_*.cns"))[-1]
+    centers = tmp_path / "centers.csv"
+    centers.write_text("x0,x1,x2,t0\n0.5,0.5,0.5,0.01\n")
+    argv = {
+        "pressure": ["diagnose", "pressure", "--snapshot", str(snap),
+                     "--center", "0.5,0.5,0.5", "--rho"],
+        "flag": ["flag", "--traj", str(traj_dir), "--grid-stride", "4", "--radii"],
+        "quantities": ["diagnose", "quantities", "--traj", str(traj_dir),
+                       "--centers", str(centers), "--radii"],
+    }[command]
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert main(argv + [radius, "--out", str(out)]) == EXIT_CONFIG
+    assert f"got {float(radius)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 FLAG_HEADER = "t0,x0,x1,x2,r_star,value,working_threshold,paper_threshold,margin\n"
@@ -262,6 +286,12 @@ def test_out_of_range_cylinder_exits_3(workdir, traj_dir, tmp_path, capsys):
                  "--psi", "bump:r=0.08,span=0.02", "--t", "0.01",
                  "--out", str(tmp_path / "lei.csv")])
     assert code == EXIT_NUMERIC
+    # a NaN time lies in no recorded span
+    code = main(["verify-lei", "--traj", str(traj_dir),
+                 "--psi", "bump:r=0.08,span=0.004", "--t", "nan",
+                 "--out", str(tmp_path / "lei.csv")])
+    assert code == EXIT_NUMERIC
+    assert not (tmp_path / "lei.csv").exists()
 
 
 def test_nan_snapshot_exits_3(traj_dir, tmp_path, capsys):

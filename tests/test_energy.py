@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 
 from cnsflow import (
+    Grid,
     PhysParams,
     SimulationConfig,
+    State,
+    Trajectory,
+    ball_mask,
     check_heat_properties,
     global_energy_check,
     heat_test_function,
@@ -122,3 +126,25 @@ def test_derivatives_match_finite_differences(tf):
     assert close(tf.grad_norm_rt(rho, t), np.abs(d_rho))
     assert close(tf.dt_rt(rho, t), d_t)
     assert close(tf.heat_residual_rt(rho, t), d_t + lap)
+
+
+def test_lei_kinetic_weight_is_the_first_state_max_c():
+    """The kinetic terms carry (18/Theta0) max c of the first snapshot,
+    however large c grows later in the trajectory."""
+    N, theta0 = 16, 2.0
+    g = Grid(N, 1.0)
+    ones = np.ones((N,) * 3)
+    u = np.zeros((3, N, N, N))
+    u[0] = 0.3
+    states = [State(g, ones, c0 * ones, u, 0.0 * ones, t)
+              for c0, t in ((0.5, 0.0), (2.0, 0.01), (4.0, 0.02))]
+    traj = Trajectory(states, PhysParams(theta0=theta0, chi_coeffs=(0.0,)))
+    tf = smooth_bump(0.2, 0.015)
+    center = (0.5, 0.5, 0.5)
+    rep = lei_residual(traj, tf, 0.02, center, 0.25)
+    mask = ball_mask(g, center, 0.25)
+    psi = tf.value_rt(np.sqrt(g.min_image_distance_sq(center))[mask], 0.0)
+    ball_u_sq_psi = float(np.sum(0.09 * psi) * g.cell_volume)
+    assert ball_u_sq_psi > 0
+    assert rep.lhs_terms["kinetic_final"] == pytest.approx(
+        (18.0 / theta0) * 0.5 * ball_u_sq_psi, rel=1e-12)

@@ -1,8 +1,12 @@
 """Spectral grid, derivative operators, cylinders and cylinder quadrature."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cnsflow
 from cnsflow import (
     CylinderRangeError,
     Grid,
@@ -14,7 +18,6 @@ from cnsflow import (
     hessian_components,
     laplacian,
     leray_project,
-    spectral_upsample,
 )
 from cnsflow.grid_fields import (
     UnknownIntegrandError,
@@ -181,11 +184,41 @@ def test_operators_match_complex_fft_formulas():
     assert close(dealias(g, f * w), real_ifft(mask * np.fft.fftn(f * w)))
 
 
-def test_spectral_upsample_preserves_coarse_samples():
-    g = Grid(16, 1.0)
-    f, _, _ = trig_field(g)
-    fine = spectral_upsample(g, f, 2)
-    assert np.max(np.abs(fine[::2, ::2, ::2] - f)) < 1e-12
+def _numpy_fft_users(tree: ast.Module) -> set:
+    """Names of the top-level definitions of a module that reference
+    numpy.fft: an attribute ``np.fft`` (under any alias of numpy), or an
+    import of numpy.fft or of anything from it."""
+    aliases = {"numpy"} | {a.asname for node in ast.walk(tree)
+                           if isinstance(node, ast.Import)
+                           for a in node.names if a.name == "numpy" and a.asname}
+    users = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr == "fft"
+                    and isinstance(node.value, ast.Name) and node.value.id in aliases
+                    or isinstance(node, ast.Import)
+                    and any(a.name.startswith("numpy.fft") for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module
+                    and (node.module.startswith("numpy.fft")
+                         or node.module == "numpy"
+                         and any(a.name == "fft" for a in node.names))):
+                users.add(getattr(top, "name", f"line {top.lineno}"))
+    return users
+
+
+def test_every_transform_goes_through_grid():
+    """In the package, numpy.fft appears only in Grid's methods and in
+    pressure.eval_field_at, so counting Grid's transforms counts every
+    transform the package makes."""
+    users = {(path.name, name)
+             for path in sorted(Path(cnsflow.__file__).parent.glob("*.py"))
+             for name in _numpy_fft_users(ast.parse(path.read_text()))}
+    assert users == {("grid_fields.py", "Grid"), ("pressure.py", "eval_field_at")}
+    # the scan sees every spelling of a numpy.fft use
+    probe = ast.parse("import numpy as xp\ndef f(): return xp.fft.rfft(1)\n"
+                      "def g():\n    from numpy.fft import rfft\n"
+                      "def h():\n    from numpy import fft\nx = 1\n")
+    assert _numpy_fft_users(probe) == {"f", "g", "h"}
 
 
 def test_min_image_distance_wraps():
@@ -248,6 +281,21 @@ def test_ball_mask_radius_cap():
 def test_ball_mask_needs_three_coordinates(x0):
     with pytest.raises(ValueError, match="three coordinates"):
         ball_mask(Grid(16, 1.0), x0, 0.1)
+
+
+def test_ball_radius_zero_is_empty_and_negative_or_nan_raises():
+    """Radius 0 is the empty ball (the innermost shell edge of `diagnose
+    pressure`); a negative or NaN radius raises ValueError naming it, for
+    the ball and for the cylinder, which also rejects 0."""
+    g = Grid(16, 1.0)
+    for x0 in ((0.5, 0.5, 0.5), (0.51, 0.52, 0.53)):
+        assert not ball_mask(g, x0, 0.0).any()
+    for radius in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match=f"got {radius}"):
+            ball_mask(g, (0.5, 0.5, 0.5), radius)
+    for radius in (-0.1, 0.0, float("nan")):
+        with pytest.raises(ValueError, match=f"got {radius}"):
+            ParabolicCylinder((0.5, 0.5, 0.5), 0.0, radius)
 
 
 def test_cylinder_time_intervals():
@@ -327,6 +375,11 @@ def test_sup_out_of_span_raises():
     Q = ParabolicCylinder((1.0, 1.0, 1.0), 0.0, 0.4)  # window (-0.16, 0]
     for fn in (_integrals_only, _sups_only):
         with pytest.raises(CylinderRangeError):
+            fn(traj, Q, catalog_fields(("abs_u", 1.0)))
+    # a NaN window lies in no span
+    Q = ParabolicCylinder((1.0, 1.0, 1.0), float("nan"), 0.1)
+    for fn in (_integrals_only, _sups_only):
+        with pytest.raises(CylinderRangeError, match="outside recorded span"):
             fn(traj, Q, catalog_fields(("abs_u", 1.0)))
 
 

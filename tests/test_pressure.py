@@ -22,7 +22,6 @@ from cnsflow import (
     initial_state,
     riesz_potential,
     solve_pressure,
-    spectral_upsample,
 )
 from cnsflow.cli import main, read_csv
 from cnsflow.snapshot import write_snapshot
@@ -60,36 +59,19 @@ def test_p2_is_harmonic_on_inner_ball(decomp_setup):
     assert rep["relative"] < 1e-4
 
 
-def test_kernel_p1_consistent_with_grid_p1(decomp_setup):
-    """The off-grid kernel-sum P1 may differ from the spectral grid P1 by a
-    ball-harmonic function, but at the center the two agree closely for a
-    well-localized source."""
-    _, d = decomp_setup
-    from cnsflow.pressure import eval_field_at
-    center = np.array([d.center])
-    spectral = float(eval_field_at(d.grid, d.p1, center)[0])
-    kernel = float(d.p1_at(center)[0])
-    scale = max(1e-12, float(np.max(np.abs(d.p1[d.mask_half]))))
-    assert abs(spectral - kernel) / scale < 0.05
-
-
-def test_kernel_sources_built_on_demand(smooth_traj, smooth_params, monkeypatch):
-    """decompose_local leaves the kernel sources to p1_at, which upsamples
-    the three source components on each call."""
-    from cnsflow import pressure
-
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return spectral_upsample(*args)
-
-    monkeypatch.setattr(pressure, "spectral_upsample", counting)
-    d = decompose_local(smooth_traj.states[-1], (0.5, 0.5, 0.5), 0.2,
-                        params=smooth_params)
-    assert len(calls) == 0
-    d.p1_at(np.array([d.center]))
-    assert len(calls) == 3
+def test_decompose_local_transforms_are_all_pruned(smooth_traj, smooth_params,
+                                                   monkeypatch):
+    """The split's sources and P1 take the pruned transforms of the global
+    pressure solve: no full Grid.rfftn or Grid.irfftn call."""
+    calls = {}
+    for name in ("rfftn", "irfftn", "dealiased_rfftn", "dealiased_irfftn"):
+        def counting(self, values, _name=name, _fn=getattr(Grid, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(self, values)
+        monkeypatch.setattr(Grid, name, counting)
+    decompose_local(smooth_traj.states[-1], (0.5, 0.5, 0.5), 0.2,
+                    params=smooth_params)
+    assert calls == {"dealiased_rfftn": 7, "dealiased_irfftn": 1}
 
 
 def _smooth_state(n, box):

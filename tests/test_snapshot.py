@@ -74,21 +74,23 @@ def test_trajectory_roundtrip(tmp_path):
     for a, b in zip(back.states, traj.states):
         assert np.array_equal(a.n, b.n)
         assert np.array_equal(a.u, b.u)
-    assert back.initial_norms.n_l1 == traj.initial_norms.n_l1
 
 
 def test_trajectory_meta_with_grid_dt_key_reads(tmp_path):
     """trajectory.json records the physics.  One written as older versions
-    did, with a "dt" entry under "grid" and no "params", still reads: the
-    key plays no part in the grid, and the physics are PhysParams()."""
+    did, with a "dt" entry under "grid", an "initial_norms" entry and no
+    "params", still reads: neither entry plays a part in the trajectory,
+    and the physics are PhysParams()."""
     states = [_random_state(seed=i, t=0.1 * i) for i in range(2)]
     params = PhysParams(theta0=2.0, chi_coeffs=(0.5, 0.25), gravity=0.3, c0_max=1.0)
     write_trajectory(tmp_path / "run", Trajectory(states, params))
     assert read_trajectory(tmp_path / "run").params == params
     meta_path = tmp_path / "run" / "trajectory.json"
     meta = json.loads(meta_path.read_text())
-    assert "dt" not in meta["grid"]
+    assert "dt" not in meta["grid"] and "initial_norms" not in meta
     meta["grid"]["dt"] = 2e-4
+    meta["initial_norms"] = {"n_l1": 1.0, "c0_max": 1.0, "u_l2": 0.1,
+                             "grad_sqrt_c_l2": 0.2, "n_entropy_l1": 1.4}
     del meta["params"]
     meta_path.write_text(json.dumps(meta))
     back = read_trajectory(tmp_path / "run")

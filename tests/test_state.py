@@ -1,9 +1,9 @@
-"""States, derived fields, initial norms, and the parabolic rescaling."""
+"""States, derived fields, and the parabolic rescaling."""
 
 import numpy as np
 import pytest
 
-from cnsflow import Grid, InitialNorms, State, Trajectory, rescale_state
+from cnsflow import Grid, State, Trajectory, rescale_state
 from cnsflow.grid_fields import (
     INTEGRAND_NAMES,
     RescaleError,
@@ -99,16 +99,6 @@ def test_nonfinite_fields_rejected():
     n[0, 0, 0] = np.nan
     with pytest.raises(Exception):
         _state(n=n)
-
-
-def test_initial_norms_closed_form():
-    N, L = 16, 2.0
-    s = _state(N=N, L=L, n=np.full((N,) * 3, 2.0), c=np.full((N,) * 3, 0.5))
-    norms = InitialNorms.from_state(s)
-    vol = L**3
-    assert abs(norms.n_l1 - 2.0 * vol) < 1e-12
-    assert norms.c0_max == 0.5
-    assert abs(norms.n_entropy_l1 - 3.0 * np.log(3.0) * vol) < 1e-10
 
 
 def test_trajectory_requires_increasing_times():
