@@ -43,9 +43,7 @@ from .pressure import (
     cz_sanity_report,
     decompose_local,
     eval_field_at,
-    harmonic_interior_bound_check,
     harmonic_residual,
-    harmonic_test_family,
     riesz_potential,
     solve_pressure,
 )

@@ -54,12 +54,11 @@ class Grid:
     Also the spectral operator layer: real transforms onto the half
     spectrum (last axis 0..N/2), the Fourier symbols every spectral
     operation uses (built on first use and cached), one Leray projection
-    and one Poisson solve.  Two pruned transforms serve dealiased work:
-    ``dealiased_rfftn(v)`` is bitwise ``dealias_mask * rfftn(v)`` and
-    ``dealiased_irfftn(h)`` is bitwise ``irfftn(dealias_mask * h)``; they
-    transform only the rows and half-axis columns the mask keeps (N = 32:
-    21 of 32 rows, 11 of 17 columns; N = 64: 43 of 64 rows, 22 of 33
-    columns).
+    and one Poisson solve, each for a half spectrum or a kept block: the
+    (K, K, m) modes the 2/3 mask keeps (``kept``; N = 32: K = 21 of 32 rows,
+    m = 11 of 17 columns; N = 64: 43 of 64 and 22 of 33).  ``kept_rfftn(v)``
+    is bitwise ``kept(rfftn(v))``, ``kept_irfftn(b)`` is bitwise ``irfftn``
+    of b zero-filled, and both transform only the kept modes.
     """
 
     def __init__(self, n: int, box_length: float):
@@ -77,37 +76,64 @@ class Grid:
         self.cell_volume = self.h**3
 
     # -- spectral operator layer --------------------------------------------
+    # A stack of fields goes one N^3 field at a time: bitwise the batched
+    # call, faster, and with one field's temporaries at a time.
     def rfftn(self, values: np.ndarray) -> np.ndarray:
         """Half-spectrum transform of real samples (last three axes)."""
-        return np.fft.rfftn(values, axes=(-3, -2, -1))
+        if values.ndim == 3:
+            return np.fft.rfftn(values)
+        out = np.empty(values.shape[:-1] + (self.n // 2 + 1,), dtype=complex)
+        for i in np.ndindex(values.shape[:-3]):
+            out[i] = np.fft.rfftn(values[i])
+        return out
 
     def irfftn(self, hat: np.ndarray) -> np.ndarray:
         """Real N^3 samples of a half spectrum (inverse of ``rfftn``)."""
-        return np.fft.irfftn(hat, s=(self.n,) * 3, axes=(-3, -2, -1))
-
-    # The pruned pair keeps numpy's pass order (rfftn: last axis, then -2,
-    # then -3; irfftn the reverse), so every kept mode goes through the
-    # same 1-D transforms as in the full ones and comes out bitwise equal.
-    def dealiased_rfftn(self, values: np.ndarray) -> np.ndarray:
-        """``dealias_mask * rfftn(values)``, transforming only kept modes."""
-        rows, m = self._kept
-        out = np.fft.rfft(values, axis=-1)
-        a = np.fft.fft(out[..., :m], axis=-2).take(rows, axis=-2)
-        a = np.fft.fft(a, axis=-3).take(rows, axis=-3)
-        out[...] = 0.0  # the first pass's buffer takes the result
-        out[..., rows[:, None], rows, :m] = a
+        s, axes = (self.n,) * 3, (0, 1, 2)
+        if hat.ndim == 3:
+            return np.fft.irfftn(hat, s=s, axes=axes)
+        out = np.empty(hat.shape[:-3] + s)
+        for i in np.ndindex(hat.shape[:-3]):
+            out[i] = np.fft.irfftn(hat[i], s=s, axes=axes)
         return out
 
-    def dealiased_irfftn(self, hat: np.ndarray) -> np.ndarray:
-        """``irfftn(dealias_mask * hat)``, transforming only kept modes."""
+    # The kept pair keeps numpy's pass order (rfftn: last axis, then -2,
+    # then -3; irfftn the reverse), so every kept mode goes through the
+    # same 1-D transforms as in the full ones and comes out bitwise equal.
+    def kept_rfftn(self, values: np.ndarray) -> np.ndarray:
+        """``kept(rfftn(values))``, transforming only kept modes."""
+        rows, m = self._kept
+        a = np.fft.rfft(values, axis=-1)[..., :m]
+        a = np.fft.fft(a, axis=-2).take(rows, axis=-2)
+        return np.fft.fft(a, axis=-3).take(rows, axis=-3)
+
+    def kept_irfftn(self, block: np.ndarray) -> np.ndarray:
+        """``irfftn`` of a kept block zero-filled to the half spectrum,
+        transforming only kept modes."""
         rows, m = self._kept
         n = self.n
-        a = np.zeros(hat.shape[:-3] + (n, len(rows), m), dtype=complex)
-        a[..., rows, :, :] = hat[..., rows[:, None], rows, :m]
-        b = np.zeros(hat.shape[:-3] + (n, n, m), dtype=complex)
+        a = np.zeros(block.shape[:-3] + (n, len(rows), m), dtype=complex)
+        a[..., rows, :, :] = block
+        b = np.zeros(block.shape[:-3] + (n, n, m), dtype=complex)
         b[..., rows, :] = np.fft.ifft(a, axis=-3)
         # irfft zero-pads the m kept columns to N/2 + 1
         return np.fft.irfft(np.fft.ifft(b, axis=-2), n=n, axis=-1)
+
+    def kept_index(self, shape) -> tuple:
+        """The index of the kept modes in an array of ``shape``: a half
+        spectrum, or a symbol whose length-1 axes broadcast (they stay)."""
+        rows, m = self._kept
+        axes = (rows, rows, np.arange(m))
+        return (...,) + np.ix_(*(ax if size > 1 else [0]
+                                 for ax, size in zip(axes, shape[-3:])))
+
+    def kept(self, a: np.ndarray) -> np.ndarray:
+        """The kept block of a half spectrum, (..., K, K, m), or of a symbol."""
+        return a[self.kept_index(a.shape)]
+
+    def _on(self, symbol: np.ndarray, hat: np.ndarray) -> np.ndarray:
+        """``symbol`` on the modes of ``hat``: a half spectrum or a kept block."""
+        return symbol if hat.shape[-1] == self.n // 2 + 1 else self.kept(symbol)
 
     @cached_property
     def _kept(self) -> tuple[np.ndarray, int]:
@@ -160,22 +186,24 @@ class Grid:
         kx, ky, kz = (np.abs(k) <= lim for k in self._k_full)
         return kx & ky & kz
 
-    def project_hat(self, u_hat: np.ndarray) -> np.ndarray:
-        """Leray projection u - k (k . u)/|k|^2 of a (3, ...) half spectrum,
-        with the Nyquist-zeroed ``k`` throughout, so k . (P u) = 0 exactly."""
-        k = self.k
+    def project_hat(self, u_hat: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """Leray projection u - k (k . u)/|k|^2 of a (3, ...) half spectrum
+        or kept block, into ``out`` (may be ``u_hat``), with the
+        Nyquist-zeroed ``k`` throughout, so k . (P u) = 0 exactly."""
+        k = [self._on(ki, u_hat) for ki in self.k]
         phi = k[0] * u_hat[0]
         phi += k[1] * u_hat[1]
         phi += k[2] * u_hat[2]
-        phi *= self.inv_kd_sq
-        out = np.empty_like(u_hat)
+        phi *= self._on(self.inv_kd_sq, u_hat)
+        out = np.empty_like(u_hat) if out is None else out
         for i in range(3):
             np.subtract(u_hat[i], k[i] * phi, out=out[i])
         return out
 
     def poisson_hat(self, rhs_hat: np.ndarray) -> np.ndarray:
-        """Zero-mean periodic solution of -Delta p = rhs, in Fourier space."""
-        return rhs_hat * self.inv_k_sq
+        """Zero-mean periodic solution of -Delta p = rhs, in Fourier space
+        (a half spectrum or a kept block)."""
+        return rhs_hat * self._on(self.inv_k_sq, rhs_hat)
 
     def __eq__(self, other) -> bool:
         return (
@@ -278,7 +306,7 @@ def leray_project(g: Grid, v: np.ndarray) -> np.ndarray:
 
 def dealias(grid: Grid, values: np.ndarray) -> np.ndarray:
     """2/3-rule truncation of a physical-space array."""
-    return grid.dealiased_irfftn(grid.dealiased_rfftn(values))
+    return grid.kept_irfftn(grid.kept_rfftn(values))
 
 
 # ---------------------------------------------------------------------------

@@ -161,27 +161,12 @@ class CoveringEstimate:
                 "classification": "decreasing" if decreasing else "not-decreasing"}
 
 
-def _greedy_scan(points: np.ndarray, r: float,
-                 box_length: Optional[float] = None) -> int:
-    """Number of parabolic balls of radius r a greedy cover of the (m, 4)
-    point array needs: each ball is centred at the first point not yet
-    covered.  Every ball tests every point."""
-    xs, ts = points[:, :3], points[:, 3]
-    alive = np.ones(len(points), dtype=bool)
-    count = 0
-    while np.any(alive):
-        i = int(np.argmax(alive))
-        dist = np.maximum(_spatial_dist(xs, xs[i], box_length),
-                          np.sqrt(np.abs(ts - ts[i])))
-        alive &= dist > r
-        count += 1
-    return count
-
-
 def _greedy_count(points: np.ndarray, r: float,
                   box_length: Optional[float] = None) -> int:
-    """The count of ``_greedy_scan``, with each ball testing only the points
-    in the 3^4 space-time cells around its centre's cell.
+    """Number of parabolic balls of radius r a greedy cover of the (m, 4)
+    point array needs: each ball is centred at the first point not yet
+    covered, and tests only the points in the 3^4 space-time cells around
+    its centre's cell.
 
     Cells have side s >= r in space and s^2 in time, so every point within
     parabolic distance r of a centre lies in a neighbouring cell.  The
@@ -190,8 +175,8 @@ def _greedy_count(points: np.ndarray, r: float,
     indices by 2^48.  In a periodic box s = L / cells with cells =
     max(1, floor(L / s)), and spatial indices wrap mod cells; in a box 1
     or 2 cells wide every cell neighbours every other and is visited once.
-    The distances and the ``dist > r`` rule are the scan's, so the counts
-    are equal.
+    A ball covers the points at parabolic distance dist <= r (the
+    ``parabolic_distance`` expressions), so only ``dist > r`` stays alive.
     """
     reach = max(np.abs(points).max(), box_length or 0.0)
     side = np.array([r, r, r, r * r]) * (1.0 + 1e-6) + 16 * np.finfo(float).eps * reach

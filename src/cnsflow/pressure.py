@@ -3,17 +3,17 @@
 The global pressure solves the periodic Poisson problem obtained by taking
 the divergence of the momentum equation.  Locally, P splits into P1 (a
 Newtonian potential of the cutoff nonlinear sources, solved on the grid by
-the same pruned Poisson path as P) and P2 = P - P1, which is harmonic on
+the same kept-block Poisson path as P) and P2 = P - P1, which is harmonic on
 the half-radius ball; the module also provides Riesz potentials on the
 grid (one periodic FFT convolution with the lattice kernel, on supports of
-any size) and an interior-estimate checker for harmonic functions.
+any size).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,20 +25,20 @@ from .state import PhysParams
 def _poisson_of_forces(grid: Grid, u, n, gravity: float, weight=1.0) -> np.ndarray:
     """Zero-mean periodic solve of -Delta p = div g, where g_i =
     sum_j d_j(weight u_i u_j) + weight n grad_phi_i and grad_phi =
-    (0, 0, -gravity).  All its transforms are pruned: the products are
-    dealiased as they are transformed."""
-    ik = grid.ik
+    (0, 0, -gravity).  It works on the kept block: the products are
+    dealiased as they are transformed, and all its transforms are kept."""
+    ik = [grid.kept(iki) for iki in grid.ik]
     g = [0.0, 0.0, 0.0]
     for i in range(3):
         for j in range(i, 3):
-            prod = grid.dealiased_rfftn(weight * u[i] * u[j])
+            prod = grid.kept_rfftn(weight * u[i] * u[j])
             g[i] = g[i] + ik[j] * prod
             if j != i:
                 g[j] = g[j] + ik[i] * prod
     if gravity:
-        g[2] = g[2] + grid.dealiased_rfftn(weight * n * -gravity)
+        g[2] = g[2] + grid.kept_rfftn(weight * n * -gravity)
     div_hat = sum(k * h for k, h in zip(ik, g))
-    return grid.dealiased_irfftn(grid.poisson_hat(div_hat))
+    return grid.kept_irfftn(grid.poisson_hat(div_hat))
 
 
 def solve_pressure(s, params: PhysParams = PhysParams()) -> np.ndarray:
@@ -101,10 +101,10 @@ def decompose_local(s, x0: Sequence[float], rho: float,
     the cell density), P2 = P - P1.
 
     P1 is the zero-mean periodic Poisson solve against the cutoff sources,
-    with the same pruned, dealiased transforms as ``solve_pressure``; this
-    pins down P1 up to a function harmonic on the ball (so P2 = P - P1 is
-    harmonic on B_{rho/2} to spectral accuracy).  Raises ValueError unless
-    rho > 0.
+    on the same kept block as ``solve_pressure``; this pins down P1 up to a
+    function harmonic on the ball (so P2 = P - P1 is harmonic on B_{rho/2}
+    to spectral accuracy).  Raises ValueError unless rho > 0 and B_{rho/2}
+    holds a cell.
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
@@ -112,6 +112,8 @@ def decompose_local(s, x0: Sequence[float], rho: float,
     x0 = tuple(float(v) for v in x0)
     mask_rho = ball_mask(grid, x0, rho)
     mask_half = ball_mask(grid, x0, 0.5 * rho)
+    if not mask_half.any():
+        raise ValueError(f"B_rho/2 around {x0} holds no cell: rho = {rho}, h = {grid.h}")
     eta = cutoff_step(np.sqrt(grid.min_image_distance_sq(x0)), 0.5 * rho, rho)
 
     mean_u = np.array([float(np.mean(s.u[i][mask_rho])) for i in range(3)])
@@ -196,74 +198,6 @@ def riesz_potential(grid: Grid, f: np.ndarray, alpha: float, mask: np.ndarray,
     out = grid.irfftn(grid.rfftn(np.where(mask, f, 0.0)) * grid.rfftn(kernel))
     out[~target_mask] = 0.0
     return out
-
-
-# ---------------------------------------------------------------------------
-# harmonic interior estimates
-# ---------------------------------------------------------------------------
-
-def _ball_lq_norm(fn: Callable, radius: float, q: float) -> float:
-    """L^q norm over B_radius(0) by midpoint quadrature on a 48^3 cube."""
-    h = 2.0 * radius / 48
-    x1 = -radius + h * (np.arange(48) + 0.5)
-    X, Y, Z = np.meshgrid(x1, x1, x1, indexing="ij")
-    inside = X**2 + Y**2 + Z**2 < radius**2
-    pts = np.stack([X[inside], Y[inside], Z[inside]], axis=1)
-    vals = np.abs(np.asarray(fn(pts), dtype=float))
-    return float(np.sum(vals**q) * h**3) ** (1.0 / q)
-
-
-def harmonic_interior_bound_check(value_fn: Callable, deriv_norm_fn: Callable,
-                                  r: float, rho: float, k: int,
-                                  p: float, q: float) -> dict:
-    """Check the interior estimate for a harmonic function on the unit ball:
-
-        || D^k f ||_{L^q(B_r)}  <=  C r^{3/q} / (rho - r)^{3/p + k} || f ||_{L^p(B_rho)}
-
-    value_fn maps points (m, 3) to f values; deriv_norm_fn maps points to
-    the pointwise norm |D^k f|.  Returns the fitted C and whether it is
-    at most 100.
-    """
-    if not 0.0 < r < rho <= 1.0:
-        raise ValueError("need 0 < r < rho <= 1")
-    lhs = _ball_lq_norm(deriv_norm_fn, r, q)
-    f_norm = _ball_lq_norm(value_fn, rho, p)
-    geom = r ** (3.0 / q) / (rho - r) ** (3.0 / p + k)
-    rhs_base = geom * f_norm
-    fitted_c = lhs / rhs_base if rhs_base > 0 else 0.0
-    return {
-        "lhs": lhs,
-        "f_norm": f_norm,
-        "geometric_factor": geom,
-        "fitted_c": fitted_c,
-        "holds": fitted_c <= 100.0,
-    }
-
-
-def harmonic_test_family() -> list:
-    """Harmonic polynomials up to degree 4 with closed-form |grad|."""
-
-    def mk(value, grad_sq):
-        return {
-            "value": lambda pts, v=value: v(pts[:, 0], pts[:, 1], pts[:, 2]),
-            "grad_norm": lambda pts, g=grad_sq: np.sqrt(
-                g(pts[:, 0], pts[:, 1], pts[:, 2])
-            ),
-        }
-
-    return [
-        mk(lambda x, y, z: np.ones_like(x), lambda x, y, z: np.zeros_like(x)),
-        mk(lambda x, y, z: x, lambda x, y, z: np.ones_like(x)),
-        mk(lambda x, y, z: x * x - y * y, lambda x, y, z: 4 * x * x + 4 * y * y),
-        mk(lambda x, y, z: x * y * z,
-           lambda x, y, z: (y * z) ** 2 + (x * z) ** 2 + (x * y) ** 2),
-        mk(lambda x, y, z: x**3 - 3 * x * y * y,
-           lambda x, y, z: (3 * x * x - 3 * y * y) ** 2 + (6 * x * y) ** 2),
-        # degree 4: real part of (x + iy)^4
-        mk(lambda x, y, z: x**4 - 6 * x * x * y * y + y**4,
-           lambda x, y, z: (4 * x**3 - 12 * x * y * y) ** 2
-           + (4 * y**3 - 12 * x * x * y) ** 2),
-    ]
 
 
 def cz_sanity_report(decomp: PressureDecomposition, s,

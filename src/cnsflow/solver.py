@@ -34,10 +34,11 @@ _CYCLIC = ((1, 2), (2, 0), (0, 1))  # (a, b) of component j of a cross product
 
 
 def _rhs_hats(grid: Grid, n, c, u, c_hat, u_hat, params: PhysParams):
-    """Half-spectrum transforms of the explicit (non-diffusive) tendencies;
-    derivatives come from the hats of c and u, and each product is
-    dealiased by its pruned forward transform."""
+    """Kept blocks of the explicit (non-diffusive) tendencies; derivatives
+    come from the hats of c and u, and each product is dealiased by its
+    kept forward transform."""
     ik = grid.ik
+    kept_ik = [grid.kept(iki) for iki in ik]
     c_pos = np.maximum(c, 0.0)
     chi_c = params.chi_eval(c_pos)
     kappa_n = params.theta0 * c_pos * chi_c * n  # kappa_eval(c) n, from chi_c
@@ -45,23 +46,24 @@ def _rhs_hats(grid: Grid, n, c, u, c_hat, u_hat, params: PhysParams):
     del c_pos, chi_c
     grad_c = [grid.irfftn(iki * c_hat) for iki in ik]
 
-    # Sums accumulate in place, in their written order; negating a sum term
-    # by term, -(a + b) = (-a) - b, is exact.
-    # n: divergence-form flux of advection + chemotaxis
-    fn_hat = 0
-    for i, iki in enumerate(ik):
-        flux = n * u[i]
-        flux += chi_n * grad_c[i]
-        fn_hat -= iki * grid.dealiased_rfftn(flux)
-
+    # Sums accumulate in place, in their written order up to commuting two
+    # terms; negating a sum term by term, -(a + b) = (-a) - b, is exact.
     # c: advection + consumption
     adv_c = u[0] * grad_c[0]
     adv_c += u[1] * grad_c[1]
     adv_c += u[2] * grad_c[2]
     adv_c += kappa_n
-    fc_hat = grid.dealiased_rfftn(adv_c)
-    np.negative(fc_hat, out=fc_hat)
-    del grad_c, adv_c, kappa_n, chi_n
+    fc = grid.kept_rfftn(adv_c)
+    np.negative(fc, out=fc)
+    del adv_c, kappa_n
+
+    # n: divergence-form flux of advection + chemotaxis, formed in grad_c
+    fn = 0
+    for i, (iki, flux) in enumerate(zip(kept_ik, grad_c)):
+        flux *= chi_n
+        flux += n * u[i]
+        fn -= iki * grid.kept_rfftn(flux)
+    del grad_c, chi_n
 
     # u: u x curl u + buoyancy n grad_phi, with grad_phi = (0, 0, -gravity);
     # the update's Leray projection removes the gradient part of
@@ -71,33 +73,44 @@ def _rhs_hats(grid: Grid, n, c, u, c_hat, u_hat, params: PhysParams):
         w = ik[a] * u_hat[b]
         w -= ik[b] * u_hat[a]
         omega.append(grid.irfftn(w))
-    fu_hat = np.empty_like(u_hat)
+    fu = np.empty((3,) + fc.shape, dtype=complex)
     for j, (a, b) in enumerate(_CYCLIC):
         f = u[a] * omega[b]
         f -= u[b] * omega[a]
         if j == 2:
             f += params.gravity * n
-        fu_hat[j] = grid.dealiased_rfftn(f)
-    return fn_hat, fc_hat, fu_hat
+        fu[j] = grid.kept_rfftn(f)
+    return fn, fc, fu
 
 
-def advance(grid: Grid, n, c, u, params: PhysParams, dt: float, order: int = 1):
-    """One IMEX step on raw arrays: returns (n, c, u, step_log).
+def _clamp(a, hi=None):
+    """``a`` clamped to [0, hi] (at 0 only when hi is None), and whether the
+    clamp changed it; an unchanged array is returned as it is."""
+    acted = np.min(a) < 0.0 or (hi is not None and np.max(a) > hi)
+    return (np.clip(a, 0.0, hi) if acted else a), bool(acted)
+
+
+def advance(grid: Grid, n, c, u, params: PhysParams, dt: float, order: int = 1,
+            hats=None):
+    """One IMEX step on raw arrays: returns (n, c, u, step_log, hats).
 
     ``order`` is 1 (integrating-factor Euler) or 2 (Heun); any other value
-    raises ValueError before any work.  Makes 16 full real transforms and
-    7 pruned ones at order 1, 28 full and 14 pruned at order 2, from the
-    physical arrays alone (no transform is carried between steps).  The
-    pruned ones are the dealiased products' ``Grid.dealiased_rfftn``,
-    bitwise ``dealias_mask * rfftn``; ``Grid.dealiased_irfftn``, bitwise
-    ``irfftn(dealias_mask * h)``, serves the pressure solve.  Both
-    transform only the modes the 2/3 mask keeps (21 of 32 rows and 11 of
-    17 half-axis columns at N = 32, 43 of 64 and 22 of 33 at N = 64).
-    Advection of u is in rotational form, u x curl u: the velocity is
-    re-projected divergence-free, which removes the gradient part of
-    u.grad u.  Diffusion uses the exact integrating factor
-    exp(-|k|^2 dt); c is clamped to [0, c0_max] and n at zero, with the
-    clamped mass logged.  The new arrays are checked for finiteness once.
+    raises ValueError before any work.  ``hats`` = (n_hat, c_hat, u_hat)
+    carries the arrays' spectra from step to step: they are updated in
+    place and returned, None for a field whose clamp acted.  A missing
+    spectrum is rebuilt from its array; a rebuilt u_hat, solenoidal only to
+    rounding, has its whole update projected, a carried one only its kept
+    block.  Real transforms, full + kept: 16 + 7 at order 1 from physical
+    arrays and 11 + 7 carried; 28 + 14 and 23 + 14 at order 2, one full
+    fewer when the predicted c needed no clip.  The tendencies are kept
+    blocks, their products dealiased by ``Grid.kept_rfftn``.  Advection of
+    u is in rotational form, u x curl u; the projection removes the
+    gradient part of u.grad u.  Diffusion uses the exact integrating factor
+    E = exp(-|k|^2 dt): E hat is written into the spectra in place, and
+    E (hat + dt f) on the kept block.  c is clamped to [0, c0_max] and n at
+    zero; the step log holds the clamped mass and the number of spectra a
+    clamp forced to be rebuilt ("spectra_rebuilt").  The new arrays are
+    checked for finiteness once.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
@@ -105,42 +118,76 @@ def advance(grid: Grid, n, c, u, params: PhysParams, dt: float, order: int = 1):
     u_sq += u[1] * u[1]
     u_sq += u[2] * u[2]
     max_u = float(np.sqrt(np.max(u_sq)))
+    del u_sq
     cfl = max_u * dt / grid.h
     if cfl > 0.5:
         raise CFLError(cfl, 0.5 * grid.h / max_u)
 
+    n_hat, c_hat, u_hat = hats or (None,) * 3
+    rebuilt = 0 if hats is None else (n_hat is None) + (c_hat is None)
+    u_rebuilt = u_hat is None
+    n_hat = grid.rfftn(n) if n_hat is None else n_hat
+    c_hat = grid.rfftn(c) if c_hat is None else c_hat
+    u_hat = grid.rfftn(u) if u_hat is None else u_hat
     E = np.exp(-grid.k_sq * dt)
-    n_hat, c_hat = grid.rfftn(n), grid.rfftn(c)
-    u_hat = grid.rfftn(u)
+    E_kept = grid.kept(E)
+
+    def put(hat, f, project=False):
+        """Write ``f`` on the kept block of E ``hat`` (in place)."""
+        hat *= E
+        if project and u_rebuilt:
+            grid.project_hat(hat, out=hat)
+        hat[grid.kept_index(hat.shape)] = grid.project_hat(f, out=f) if project else f
+        return hat
+
     fn, fc, fu = _rhs_hats(grid, n, c, u, c_hat, u_hat, params)
-    if order == 1:
+    if order == 2:
+        # Heun on the integrating-factor variables
+        def predict(hat, f):
+            return (grid.kept(hat) + dt * f) * E_kept
+
+        u_pred_hat = put(u_hat.copy(), predict(u_hat, fu), project=True)
+        n_pred, _ = _clamp(grid.irfftn(put(n_hat.copy(), predict(n_hat, fn))))
+        c_pred_hat = put(c_hat.copy(), predict(c_hat, fc))
+        c_pred, clipped = _clamp(grid.irfftn(c_pred_hat), params.c0_max)
+        if clipped:
+            c_pred_hat = grid.rfftn(c_pred)
+            rebuilt += 1
+        fn2, fc2, fu2 = _rhs_hats(grid, n_pred, c_pred, grid.irfftn(u_pred_hat),
+                                  c_pred_hat, u_pred_hat, params)
+        del n_pred, c_pred, c_pred_hat, u_pred_hat
+        # E hat + dt/2 (E f + f2) on the block
+        for hat, f, f2 in ((n_hat, fn, fn2), (c_hat, fc, fc2), (u_hat, fu, fu2)):
+            f *= E_kept
+            f += f2
+            f *= 0.5 * dt
+            f += E_kept * grid.kept(hat)
+        del fn2, fc2, fu2
+    else:
         # E (hat + dt f), formed in the tendency arrays
         for hat, f in ((n_hat, fn), (c_hat, fc), (u_hat, fu)):
             f *= dt
-            f += hat
-            f *= E
-        n_new, c_new, u_new = fn, fc, fu
-    else:
-        # Heun on the integrating-factor variables
-        u_pred_hat = grid.project_hat(E * (u_hat + dt * fu))
-        n_pred = np.maximum(grid.irfftn(E * (n_hat + dt * fn)), 0.0)
-        c_pred = np.clip(grid.irfftn(E * (c_hat + dt * fc)), 0.0, params.c0_max)
-        fn2, fc2, fu2 = _rhs_hats(grid, n_pred, c_pred, grid.irfftn(u_pred_hat),
-                                  grid.rfftn(c_pred), u_pred_hat, params)
-        n_new = E * n_hat + 0.5 * dt * (E * fn + fn2)
-        c_new = E * c_hat + 0.5 * dt * (E * fc + fc2)
-        u_new = E * u_hat + 0.5 * dt * (E * fu + fu2)
+            f += grid.kept(hat)
+            f *= E_kept
+    put(n_hat, fn)
+    put(c_hat, fc)
+    put(u_hat, fu, project=True)
+    del fn, fc, fu
 
-    u_arr = grid.irfftn(grid.project_hat(u_new))
-    n_arr = grid.irfftn(n_new)
-    c_arr = grid.irfftn(c_new)
+    u_arr = grid.irfftn(u_hat)
+    n_arr = grid.irfftn(n_hat)
+    c_arr = grid.irfftn(c_hat)
     for name, arr in (("n", n_arr), ("c", c_arr), ("u", u_arr)):
         _check_finite(arr, name)
 
     clamp_mass = float(-np.sum(np.minimum(n_arr, 0.0)) * grid.cell_volume)
     c_overshoot = max(0.0, float(np.max(c_arr)) - params.c0_max)
-    step_log = {"clamp_mass": clamp_mass, "c_overshoot_preclamp": c_overshoot, "cfl": cfl}
-    return np.maximum(n_arr, 0.0), np.clip(c_arr, 0.0, params.c0_max), u_arr, step_log
+    n_arr, n_clamped = _clamp(n_arr)
+    c_arr, c_clamped = _clamp(c_arr, params.c0_max)
+    step_log = {"clamp_mass": clamp_mass, "c_overshoot_preclamp": c_overshoot, "cfl": cfl,
+                "spectra_rebuilt": rebuilt}
+    hats = (None if n_clamped else n_hat, None if c_clamped else c_hat, u_hat)
+    return n_arr, c_arr, u_arr, step_log, hats
 
 
 def _with_pressure(grid: Grid, n, c, u, time: float, params: PhysParams) -> State:
@@ -152,7 +199,7 @@ def _with_pressure(grid: Grid, n, c, u, time: float, params: PhysParams) -> Stat
 def step(s: State, params: PhysParams, dt: float, order: int = 1) -> State:
     """One IMEX step (``advance``), then the pressure solve; returns a new
     State with P and a ``step_log`` dict attached."""
-    n, c, u, step_log = advance(s.grid, s.n, s.c, s.u, params, dt, order)
+    n, c, u, step_log, _ = advance(s.grid, s.n, s.c, s.u, params, dt, order)
     new = _with_pressure(s.grid, n, c, u, s.time + dt, params)
     new.step_log = step_log
     return new
@@ -259,8 +306,10 @@ def simulate(cfg: SimulationConfig, params: PhysParams, out_dir=None) -> Traject
     from the initial state's own time (a restart's snapshot time) to
     ``t_end``.
 
-    Steps run on raw arrays (``advance``); a State, with its pressure
-    solved, is built only for the initial and every kept snapshot.  When
+    Steps run on raw arrays (``advance``), carrying their spectra; a
+    State, with its pressure solved, is built only for the initial and
+    every kept snapshot, after which the spectra are rebuilt from the
+    arrays, so a run resumed from a kept snapshot is bitwise this run.  When
     ``out_dir`` is given, each kept snapshot is written in the CNS1 format
     as soon as it is produced, and ``trajectory.json`` (with the physics
     and the run log) is written last, so it exists only for a run that
@@ -284,11 +333,15 @@ def simulate(cfg: SimulationConfig, params: PhysParams, out_dir=None) -> Traject
     grid, n, c, u, t = s.grid, s.n, s.c, s.u, s.time
     n_steps = int(round((cfg.t_end - t) / cfg.dt))
     mass0 = float(np.sum(n) * grid.cell_volume)
-    run_log = {"clamp_mass_total": 0.0, "c_overshoot_max": 0.0, "mass_drift_max": 0.0}
+    run_log = {"clamp_mass_total": 0.0, "c_overshoot_max": 0.0, "mass_drift_max": 0.0,
+               "spectra_rebuilt": 0}
+    hats = None
     for i in range(1, n_steps + 1):
-        n, c, u, step_log = advance(grid, n, c, u, params, cfg.dt, order=cfg.order)
+        n, c, u, step_log, hats = advance(grid, n, c, u, params, cfg.dt,
+                                          order=cfg.order, hats=hats)
         t = t + cfg.dt
         run_log["clamp_mass_total"] += step_log["clamp_mass"]
+        run_log["spectra_rebuilt"] += step_log["spectra_rebuilt"]
         run_log["c_overshoot_max"] = max(
             run_log["c_overshoot_max"], step_log["c_overshoot_preclamp"]
         )
@@ -299,6 +352,7 @@ def simulate(cfg: SimulationConfig, params: PhysParams, out_dir=None) -> Traject
             run_log["mass_drift_max"] = max(run_log["mass_drift_max"], drift)
         if i % cfg.output_stride == 0 or i == n_steps:
             keep(_with_pressure(grid, n, c, u, t, params))
+            hats = None
     traj = Trajectory(states, params=params)
     traj.run_log = run_log
     if out is not None:

@@ -124,15 +124,53 @@ def test_dealias_is_a_projection():
 
 @pytest.mark.parametrize("n", range(8, 42, 2))
 def test_pruned_transforms_are_bitwise_full_ones(n):
-    """The pruned transforms equal their full-transform expressions bit
-    for bit, on scalar and vector white noise."""
+    """The kept transforms equal their full-transform expressions bit for
+    bit, on scalar and vector white noise."""
     g = Grid(n, 1.0)
     rng = np.random.default_rng(n)
     for shape in ((n,) * 3, (3,) + (n,) * 3):
         v = rng.normal(size=shape)
-        assert np.array_equal(g.dealiased_rfftn(v), g.dealias_mask * g.rfftn(v))
+        assert np.array_equal(g.kept_rfftn(v), g.kept(g.rfftn(v)))
         h = g.rfftn(rng.normal(size=shape))
-        assert np.array_equal(g.dealiased_irfftn(h), g.irfftn(g.dealias_mask * h))
+        assert np.array_equal(g.kept_irfftn(g.kept(h)), g.irfftn(g.dealias_mask * h))
+
+
+@pytest.mark.parametrize("n", [8, 10, 32])
+def test_kept_block_is_the_masked_modes(n):
+    """``kept`` takes exactly the modes the mask keeps, of a spectrum and
+    of each broadcast symbol, and its index writes them back in place."""
+    g = Grid(n, 1.0)
+    h = g.rfftn(np.random.default_rng(n).normal(size=(3,) + (n,) * 3))
+    assert np.array_equal(g.kept(h).ravel(), h[:, g.dealias_mask].ravel())
+    shape = g.kept(g.k_sq).shape
+    for sym in g.ik:
+        assert np.array_equal(np.broadcast_to(g.kept(sym), shape),
+                              g.kept(np.broadcast_to(sym, g.k_sq.shape)))
+    out = np.zeros_like(h)
+    out[g.kept_index(out.shape)] = g.kept(h)
+    assert np.array_equal(out, g.dealias_mask * h)
+
+
+def test_vector_transforms_are_the_batched_ones():
+    """A stack of fields goes one field at a time, bitwise the batched call."""
+    g = Grid(16, 1.0)
+    v = np.random.default_rng(2).normal(size=(2, 3, 16, 16, 16))
+    h = np.fft.rfftn(v, axes=(-3, -2, -1))
+    assert np.array_equal(g.rfftn(v), h)
+    assert np.array_equal(g.irfftn(h), np.fft.irfftn(h, s=(16,) * 3, axes=(-3, -2, -1)))
+
+
+def test_projection_and_poisson_on_the_block_are_the_full_ones():
+    """One projection and one Poisson solve serve a half spectrum and a
+    kept block: on the block their values are the full ones, bit for bit."""
+    g = Grid(24, 2.0)
+    rng = np.random.default_rng(9)
+    u_hat = g.rfftn(rng.normal(size=(3, 24, 24, 24)))
+    assert np.array_equal(g.project_hat(g.kept(u_hat)), g.kept(g.project_hat(u_hat)))
+    assert np.array_equal(g.poisson_hat(g.kept(u_hat[0])), g.kept(g.poisson_hat(u_hat[0])))
+    block = g.kept(u_hat)
+    assert g.project_hat(block, out=block) is block
+    assert np.array_equal(block, g.kept(g.project_hat(u_hat)))
 
 
 @pytest.mark.parametrize("n", [8, 10, 32, 48, 64])

@@ -16,9 +16,7 @@ from cnsflow import (
     cz_sanity_report,
     decompose_local,
     eval_field_at,
-    harmonic_interior_bound_check,
     harmonic_residual,
-    harmonic_test_family,
     initial_state,
     riesz_potential,
     solve_pressure,
@@ -61,17 +59,17 @@ def test_p2_is_harmonic_on_inner_ball(decomp_setup):
 
 def test_decompose_local_transforms_are_all_pruned(smooth_traj, smooth_params,
                                                    monkeypatch):
-    """The split's sources and P1 take the pruned transforms of the global
-    pressure solve: no full Grid.rfftn or Grid.irfftn call."""
+    """The split's sources and P1 take the kept (pruned) transforms of the
+    global pressure solve: no full Grid.rfftn or Grid.irfftn call."""
     calls = {}
-    for name in ("rfftn", "irfftn", "dealiased_rfftn", "dealiased_irfftn"):
+    for name in ("rfftn", "irfftn", "kept_rfftn", "kept_irfftn"):
         def counting(self, values, _name=name, _fn=getattr(Grid, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(self, values)
         monkeypatch.setattr(Grid, name, counting)
     decompose_local(smooth_traj.states[-1], (0.5, 0.5, 0.5), 0.2,
                     params=smooth_params)
-    assert calls == {"dealiased_rfftn": 7, "dealiased_irfftn": 1}
+    assert calls == {"kept_rfftn": 7, "kept_irfftn": 1}
 
 
 def _smooth_state(n, box):
@@ -134,6 +132,23 @@ def test_decompose_local_refuses_a_ball_wider_than_a_quarter_box(decomp_setup):
     decompose_local(s, (0.5, 0.5, 0.5), 0.25)
     with pytest.raises(CylinderRangeError):
         decompose_local(s, (0.5, 0.5, 0.5), 0.26)
+
+
+def test_empty_half_ball_is_refused_by_name(tmp_path, capsys):
+    """At 16^3 (h = 0.0625) the ball of radius 0.01 around 0.53 in each
+    coordinate holds no cell: decompose_local raises ValueError naming rho
+    and h, and `diagnose pressure` exits 2 with that message and writes no
+    CSV."""
+    s = _smooth_state(16, 1.0)
+    with pytest.raises(ValueError, match="rho = 0.02, h = 0.0625"):
+        decompose_local(s, (0.53, 0.53, 0.53), 0.02)
+    write_snapshot(tmp_path / "s.cns", s)
+    out = tmp_path / "split.csv"
+    capsys.readouterr()
+    assert main(["diagnose", "pressure", "--snapshot", str(tmp_path / "s.cns"),
+                 "--center", "0.53,0.53,0.53", "--rho", "0.02", "--out", str(out)]) == 2
+    assert "rho = 0.02, h = 0.0625" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n, m", [(16, 40), (64, 520)])
@@ -243,6 +258,69 @@ def test_riesz_alpha_out_of_range():
     f = np.ones((16,) * 3)
     with pytest.raises(ValueError):
         riesz_potential(g, f, 3.5, mask)
+
+
+def _ball_lq_norm(fn, radius: float, q: float) -> float:
+    """L^q norm over B_radius(0) by midpoint quadrature on a 48^3 cube."""
+    h = 2.0 * radius / 48
+    x1 = -radius + h * (np.arange(48) + 0.5)
+    X, Y, Z = np.meshgrid(x1, x1, x1, indexing="ij")
+    inside = X**2 + Y**2 + Z**2 < radius**2
+    pts = np.stack([X[inside], Y[inside], Z[inside]], axis=1)
+    vals = np.abs(np.asarray(fn(pts), dtype=float))
+    return float(np.sum(vals**q) * h**3) ** (1.0 / q)
+
+
+def harmonic_interior_bound_check(value_fn, deriv_norm_fn, r: float, rho: float,
+                                  k: int, p: float, q: float) -> dict:
+    """Check the interior estimate for a harmonic function on the unit ball:
+
+        || D^k f ||_{L^q(B_r)}  <=  C r^{3/q} / (rho - r)^{3/p + k} || f ||_{L^p(B_rho)}
+
+    value_fn maps points (m, 3) to f values; deriv_norm_fn maps points to
+    the pointwise norm |D^k f|.  Returns the fitted C and whether it is
+    at most 100.
+    """
+    if not 0.0 < r < rho <= 1.0:
+        raise ValueError("need 0 < r < rho <= 1")
+    lhs = _ball_lq_norm(deriv_norm_fn, r, q)
+    f_norm = _ball_lq_norm(value_fn, rho, p)
+    geom = r ** (3.0 / q) / (rho - r) ** (3.0 / p + k)
+    rhs_base = geom * f_norm
+    fitted_c = lhs / rhs_base if rhs_base > 0 else 0.0
+    return {
+        "lhs": lhs,
+        "f_norm": f_norm,
+        "geometric_factor": geom,
+        "fitted_c": fitted_c,
+        "holds": fitted_c <= 100.0,
+    }
+
+
+def harmonic_test_family() -> list:
+    """Harmonic polynomials up to degree 4 with closed-form |grad|."""
+
+    def mk(value, grad_sq):
+        return {
+            "value": lambda pts, v=value: v(pts[:, 0], pts[:, 1], pts[:, 2]),
+            "grad_norm": lambda pts, g=grad_sq: np.sqrt(
+                g(pts[:, 0], pts[:, 1], pts[:, 2])
+            ),
+        }
+
+    return [
+        mk(lambda x, y, z: np.ones_like(x), lambda x, y, z: np.zeros_like(x)),
+        mk(lambda x, y, z: x, lambda x, y, z: np.ones_like(x)),
+        mk(lambda x, y, z: x * x - y * y, lambda x, y, z: 4 * x * x + 4 * y * y),
+        mk(lambda x, y, z: x * y * z,
+           lambda x, y, z: (y * z) ** 2 + (x * z) ** 2 + (x * y) ** 2),
+        mk(lambda x, y, z: x**3 - 3 * x * y * y,
+           lambda x, y, z: (3 * x * x - 3 * y * y) ** 2 + (6 * x * y) ** 2),
+        # degree 4: real part of (x + iy)^4
+        mk(lambda x, y, z: x**4 - 6 * x * x * y * y + y**4,
+           lambda x, y, z: (4 * x**3 - 12 * x * y * y) ** 2
+           + (4 * y**3 - 12 * x * x * y) ** 2),
+    ]
 
 
 def test_harmonic_interior_linear_function():

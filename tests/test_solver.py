@@ -1,6 +1,9 @@
 """Solver structure: parameter validation, conservation, exact flows, and
 independent time-integration oracles."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -13,6 +16,7 @@ from cnsflow import (
     divergence,
     initial_state,
     read_snapshot,
+    read_trajectory,
     simulate,
     solve_pressure,
     step,
@@ -157,6 +161,58 @@ def test_restart_is_bitwise_identical(tmp_path):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
+def test_restart_from_an_off_stride_snapshot_agrees_to_rounding(tmp_path):
+    """A run that ends off the output stride carried its spectra through
+    its last step; resuming from that snapshot rebuilds them, so the
+    resumed run agrees with the uninterrupted one to rounding."""
+    base = dict(
+        grid_n=16, grid_l=1.0, dt=2e-4, output_stride=5, seed=4,
+        init={"preset": "random_smooth", "amplitude": 0.05,
+              "n_mean": 1.0, "c0": 1.0, "modes": 2},
+    )
+    params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.3, c0_max=1.0)
+    full = simulate(SimulationConfig(t_end=0.004, **base), params)
+    part = simulate(SimulationConfig(t_end=0.0022, **base), params)  # 11 steps
+    snap = tmp_path / "off_stride.cns"
+    write_snapshot(snap, part.states[-1])
+    resumed = simulate(SimulationConfig(
+        t_end=0.004, **{**base, "init": {"preset": "restart", "path": str(snap)}}), params)
+    a, b = full.states[-1], resumed.states[-1]
+    assert a.time == b.time
+    for name in ("n", "c", "u", "p"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert np.max(np.abs(x - y)) <= 1e-13 * np.max(np.abs(x)), name
+
+
+def test_run_log_counts_spectra_rebuilt_by_a_clamp(tmp_path):
+    """On the solve benchmark's config (64^3, chemotaxis and buoyancy, six
+    order-1 steps) no clamp acts, so every spectrum is carried: 0.  With
+    test_concentration_maximum_principle's config and c0_max = 0.6, below
+    the initial c's largest value 0.62, the first step clips c, and the
+    next one rebuilds its spectrum; at order 2 c_pred's clip counts too.
+    The count is written to trajectory.json, and a trajectory.json
+    without it still reads."""
+    solve_cfg = SimulationConfig(
+        grid_n=64, grid_l=1.0, dt=2e-4, t_end=6 * 2e-4, output_stride=6, seed=1,
+        init={"preset": "random_smooth", "amplitude": 0.05,
+              "n_mean": 1.0, "c0": 1.0, "modes": 2})
+    solve_params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.5, c0_max=1.0)
+    assert simulate(solve_cfg, solve_params).run_log["spectra_rebuilt"] == 0
+    for order, rebuilt in ((1, 1), (2, 2)):
+        cfg = SimulationConfig(
+            grid_n=24, grid_l=1.0, dt=2e-4, t_end=0.01, output_stride=10, seed=2,
+            order=order, init={"preset": "random_smooth", "amplitude": 0.1,
+                               "n_mean": 1.0, "c0": 0.8, "modes": 2})
+        out = tmp_path / f"order{order}"
+        traj = simulate(cfg, PhysParams(theta0=1.0, chi_coeffs=(0.5,), c0_max=0.6), out)
+        assert traj.run_log["spectra_rebuilt"] == rebuilt
+        meta = json.loads((out / "trajectory.json").read_text())
+        assert meta["run_log"]["spectra_rebuilt"] == rebuilt
+    del meta["run_log"]["spectra_rebuilt"]
+    (out / "trajectory.json").write_text(json.dumps(meta))
+    assert len(read_trajectory(out).states) == len(traj.states)
+
+
 def test_unknown_preset_rejected():
     cfg = SimulationConfig(init={"preset": "bogus"})
     params = PhysParams(theta0=1.0, chi_coeffs=(1.0,), c0_max=1.0)
@@ -260,10 +316,10 @@ def _smooth_32(params):
 
 
 def _count_transforms(monkeypatch):
-    """Wrap the full and the pruned real transforms of Grid; each call adds
+    """Wrap the full and the kept real transforms of Grid; each call adds
     its number of N^3 fields (3 for a vector) to counts["full"] or
-    counts["pruned"]."""
-    counts = {"full": 0, "pruned": 0}
+    counts["kept"]."""
+    counts = {"full": 0, "kept": 0}
 
     def counted(name, kind):
         method = getattr(Grid, name)
@@ -276,31 +332,55 @@ def _count_transforms(monkeypatch):
         monkeypatch.setattr(Grid, name, wrapper)
 
     for name, kind in (("rfftn", "full"), ("irfftn", "full"),
-                       ("dealiased_rfftn", "pruned"), ("dealiased_irfftn", "pruned")):
+                       ("kept_rfftn", "kept"), ("kept_irfftn", "kept")):
         counted(name, kind)
     return counts
 
 
-@pytest.mark.parametrize("order, expected", [(1, 23), (2, 42)])
-def test_real_transforms_per_advance(monkeypatch, order, expected):
-    """Counts every real transform of one step, full and pruned apart: each
-    tendency evaluation makes 7 pruned ones (16 + 7 at order 1, 28 + 14
-    at order 2)."""
+#: (order, spectra carried, clamps acting, full transforms, kept transforms)
+TRANSFORM_CASES = [
+    (1, False, False, 16, 7),
+    (1, True, False, 11, 7),
+    (1, True, True, 12, 7),  # c's spectrum rebuilt
+    (2, False, False, 27, 14),
+    (2, False, True, 28, 14),  # c_pred clipped: its spectrum rebuilt
+    (2, True, False, 22, 14),
+    (2, True, True, 24, 14),  # c's spectrum and c_pred's rebuilt
+]
+
+
+@pytest.mark.parametrize("order, carried, clamped, full, kept", TRANSFORM_CASES)
+def test_real_transforms_per_advance(monkeypatch, order, carried, clamped, full, kept):
+    """Counts every real transform of one step, full and kept apart: each
+    tendency evaluation makes 7 kept ones.  From physical arrays a step
+    transforms n, c and u forward; carried spectra save those 5, and a
+    spectrum is rebuilt only where a clamp acted.  In the clamped cases the
+    previous step's clamp acted on c, and c0_max lies below the largest c,
+    so this step's clamps act too."""
     params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.3, c0_max=1.0)
     s = _smooth_32(params)
+    n, c, u, _, hats = advance(s.grid, s.n, s.c, s.u, params, 2e-4, order)
+    assert all(h is not None for h in hats)
+    if clamped:
+        hats = (hats[0], None, hats[2])
+        params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.3, c0_max=0.75)
+    if not carried:
+        n, c, u, hats = s.n, s.c, s.u, None
     counts = _count_transforms(monkeypatch)
-    advance(s.grid, s.n, s.c, s.u, params, 2e-4, order)
-    assert counts == {"full": expected - 7 * order, "pruned": 7 * order}
+    _, _, _, log, hats = advance(s.grid, n, c, u, params, 2e-4, order, hats=hats)
+    assert counts == {"full": full, "kept": kept}
+    assert log["spectra_rebuilt"] == (carried + (order == 2)) * clamped
+    assert [h is None for h in hats] == [False, clamped, False]
 
 
 def test_real_transforms_per_pressure_solve(monkeypatch):
-    """The global pressure solve makes only pruned transforms: 7 forward
+    """The global pressure solve makes only kept transforms: 7 forward
     products (6 of u_i u_j, 1 of the buoyancy) and 1 inverse."""
     params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.3, c0_max=1.0)
     s = _smooth_32(params)
     counts = _count_transforms(monkeypatch)
     solve_pressure(s, params)
-    assert counts == {"full": 0, "pruned": 8}
+    assert counts == {"full": 0, "kept": 8}
 
 
 @pytest.mark.parametrize("order", [0, 3])
@@ -315,7 +395,7 @@ def test_advance_and_step_reject_other_orders(order):
 
 def test_pruned_transforms_leave_step_and_pressure_bitwise_unchanged(monkeypatch):
     """One order-1 and one order-2 step and one pressure solve, with the
-    pruned transforms and again with their full-transform expressions:
+    kept transforms and again with their full-transform expressions:
     every output is equal with ==."""
     params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.3, c0_max=1.0)
     s = _smooth_32(params)
@@ -326,13 +406,98 @@ def test_pruned_transforms_leave_step_and_pressure_bitwise_unchanged(monkeypatch
             out += advance(s.grid, s.n, s.c, s.u, params, 2e-3, order)[:3]
         return out
 
-    pruned = outputs()
-    monkeypatch.setattr(Grid, "dealiased_rfftn",
-                        lambda grid, v: grid.dealias_mask * grid.rfftn(v))
-    monkeypatch.setattr(Grid, "dealiased_irfftn",
-                        lambda grid, h: grid.irfftn(grid.dealias_mask * h))
-    for a, b in zip(pruned, outputs()):
+    def zero_filled(grid, block):
+        h = np.zeros(block.shape[:-3] + grid.k_sq.shape, dtype=complex)
+        h[grid.kept_index(h.shape)] = block
+        return h
+
+    kept = outputs()
+    monkeypatch.setattr(Grid, "kept_rfftn", lambda grid, v: grid.kept(grid.rfftn(v)))
+    monkeypatch.setattr(Grid, "kept_irfftn",
+                        lambda grid, b: grid.irfftn(zero_filled(grid, b)))
+    for a, b in zip(kept, outputs()):
         assert np.all(a == b)
+
+
+def _full_spectrum_advance(grid, n, c, u, params, dt):
+    """An order-1 step as one update of whole half spectra: the tendencies
+    zero-filled off the kept block, E (hat + dt f) everywhere, and one
+    projection of the whole velocity update."""
+    E = np.exp(-grid.k_sq * dt)
+    hats = (grid.rfftn(n), grid.rfftn(c), grid.rfftn(u))
+    new = []
+    for hat, f in zip(hats, solver._rhs_hats(grid, n, c, u, hats[1], hats[2], params)):
+        full = np.zeros_like(hat)
+        full[grid.kept_index(full.shape)] = f
+        new.append(E * (hat + dt * full))
+    n_new, c_new, u_new = (grid.irfftn(h) for h in (new[0], new[1],
+                                                    grid.project_hat(new[2])))
+    return np.maximum(n_new, 0.0), np.clip(c_new, 0.0, params.c0_max), u_new
+
+
+def test_fresh_order1_step_and_pressure_are_the_full_spectrum_ones():
+    """From physical arrays, the in-place kept-block update of an order-1
+    step gives the bits of the whole-spectrum update, and the pressure the
+    bits of the whole-spectrum Poisson solve of the masked products."""
+    params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.3, c0_max=1.0)
+    s = _smooth_32(params)
+    g = s.grid
+    got = advance(g, s.n, s.c, s.u, params, 2e-3, 1)
+    for a, b in zip(got[:3], _full_spectrum_advance(g, s.n, s.c, s.u, params, 2e-3)):
+        assert np.all(a == b)
+    gr = [0.0, 0.0, 0.0]
+    for i in range(3):
+        for j in range(i, 3):
+            prod = g.dealias_mask * g.rfftn(1.0 * s.u[i] * s.u[j])
+            gr[i] = gr[i] + g.ik[j] * prod
+            if j != i:
+                gr[j] = gr[j] + g.ik[i] * prod
+    gr[2] = gr[2] + g.dealias_mask * g.rfftn(1.0 * s.n * -params.gravity)
+    div_hat = sum(k * h for k, h in zip(g.ik, gr))
+    ref = g.irfftn(g.dealias_mask * g.poisson_hat(div_hat))
+    assert np.all(solve_pressure(s, params) == ref)
+
+
+def _run(order, carry, steps=200):
+    """``steps`` steps of a 32^3 run with chemotaxis and buoyancy, the
+    spectra carried from step to step or rebuilt every step."""
+    params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.3, c0_max=1.0)
+    cfg = SimulationConfig(grid_n=32, grid_l=1.0, seed=6,
+                           init={"preset": "random_smooth", "amplitude": 0.2,
+                                 "n_mean": 1.0, "c0": 1.0, "modes": 4})
+    s = initial_state(cfg, params)
+    f, hats = (s.n, s.c, s.u), None
+    for _ in range(steps):
+        *f, _, hats = advance(s.grid, *f, params, 2e-4, order, hats=hats if carry else None)
+    return f, hats
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_carried_spectra_match_rebuilt_ones(order):
+    """Carrying the spectra changes a run only by rounding: after 200 steps
+    every field is within 1e-13 of the run that rebuilds them every step,
+    and all three spectra were still carried."""
+    carried, hats = _run(order, carry=True)
+    rebuilt, _ = _run(order, carry=False)
+    assert all(h is not None for h in hats)
+    for a, b in zip(carried, rebuilt):
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+def test_carried_step_memory_is_bounded():
+    """One carried 32^3 step allocates at most 13 N^3 doubles at its peak
+    above its inputs (10.4 measured; a step from physical arrays, which
+    builds the 5 spectra, 15.8)."""
+    f, hats = _run(1, carry=True, steps=2)
+    params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.3, c0_max=1.0)
+    grid = Grid(32, 1.0)
+    advance(grid, *f, params, 2e-4, 1, hats=hats)  # symbols cached
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    advance(grid, *f, params, 2e-4, 1, hats=hats)
+    peak = tracemalloc.get_traced_memory()[1] - base
+    tracemalloc.stop()
+    assert peak <= 13 * 8 * 32**3
 
 
 _rotational_rhs_hats = solver._rhs_hats
@@ -347,7 +512,7 @@ def _convective_rhs_hats(grid, n, c, u, c_hat, u_hat, params):
         f = sum(u[i] * grid.irfftn(1j * ki * u_hat[j]) for i, ki in enumerate(grid.k))
         if j == 2:
             f = f - params.gravity * n
-        fu.append(-grid.rfftn(f) * grid.dealias_mask)
+        fu.append(-grid.kept(grid.rfftn(f)))
     return fn, fc, np.stack(fu)
 
 
