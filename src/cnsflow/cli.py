@@ -34,16 +34,18 @@ from .energy import (
 )
 from .grid_fields import (
     CylinderRangeError,
+    Grid,
     NonFiniteFieldError,
     ParabolicCylinder,
     RescaleError,
+    _snapshot_weights,
     ball_mask,
 )
 from .hausdorff import dimension_estimate
 from .pressure import decompose_local, harmonic_residual
 from .regularity import FLAG_COLUMNS, RegularityConfig, flag_sweep
-from .snapshot import read_snapshot, read_trajectory
-from .solver import CFLError, SimulationConfig, simulate
+from .snapshot import read_snapshot, read_trajectory, snapshot_time
+from .solver import CFLError, SimulationConfig, simulate, step_times
 from .state import PhysParams
 
 EXIT_OK = 0
@@ -469,6 +471,31 @@ def cmd_pipeline(args) -> int:
     flag_stride = config_get(cfg, "pipeline.flag_stride", int,
                              max(1, sim.grid_n // 4))
     radii = config_get(cfg, "pipeline.radii", _float_list, None)
+    key = "sim.t_end" if radii is None else "pipeline.radii"
+    L = sim.grid_l
+    center, omega = (L / 2.0,) * 3, L / 4.0
+    # the planned first and last snapshot times, by simulate's own rule
+    t_first = (snapshot_time(sim.init["path"])
+               if sim.init.get("preset") == "restart" else 0.0)
+    t_last = ([t_first] + step_times(sim, t_first))[-1]
+    span = t_last - t_first
+    if radii is None:
+        r_cap = min(L / 8.0, 0.95 * span**0.5)
+        radii = (0.5 * r_cap, r_cap)
+    bump_r = min(L / 8.0, max(radii))
+    bump_span = min(0.5 * span, bump_r**2)
+    # before the first step, each cylinder of the analysis phases (each
+    # radius at t_last for the quantities and flags, then the LEI's ball)
+    # by the cylinder quadrature's own rules on the planned grid and span
+    grid = Grid(sim.grid_n, L)
+    for phase, r, depth in [("quantities", r, r**2) for r in radii] + [
+            ("lei", omega, bump_span)]:
+        try:
+            ball_mask(grid, center, r)
+            _snapshot_weights(np.array([t_first, t_last]), t_last - depth, t_last)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: phase {phase!r} would fail: {exc}") from exc
+    tf = smooth_bump(bump_r, bump_span)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     phase_seconds = {}
@@ -487,14 +514,6 @@ def cmd_pipeline(args) -> int:
     traj = phase("simulate", lambda: simulate(sim, params, out_dir=traj_dir))
     outputs["trajectory"] = traj_dir
 
-    L = sim.grid_l
-    t_last = float(traj.times[-1])
-    center = (L / 2.0,) * 3
-    span = t_last - float(traj.times[0])
-    if radii is None:
-        r_cap = min(L / 8.0, 0.95 * span**0.5)
-        radii = (0.5 * r_cap, r_cap)
-
     def quantities():
         rows = [_quantity_row(traj, center, t_last, r) for r in sorted(radii)]
         write_csv(out / "quantities.csv", QUANTITY_COLUMNS, rows)
@@ -511,10 +530,8 @@ def cmd_pipeline(args) -> int:
     outputs["energy"] = out / "energy.csv"
 
     def lei():
-        bump_r = min(L / 8.0, max(radii))
-        tf = smooth_bump(bump_r, min(0.5 * span, bump_r**2))
         write_csv(out / "lei.csv", LEI_COLUMNS,
-                  [_lei_row(traj, tf, t_last, center, L / 4.0)])
+                  [_lei_row(traj, tf, t_last, center, omega)])
 
     phase("lei", lei)
     outputs["lei"] = out / "lei.csv"

@@ -430,19 +430,21 @@ def lei_residual(traj: Trajectory, tf: TestFunction, t: float,
 
     # final-time terms at the snapshot nearest to t
     sf = traj.state_at(t)
+    at = sf.on(cells)
     psi_f = tf.value_rt(rho_om, sf.time - t)
-    lhs["entropy_final"] = ball_sum(om(sf.derived("n_ln_n")) * psi_f)
+    lhs["entropy_final"] = ball_sum(at("n_ln_n") * psi_f)
     lhs["grad_sqrt_c_final"] = (2.0 / theta0) * ball_sum(
-        np.sum(om(sf.derived("grad_sqrt_c")) ** 2, axis=0) * psi_f
+        np.sum(at("grad_sqrt_c") ** 2, axis=0) * psi_f
     )
-    lhs["kinetic_final"] = kin * ball_sum(np.sum(om(sf.u) ** 2, axis=0) * psi_f)
+    lhs["kinetic_final"] = kin * ball_sum(np.sum(at("u") ** 2, axis=0) * psi_f)
 
-    # time-integrated terms: midpoint in psi, linear in the fields
+    # time-integrated terms: midpoint in psi, linear in the fields; each
+    # snapshot's fields on Omega's cells are kept for the next interval
+    views = {}
     for i, a, b in overlaps:
         w = b - a
         tm = 0.5 * (a + b)
         lam = (tm - times[i]) / (times[i + 1] - times[i])
-        s0, s1 = traj.states[i], traj.states[i + 1]
         psi = tf.value_rt(rho, tm - t)
         if not np.any(psi):
             continue
@@ -453,11 +455,11 @@ def lei_residual(traj: Trajectory, tf: TestFunction, t: float,
         gpsi = om(gradient(grid, psi))
         hres = tf.dt_rt(rho_om, tm - t) + om(laplacian(grid, psi))
         psi = om(psi)
+        views = {j: views.get(j) or traj.states[j].on(cells) for j in (i, i + 1)}
 
         def mid(name):
             # a base or derived field on Omega's cells, linear in time
-            f0, f1 = (om(getattr(s, name) if name in ("n", "c", "u", "p")
-                         else s.derived(name)) for s in (s0, s1))
+            f0, f1 = views[i](name), views[i + 1](name)
             return f0 + lam * (f1 - f0)
 
         u = mid("u")

@@ -358,7 +358,8 @@ def _grid_index(grid: Grid, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 #: Fixed integrand catalog: the |.| quantities of the cylinder functionals,
-#: each a derived field of ``State``; ``catalog_fields`` applies the powers.
+#: each a derived field of ``State``, read on the cells of one call through
+#: ``State.on``; ``catalog_fields`` applies the powers.
 INTEGRAND_NAMES = (
     "abs_u",
     "grad_u_sq",
@@ -391,11 +392,9 @@ def catalog_fields(*integrands: tuple[str, float]) -> Callable:
             raise UnknownIntegrandError(f"unknown integrand {name!r}")
 
     def fields(state, cells):
-        out = []
-        for name, p in integrands:
-            a = state.derived(name)[cells]
-            out.append((a if p == 1.0 else a**p,))  # a**1.0 is a: skip the pass
-        return out
+        at = state.on(cells)
+        # a**1.0 is a: skip the pass
+        return [(at(name) if p == 1.0 else at(name) ** p,) for name, p in integrands]
 
     return fields
 

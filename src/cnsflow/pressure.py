@@ -50,20 +50,26 @@ def solve_pressure(s, params: PhysParams = PhysParams()) -> np.ndarray:
 def eval_field_at(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Trigonometric (exact interpolant) evaluation at arbitrary points.
 
-    points has shape (m, 3); coordinates act modulo the box.  The phase
-    e^{i k.x} is one (m, N) matrix per axis, contracted with the spectrum
-    in batches that keep the (m, N, N) intermediate near 2^21 entries.
+    points has shape (m, 3); coordinates act modulo the box.  The real
+    part of the full spectral sum (Nyquist modes at the phase of -N/2),
+    from the half spectrum and the conjugates of its columns
+    0 < k_z < N/2, whose x and y Nyquist rows take the phase of +N/2;
+    contracted axis by axis, in batches of about 2^20 intermediate entries.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = grid.n
-    fh = np.fft.fftn(values).reshape(n, n * n) / values.size
-    k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.h)
-    out = np.empty(len(pts))
-    batch = max(1, 2**21 // n**2)
+    n, m = grid.n, grid.n // 2 + 1
+    fh = grid.rfftn(values) / values.size
+    k1 = grid._k_full[0].ravel()  # Nyquist at -N/2
+    out = np.zeros(len(pts))
+    batch = max(1, 2**20 // (n * m))
     for a in range(0, len(pts), batch):
-        ex, ey, ez = (np.exp(1j * np.outer(pts[a:a + batch, i], k1)) for i in range(3))
-        fx = (ex @ fh).reshape(-1, n, n)
-        out[a:a + batch] = np.einsum("ajk,aj,ak->a", fx, ey, ez).real
+        e = np.exp(1j * pts[a:a + batch, :, None] * k1)
+        e_conj = e.copy()
+        e_conj[..., n // 2] = np.conj(e[..., n // 2])
+        for phase, cols in ((e, slice(0, m)), (e_conj, slice(1, m - 1))):
+            fx = (phase[:, 0] @ fh[..., cols].reshape(n, -1)).reshape(len(e), n, -1)
+            fxy = (phase[:, 1, None, :] @ fx)[:, 0]
+            out[a:a + batch] += np.sum(fxy * e[:, 2, cols], axis=-1).real
     return out
 
 

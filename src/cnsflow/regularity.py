@@ -152,10 +152,10 @@ def _sup_bundle(w: float = 1.0):
     bundles."""
 
     def fields(s, cells):
-        n = np.maximum(s.n[cells], 0.0)
+        at = s.on(cells)
+        n = np.maximum(at("n"), 0.0)
         nln = np.abs(n * guarded_log(n, w))
-        return [(n + nln, s.derived("grad_sqrt_c")[..., cells] ** 2,
-                 s.u[..., cells] ** 2)]
+        return [(n + nln, at("grad_sqrt_c") ** 2, at("u") ** 2)]
 
     return fields
 

@@ -36,22 +36,34 @@ def write_snapshot(path, state: State) -> None:
     os.replace(tmp, path)
 
 
-def read_snapshot(path) -> State:
-    """Read one CNS1 snapshot; the file length must be exactly what its
-    header's N calls for, which is checked before any array is read."""
+def _read_header(f, path) -> tuple[int, float, float]:
+    """N, L and t of an open CNS1 file; the file length must be exactly
+    what N calls for."""
+    header = f.read(HEADER_BYTES)
+    if header[:4] != MAGIC:
+        raise ValueError(f"{path}: bad magic {header[:4]!r}, expected {MAGIC!r}")
+    n = int.from_bytes(header[4:8], "little")
+    size, expected = os.fstat(f.fileno()).st_size, HEADER_BYTES + 48 * n**3
+    if size != expected:
+        raise ValueError(f"{path}: truncated or overlong snapshot: {size} bytes, "
+                         f"N = {n} needs {expected}")
+    box_length, t = np.frombuffer(header, dtype="<f8", count=2, offset=8)
+    return n, float(box_length), float(t)
+
+
+def snapshot_time(path) -> float:
+    """The time of a CNS1 snapshot, read from its checked header only."""
     with open(path, "rb") as f:
-        header = f.read(HEADER_BYTES)
-        if header[:4] != MAGIC:
-            raise ValueError(f"{path}: bad magic {header[:4]!r}, expected {MAGIC!r}")
-        n = int.from_bytes(header[4:8], "little")
-        size, expected = os.fstat(f.fileno()).st_size, HEADER_BYTES + 48 * n**3
-        if size != expected:
-            raise ValueError(f"{path}: truncated or overlong snapshot: {size} bytes, "
-                             f"N = {n} needs {expected}")
-        box_length, t = np.frombuffer(header, dtype="<f8", count=2, offset=8)
+        return _read_header(f, path)[2]
+
+
+def read_snapshot(path) -> State:
+    """Read one CNS1 snapshot; its header is checked before any array is
+    read."""
+    with open(path, "rb") as f:
+        n, box_length, t = _read_header(f, path)
         data = np.fromfile(f, dtype="<f8", count=6 * n**3).reshape(6, n, n, n)
-    return State(Grid(n, float(box_length)), data[0], data[1], data[2:5], data[5],
-                 float(t))
+    return State(Grid(n, box_length), data[0], data[1], data[2:5], data[5], t)
 
 
 def snapshot_name(index: int) -> str:

@@ -262,8 +262,12 @@ def initial_state(cfg: SimulationConfig, params: PhysParams) -> State:
         n = np.maximum(n, 0.0)
         c = np.clip(c0 * (0.75 + 0.25 * amp * _band_limited(rng, grid, modes)),
                     0.0, c0)
-        raw = np.array([amp * _band_limited(rng, grid, modes) for _ in range(3)])
-        u = grid.irfftn(grid.project_hat(grid.rfftn(raw)))
+        # projected in its own spectrum, each array dropped once used
+        u = np.empty((3,) + shape)
+        for i in range(3):
+            u[i] = amp * _band_limited(rng, grid, modes)
+        u = grid.rfftn(u)
+        u = grid.irfftn(grid.project_hat(u, out=u))
     elif preset == "restart":
         s = read_snapshot(cfg.init["path"])
         if s.grid.n != grid.n or s.grid.box_length != grid.box_length:
@@ -301,6 +305,15 @@ def _band_limited(rng, grid: Grid, modes: int) -> np.ndarray:
     return out / max(1.0, float(np.max(np.abs(out))))
 
 
+def step_times(cfg: SimulationConfig, t: float) -> list:
+    """The time after each step ``simulate`` takes from time t."""
+    times = []
+    for _ in range(int(round((cfg.t_end - t) / cfg.dt))):
+        t = t + cfg.dt
+        times.append(t)
+    return times
+
+
 def simulate(cfg: SimulationConfig, params: PhysParams, out_dir=None) -> Trajectory:
     """Run the solver and collect snapshots every ``output_stride`` steps,
     from the initial state's own time (a restart's snapshot time) to
@@ -330,16 +343,15 @@ def simulate(cfg: SimulationConfig, params: PhysParams, out_dir=None) -> Traject
 
     s = initial_state(cfg, params)
     keep(s)
-    grid, n, c, u, t = s.grid, s.n, s.c, s.u, s.time
-    n_steps = int(round((cfg.t_end - t) / cfg.dt))
+    grid, n, c, u = s.grid, s.n, s.c, s.u
+    times = step_times(cfg, s.time)
     mass0 = float(np.sum(n) * grid.cell_volume)
     run_log = {"clamp_mass_total": 0.0, "c_overshoot_max": 0.0, "mass_drift_max": 0.0,
                "spectra_rebuilt": 0}
     hats = None
-    for i in range(1, n_steps + 1):
+    for i, t in enumerate(times, 1):
         n, c, u, step_log, hats = advance(grid, n, c, u, params, cfg.dt,
                                           order=cfg.order, hats=hats)
-        t = t + cfg.dt
         run_log["clamp_mass_total"] += step_log["clamp_mass"]
         run_log["spectra_rebuilt"] += step_log["spectra_rebuilt"]
         run_log["c_overshoot_max"] = max(
@@ -350,7 +362,7 @@ def simulate(cfg: SimulationConfig, params: PhysParams, out_dir=None) -> Traject
             # drift before crediting back the clamped (negative) mass
             drift = abs(mass - run_log["clamp_mass_total"] - mass0) / mass0
             run_log["mass_drift_max"] = max(run_log["mass_drift_max"], drift)
-        if i % cfg.output_stride == 0 or i == n_steps:
+        if i % cfg.output_stride == 0 or i == len(times):
             keep(_with_pressure(grid, n, c, u, t, params))
             hats = None
     traj = Trajectory(states, params=params)

@@ -33,13 +33,60 @@ def guarded_log(n: np.ndarray, w: float) -> np.ndarray:
         return np.log(np.where(n > 0, w * n, 1.0))
 
 
+def _abs(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(v**2, axis=0))
+
+
+def _grad_sq(g: Grid, a: np.ndarray) -> np.ndarray:
+    return np.sum(gradient(g, a) ** 2, axis=0)
+
+
+def _hess_sq(g: Grid, a: np.ndarray) -> np.ndarray:
+    hess = hessian_components(g, a)
+    return sum(hess[(i, j)] ** 2 for i in range(3) for j in range(3))
+
+
+def _n_ln_n(n: np.ndarray) -> np.ndarray:
+    n = np.maximum(n, 0.0)
+    return n * guarded_log(n, 1.0)
+
+
+#: The derived fields that take a transform: name -> its form on a state.
+#: Made on the whole grid on first use and cached by the state.
+TRANSFORMED = {
+    "grad_u_sq": lambda s: sum(_grad_sq(s.grid, comp) for comp in s.u),
+    "grad_sqrt_n_sq": lambda s: _grad_sq(s.grid, _floored_sqrt(s.n)),
+    "grad_sqrt_c": lambda s: gradient(s.grid, _floored_sqrt(s.c)),
+    "hess_sqrt_c_sq": lambda s: _hess_sq(s.grid, _floored_sqrt(s.c)),
+    "lap_sqrt_c": lambda s: laplacian(s.grid, _floored_sqrt(s.c)),
+    "grad_c": lambda s: gradient(s.grid, s.c),
+    "grad_sqrt_n1_sq": lambda s: _grad_sq(s.grid, np.sqrt(np.maximum(s.n, 0.0) + 1.0)),
+}
+
+#: The derived fields that are elementwise in the base arrays and the
+#: cached ``grad_sqrt_c``: name -> (the arrays it reads, its form).  They
+#: are formed on the cells a functional reads (``State.on``), never cached.
+POINTWISE = {
+    "abs_u": (("u",), _abs),
+    "sqrt_n": (("n",), lambda n: np.sqrt(np.maximum(n, 0.0))),
+    "abs_p": (("p",), np.abs),
+    "n_ln_n": (("n",), _n_ln_n),
+    "abs_n_ln_n": (("n",), lambda n: np.abs(_n_ln_n(n))),
+    "abs_grad_sqrt_c": (("grad_sqrt_c",), _abs),
+    "entropy_quartic": (("grad_sqrt_c", "c"), lambda g, c: np.sum(g**2, axis=0) ** 2
+                        / (np.maximum(c, 0.0) + EPS_FLOOR)),
+}
+
+
 class State:
     """One snapshot (n, c, u, P) at a fixed time.
 
-    ``derived(name)`` computes a field that some functional integrates
-    (square roots, gradients, Hessians, entropy densities) spectrally on
-    first use and caches it; intermediates such as the floored square
-    roots are not kept.  States are immutable after construction.
+    Derived fields are of two kinds: the ``TRANSFORMED`` ones are computed
+    on the whole grid on first use and cached (the floored square roots
+    they start from are not kept); the ``POINTWISE`` ones are formed on
+    the cells asked for (``on``) and never cached.  ``derived(name)``
+    returns either on the whole grid.  States are immutable after
+    construction.
     """
 
     def __init__(self, grid: Grid, n, c, u, p, time: float):
@@ -59,51 +106,40 @@ class State:
         self._cache: dict[str, np.ndarray] = {}
 
     def derived(self, name: str) -> np.ndarray:
-        if name in self._cache:
-            return self._cache[name]
-        arr = self._compute_derived(name)
-        self._cache[name] = arr
-        return arr
+        """The derived field ``name`` on the whole grid."""
+        if name in POINTWISE:
+            return self.on(slice(None))(name)
+        if name not in self._cache:
+            self._cache[name] = TRANSFORMED[name](self)
+        return self._cache[name]
 
-    def _compute_derived(self, name: str) -> np.ndarray:
-        g = self.grid
-        if name == "abs_u":
-            return np.sqrt(np.sum(self.u**2, axis=0))
-        if name == "grad_u_sq":
-            out = np.zeros((g.n,) * 3)
-            for comp in self.u:
-                gv = gradient(g, comp)
-                out += np.sum(gv**2, axis=0)
-            return out
-        if name == "sqrt_n":
-            return np.sqrt(np.maximum(self.n, 0.0))
-        if name == "grad_sqrt_n_sq":
-            return np.sum(gradient(g, _floored_sqrt(self.n)) ** 2, axis=0)
-        if name == "grad_sqrt_c":
-            return gradient(g, _floored_sqrt(self.c))
-        if name == "abs_grad_sqrt_c":
-            return np.sqrt(np.sum(self.derived("grad_sqrt_c") ** 2, axis=0))
-        if name == "hess_sqrt_c_sq":
-            hess = hessian_components(g, _floored_sqrt(self.c))
-            return sum(hess[(i, j)] ** 2 for i in range(3) for j in range(3))
-        if name == "lap_sqrt_c":
-            return laplacian(g, _floored_sqrt(self.c))
-        if name == "grad_c":
-            return gradient(g, self.c)
-        if name == "grad_sqrt_n1_sq":
-            root = np.sqrt(np.maximum(self.n, 0.0) + 1.0)
-            return np.sum(gradient(g, root) ** 2, axis=0)
-        if name == "abs_p":
-            return np.abs(self.p)
-        if name == "n_ln_n":
-            n = np.maximum(self.n, 0.0)
-            return n * guarded_log(n, 1.0)
-        if name == "abs_n_ln_n":
-            return np.abs(self.derived("n_ln_n"))
-        if name == "entropy_quartic":
-            grad4 = np.sum(self.derived("grad_sqrt_c") ** 2, axis=0) ** 2
-            return grad4 / (np.maximum(self.c, 0.0) + EPS_FLOOR)
-        raise KeyError(f"no derived field {name!r}")
+    def on(self, cells) -> _OnCells:
+        """``at(name)``: a base array (n, c, u, p) or derived field on
+        ``cells`` (a boolean mask, flat indices or ``slice(None)``), in the
+        order of ``a[..., mask]``, each gathered or formed once."""
+        return _OnCells(self, cells)
+
+
+class _OnCells:
+    """``State.on``'s ``at``: a callable, not a closure, so that what it
+    has gathered is freed with it and not left to the cycle collector."""
+
+    def __init__(self, state: State, cells):
+        if getattr(cells, "dtype", None) == bool:
+            cells = np.flatnonzero(cells)
+        self.state, self.cells, self.got = state, cells, {}
+
+    def __call__(self, name: str) -> np.ndarray:
+        if name not in self.got:
+            if name in POINTWISE:
+                reads, form = POINTWISE[name]
+                self.got[name] = form(*map(self, reads))
+            else:
+                s = self.state
+                a = getattr(s, name) if name in ("n", "c", "u", "p") else s.derived(name)
+                self.got[name] = a if isinstance(self.cells, slice) else np.take(
+                    a.reshape(a.shape[:-3] + (-1,)), self.cells, axis=-1)
+        return self.got[name]
 
 
 def _polyder(coeffs) -> np.ndarray:

@@ -157,6 +157,46 @@ def test_malformed_pipeline_key_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o" / "trajectory").exists()  # failed before the run
 
 
+@pytest.mark.parametrize("old, new, key", [
+    # r = 0.11: the window r^2 = 0.0121 is longer than the span 0.01
+    ("pipeline.radii = 0.05,0.09", "pipeline.radii = 0.05,0.11", "pipeline.radii"),
+    # 2r > L/2
+    ("pipeline.radii = 0.05,0.09", "pipeline.radii = 0.3", "pipeline.radii"),
+    # no step: the default radii are 0, whose windows overlap no interval
+    ("sim.t_end = 0.01\n", "sim.t_end = 0.0\n", "sim.t_end"),
+])
+def test_unfit_plan_exits_2_before_the_first_step(tmp_path, capsys, old, new, key):
+    """A cylinder that cannot fit the planned grid or span fails the
+    pipeline before its first step, naming the key, and writes nothing."""
+    text = CONFIG_TEXT.replace(old, new)
+    if key == "sim.t_end":
+        text = text.replace("pipeline.radii = 0.05,0.09\n", "")
+    cfg = tmp_path / "plan.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: phase 'quantities'"), err
+    assert not out.exists()
+
+
+def test_restart_plan_spans_from_the_snapshot_time(traj_dir, tmp_path, capsys):
+    """A restart's plan starts at its snapshot's time (0.0025): r = 0.09
+    needs a span of 0.0081 and the restart has 0.0075, so the pipeline
+    exits 2 before any step; r = 0.08 fits and the run completes."""
+    snap = sorted(traj_dir.glob("snap_*.cns"))[1]
+    text = CONFIG_TEXT.replace("init.preset = random_smooth",
+                               f"init.preset = restart\ninit.path = {snap}")
+    for radii, code in (("0.05,0.09", EXIT_CONFIG), ("0.05,0.08", EXIT_OK)):
+        cfg = tmp_path / f"restart_{radii}.cfg"
+        cfg.write_text(text.replace("pipeline.radii = 0.05,0.09", f"pipeline.radii = {radii}"))
+        out = tmp_path / radii
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == code
+        assert out.exists() == (code == EXIT_OK)
+    assert "pipeline.radii: phase 'quantities' would fail" in capsys.readouterr().err
+
+
 def test_pipeline_phase_exits_with_its_exception_code(workdir, traj_dir, tmp_path,
                                                       capsys):
     """A negative radius is a config error (2) in the pipeline's quantities

@@ -245,13 +245,12 @@ def _numpy_fft_users(tree: ast.Module) -> set:
 
 
 def test_every_transform_goes_through_grid():
-    """In the package, numpy.fft appears only in Grid's methods and in
-    pressure.eval_field_at, so counting Grid's transforms counts every
-    transform the package makes."""
+    """In the package, numpy.fft appears only in Grid's methods, so
+    counting Grid's transforms counts every transform the package makes."""
     users = {(path.name, name)
              for path in sorted(Path(cnsflow.__file__).parent.glob("*.py"))
              for name in _numpy_fft_users(ast.parse(path.read_text()))}
-    assert users == {("grid_fields.py", "Grid"), ("pressure.py", "eval_field_at")}
+    assert users == {("grid_fields.py", "Grid")}
     # the scan sees every spelling of a numpy.fft use
     probe = ast.parse("import numpy as xp\ndef f(): return xp.fft.rfft(1)\n"
                       "def g():\n    from numpy.fft import rfft\n"

@@ -1,9 +1,28 @@
 """States, derived fields, and the parabolic rescaling."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from cnsflow import Grid, State, Trajectory, rescale_state
+from cnsflow import (
+    Grid,
+    ParabolicCylinder,
+    PhysParams,
+    RegularityConfig,
+    SimulationConfig,
+    State,
+    Trajectory,
+    ball_mask,
+    compute_quantities,
+    flag_sweep,
+    global_energy_check,
+    lei_residual,
+    rescale_state,
+    simulate,
+    smooth_bump,
+)
 from cnsflow.grid_fields import (
     INTEGRAND_NAMES,
     RescaleError,
@@ -11,7 +30,7 @@ from cnsflow.grid_fields import (
     hessian_components,
     laplacian,
 )
-from cnsflow.state import EPS_FLOOR
+from cnsflow.state import EPS_FLOOR, POINTWISE, TRANSFORMED, guarded_log
 
 
 def _state(N=16, L=1.0, n=None, c=None, u=None, t=0.0):
@@ -85,6 +104,77 @@ def test_floored_root_derivatives_are_bitwise_their_operators():
     }
     for name, ref in expected.items():
         assert np.array_equal(s.derived(name), ref), name
+
+
+def test_pointwise_fields_on_any_cells_are_the_whole_grid_ones():
+    """Each pointwise field, on a ball mask, on the ball's flat indices and
+    on the whole grid, is bitwise its whole-grid formula gathered on those
+    cells, and none is cached."""
+    s = _seeded_state()
+    n, c = np.maximum(s.n, 0.0), np.maximum(s.c, 0.0)
+    gsc_sq = np.sum(s.derived("grad_sqrt_c") ** 2, axis=0)
+    n_ln_n = n * guarded_log(n, 1.0)
+    whole = {
+        "abs_u": np.sqrt(np.sum(s.u**2, axis=0)),
+        "sqrt_n": np.sqrt(n),
+        "abs_p": np.abs(s.p),
+        "n_ln_n": n_ln_n,
+        "abs_n_ln_n": np.abs(n_ln_n),
+        "abs_grad_sqrt_c": np.sqrt(gsc_sq),
+        "entropy_quartic": gsc_sq**2 / (c + EPS_FLOOR),
+    }
+    assert set(whole) == set(POINTWISE)
+    mask = ball_mask(s.grid, (0.25, 0.5, 0.625), 0.2)
+    flat = np.flatnonzero(mask)
+    for name, ref in whole.items():
+        assert np.array_equal(s.derived(name), ref), name
+        assert np.array_equal(s.on(mask)(name), ref[mask]), name
+        assert np.array_equal(s.on(flat)(name), ref.ravel()[flat]), name
+        assert np.array_equal(s.on(slice(None))(name), ref), name
+    assert set(s._cache) == {"grad_sqrt_c"}
+
+
+def test_fields_on_cells_are_freed_without_the_cycle_collector():
+    """What ``State.on`` forms is freed as soon as it is dropped: a
+    whole-grid pointwise field left to the cycle collector stayed alive
+    across pipeline rounds and raised their peak RSS."""
+    s = _seeded_state()
+    gc.disable()
+    try:
+        at = s.on(slice(None))
+        refs = [weakref.ref(at(name)) for name in POINTWISE]
+        del at
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
+
+
+def test_states_cache_only_transformed_fields():
+    """After every functional of the pipeline on a 32^3 run like the
+    benchmark's (9 snapshots, radii 2h and 4h, a stride-4 thm13 sweep, the
+    LEI bump), each state caches only derived fields that take a
+    transform, all seven are in use, and the caches hold at most 24 MB
+    (21.5 MB measured; 36.4 MB when the pointwise fields were cached
+    too)."""
+    params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.5, c0_max=1.0)
+    cfg = SimulationConfig(grid_n=32, grid_l=1.0, dt=5e-4, t_end=0.02, output_stride=5,
+                           order=2, seed=7,
+                           init={"preset": "random_smooth", "amplitude": 0.05,
+                                 "n_mean": 1.0, "c0": 1.0, "modes": 2})
+    traj = simulate(cfg, params)
+    t, x0 = float(traj.times[-1]), (0.5, 0.5, 0.5)
+    for r in (0.0625, 0.125):
+        compute_quantities(traj, ParabolicCylinder(x0, t, r))
+    global_energy_check(traj)
+    lei_residual(traj, smooth_bump(0.125, 0.01), t, x0, 0.25)
+    axis = np.arange(0, 32, 4) / 32
+    centers = np.array([(a, b, c, t) for a in axis for b in axis for c in axis])
+    flag_sweep(traj, centers, (0.0625, 0.125), RegularityConfig(), criterion="thm13")
+    keys = [set(s._cache) for s in traj.states]
+    assert set().union(*keys) == set(TRANSFORMED) == {
+        "grad_u_sq", "grad_sqrt_n_sq", "grad_sqrt_c", "hess_sqrt_c_sq", "lap_sqrt_c",
+        "grad_c", "grad_sqrt_n1_sq"}
+    assert sum(a.nbytes for s in traj.states for a in s._cache.values()) <= 24e6
 
 
 def test_velocity_magnitude():
