@@ -17,6 +17,7 @@ import json
 import sys
 import time
 import warnings
+from contextlib import suppress
 from dataclasses import asdict
 from pathlib import Path
 
@@ -25,8 +26,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import compute_quantities
 from .energy import (
-    LHS_TERM_NAMES,
-    RHS_TERM_NAMES,
+    LEI_TERMS,
     global_energy_check,
     heat_test_function,
     lei_residual,
@@ -236,7 +236,9 @@ def _hash_file(path) -> str:
 
 
 def write_manifest(out_dir, config_path, sim, params, phase_seconds,
-                   outputs) -> Path:
+                   outputs, failed_phase=None) -> Path:
+    """manifest.json: the run's inputs, outputs and per-phase seconds, and,
+    for a failed pipeline, the phase that failed."""
     manifest = {
         "version": __version__,
         "config_sha256": _hash_file(config_path),
@@ -246,6 +248,8 @@ def write_manifest(out_dir, config_path, sim, params, phase_seconds,
         "outputs": {k: str(v) for k, v in outputs.items()},
         "phase_seconds": phase_seconds,
     }
+    if failed_phase is not None:
+        manifest["failed_phase"] = failed_phase
     path = Path(out_dir) / "manifest.json"
     with open(path, "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
@@ -263,8 +267,7 @@ QUANTITY_COLUMNS = (
     "a_combined", "e_combined", "c_combined", "g",
 )
 
-LEI_COLUMNS = (("t",) + tuple("lhs_" + n for n in LHS_TERM_NAMES)
-               + tuple("rhs_" + n for n in RHS_TERM_NAMES) + ("residual",))
+LEI_COLUMNS = ("t", *(f"{side}_{name}" for side, name, *_ in LEI_TERMS), "residual")
 
 
 def _quantity_row(traj, x0, t0: float, r: float) -> list:
@@ -276,8 +279,7 @@ def _quantity_row(traj, x0, t0: float, r: float) -> list:
 def _lei_row(traj, tf, t: float, center, omega: float) -> list:
     """One LEI_COLUMNS row: the local energy inequality terms at time t."""
     rep = lei_residual(traj, tf, t, center, omega)
-    return ([t] + [rep.lhs_terms[n] for n in LHS_TERM_NAMES]
-            + [rep.rhs_terms[n] for n in RHS_TERM_NAMES] + [rep.residual])
+    return [t, *rep.lhs_terms.values(), *rep.rhs_terms.values(), rep.residual]
 
 
 def _dimension_rows(est) -> list:
@@ -506,6 +508,9 @@ def cmd_pipeline(args) -> int:
         try:
             result = fn()
         except Exception as exc:
+            with suppress(OSError):  # the phase's own error sets the exit code
+                write_manifest(out, args.config, sim, params, phase_seconds,
+                               outputs, failed_phase=name)
             raise PhaseError(f"pipeline phase {name!r} failed: {exc}") from exc
         phase_seconds[name] = time.perf_counter() - t0
         return result

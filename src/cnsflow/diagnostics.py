@@ -65,10 +65,10 @@ class LocalQuantities:
 
 
 def mean_removed(a: np.ndarray, power: float) -> np.ndarray:
-    """The term |a - (a)_B|^power of a field's values ``a`` on one ball's
-    cells, (a)_B their mean: ``f[cells]`` for a scalar, or ``f[..., cells]``
-    for a vector, whose ball mean is removed componentwise.  A ball-mean
-    term, so for per-centre passes only."""
+    """The integrand |a - (a)_B|^power of a field's values ``a`` on one
+    ball's cells, as a view gives them (``at("p")``, or ``at("u")``, whose
+    ball mean is removed componentwise), (a)_B their mean.  A ball-mean
+    integrand, so for per-centre passes only."""
     centered = a - a.mean(axis=-1, keepdims=True)
     mag = np.sqrt(np.sum(centered**2, axis=0)) if a.ndim == 2 else np.abs(centered)
     return mag**power
@@ -91,8 +91,7 @@ def compute_quantities(traj: Trajectory, Q: ParabolicCylinder) -> LocalQuantitie
         ("abs_p", 1.5), ("abs_n_ln_n", 1.5))
     ints, sups = cylinder_values(
         traj, Q,
-        integrals=lambda s, cells: [*catalog(s, cells),
-                                    (mean_removed(s.u[..., cells], 3.0),)],
+        integrals=lambda at: [*catalog(at), mean_removed(at("u"), 3.0)],
         sups=catalog_fields(("abs_u", 2.0), ("abs_grad_sqrt_c", 2.0),
                             ("sqrt_n", 2.0), ("abs_n_ln_n", 1.0)))
     a_u, a_gc, a_sn, m = (inv_r * sups).tolist()
@@ -191,10 +190,10 @@ def log_split(traj: Trajectory, rho0: float, Q: ParabolicCylinder) -> LogSplit:
         raise ValueError(f"rho0 must lie in (0, 1), got {rho0}")
     lo, hi = rho0 ** (-1.5), rho0 ** (-2.0)
 
-    def bands(state, cells):
-        n = np.maximum(state.n[cells], 0.0)
+    def bands(at):
+        n = np.maximum(at("n"), 0.0)
         val = np.abs(n * guarded_log(n, rho0**2)) ** 1.5
-        return [(val[sel],) for sel in (n < lo, (n >= lo) & (n <= hi), n > hi)]
+        return [val[sel] for sel in (n < lo, (n >= lo) & (n <= hi), n > hi)]
 
     m1, m2, m3 = (rho0 ** (-2.0) * cylinder_values(traj, Q, bands)[0]).tolist()
     return LogSplit(rho0=rho0, m1=m1, m2=m2, m3=m3)

@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .grid_fields import _window_overlaps, ball_mask, gradient, laplacian
-from .state import EPS_FLOOR, Trajectory
+from .grid_fields import _window_overlaps, ball_mask
+from .state import EPS_FLOOR, Trajectory, gather
 
 
 def _smoothstep(s: np.ndarray) -> np.ndarray:
@@ -162,27 +162,17 @@ class TestFunction:
         return (p.K_t * p.X * p.T + p.K * p.X * p.T_t) / self.scale**2
 
 
-def heat_test_function(level: int, plateau_x: float = 0.075,
-                       plateau_t: float = 0.005625,
-                       scale: float = 1.0) -> TestFunction:
+def heat_test_function(level: int, scale: float = 1.0) -> TestFunction:
     """Backward-caloric test function at dyadic level >= 2: kernel scale
-    r_level = 2^(-level), cutoff plateau covering Q_{r_4}, support Q_{r_3}.
+    r_level = 2^(-level), cutoff plateau |x| <= 0.075, -t <= 0.005625
+    covering Q_{r_4}, support Q_{r_3}.
 
     scale applies the parabolic dilation psi(x/scale, t/scale^2), which
     preserves nonnegativity, the vanishing boundary values, and exact
     backward-caloricity on the plateau.
     """
-    if level < 2:
-        raise ValueError(f"level must be >= 2, got {level}")
-    r3, r4 = 0.125, 0.0625
-    if not (r4 <= plateau_x < r3 and r4**2 <= plateau_t < r3**2):
-        raise ValueError("plateau must cover Q_{r_4} and stay inside Q_{r_3}")
-    return TestFunction(
-        "heat_kernel",
-        _RadialCutoff(plateau_x, r3, plateau_t, r3**2),
-        level=level,
-        scale=scale,
-    )
+    return TestFunction("heat_kernel", _RadialCutoff(0.075, 0.125, 0.005625, 0.125**2),
+                        level=level, scale=scale)
 
 
 def smooth_bump(radius: float, time_span: float) -> TestFunction:
@@ -336,32 +326,79 @@ def global_energy_check(traj: Trajectory) -> dict:
 # local energy inequality
 # ---------------------------------------------------------------------------
 
-LHS_TERM_NAMES = (
-    "entropy_final",        # int n ln n psi(., t)
-    "grad_sqrt_n",          # 4 iint |grad sqrt n|^2 psi
-    "grad_sqrt_c_final",    # (2/Theta0) int |grad sqrt c|^2 psi(., t)
-    "lap_sqrt_c",           # (4/(3 Theta0)) iint |Delta sqrt c|^2 psi
-    "kinetic_final",        # (18/Theta0)||c0|| int |u|^2 psi(., t)
-    "grad_u",               # (18/Theta0)||c0|| iint |grad u|^2 psi
-    "entropy_quartic",      # (2/(3 Theta0)) iint c^-1 |grad sqrt c|^4 psi
+def _kinetic(theta0, c0max):
+    return (18.0 / theta0) * c0max
+
+
+#: The local energy inequality, one row per term: (side, name, weight,
+#: integrand, factor).  A term is weight(Theta0, ||c0||), ||c0|| the max of
+#: c in the first snapshot, times the integral over Omega of integrand *
+#: factor: on the final snapshot for psi_final (psi at the final time), over
+#: the time window for psi, heat (dt psi + Delta psi), advect (u . grad psi)
+#: and chemotactic (grad c . grad psi).  Each energy density, n ln n,
+#: (2/Theta0)|grad sqrt c|^2 and (18/Theta0)||c0|| |u|^2, meets psi_final,
+#: heat and advect.
+LEI_TERMS = (
+    ("lhs", "entropy_final", lambda th, c0: 1.0, "n_ln_n", "psi_final"),
+    ("lhs", "grad_sqrt_n", lambda th, c0: 4.0, "grad_sqrt_n_sq", "psi"),
+    ("lhs", "grad_sqrt_c_final", lambda th, c0: 2.0 / th, "grad_sqrt_c_sq", "psi_final"),
+    ("lhs", "lap_sqrt_c", lambda th, c0: 4.0 / (3.0 * th), "lap_sqrt_c_sq", "psi"),
+    ("lhs", "kinetic_final", _kinetic, "u_sq", "psi_final"),
+    ("lhs", "grad_u", _kinetic, "grad_u_sq", "psi"),
+    ("lhs", "entropy_quartic", lambda th, c0: 2.0 / (3.0 * th), "quartic", "psi"),
+    ("rhs", "entropy_heat", lambda th, c0: 1.0, "n_ln_n", "heat"),
+    ("rhs", "entropy_advect", lambda th, c0: 1.0, "n_ln_n", "advect"),
+    ("rhs", "chemo_flux", lambda th, c0: 1.0, "n_chi", "chemotactic"),
+    ("rhs", "entropy_chemo_flux", lambda th, c0: 1.0, "n_ln_n_chi", "chemotactic"),
+    ("rhs", "grad_sqrt_c_heat", lambda th, c0: 2.0 / th, "grad_sqrt_c_sq", "heat"),
+    ("rhs", "grad_sqrt_c_advect", lambda th, c0: 2.0 / th, "grad_sqrt_c_sq", "advect"),
+    ("rhs", "kinetic_heat", _kinetic, "u_sq", "heat"),
+    ("rhs", "kinetic_advect", _kinetic, "u_sq", "advect"),
+    ("rhs", "pressure_advect", lambda th, c0: (36.0 / th) * c0, "p_fluct", "advect"),
+    # grad_phi = (0, 0, -gravity)
+    ("rhs", "buoyancy", lambda th, c0: -(36.0 / th) * c0, "n_grad_phi_u", "psi"),
 )
 
-RHS_TERM_NAMES = (
-    "entropy_heat",         # iint n ln n (dt psi + Delta psi)
-    "entropy_advect",       # iint n ln n u . grad psi
-    "chemo_flux",           # iint n chi(c) grad c . grad psi
-    "entropy_chemo_flux",   # iint n ln n chi(c) grad c . grad psi
-    "grad_sqrt_c_heat",     # (2/Theta0) iint |grad sqrt c|^2 (dt psi + Delta psi)
-    "grad_sqrt_c_advect",   # (2/Theta0) iint |grad sqrt c|^2 u . grad psi
-    "kinetic_heat",         # (18/Theta0)||c0|| iint |u|^2 (dt psi + Delta psi)
-    "kinetic_advect",       # (18/Theta0)||c0|| iint |u|^2 u . grad psi
-    "pressure_advect",      # (36/Theta0)||c0|| iint (P - Pbar) u . grad psi
-    "buoyancy",             # -(36/Theta0)||c0|| iint n grad_phi . u psi
-)
+LHS_TERM_NAMES = tuple(name for side, name, *_ in LEI_TERMS if side == "lhs")
+RHS_TERM_NAMES = tuple(name for side, name, *_ in LEI_TERMS if side == "rhs")
+
+#: the LEI's integrands and factors that are not state fields: name ->
+#: their form of the other fields and the physics (``_LEIFields``)
+_LEI_FORMS = {
+    "n+": lambda f: np.maximum(f["n"], 0.0),
+    "c+": lambda f: np.clip(f["c"], 0.0, None),
+    "chi": lambda f: f.params.chi_eval(f["c+"]),
+    "grad_sqrt_c_sq": lambda f: np.sum(f["grad_sqrt_c"] ** 2, axis=0),
+    "u_sq": lambda f: np.sum(f["u"] ** 2, axis=0),
+    "lap_sqrt_c_sq": lambda f: f["lap_sqrt_c"] ** 2,
+    "quartic": lambda f: f["grad_sqrt_c_sq"] ** 2 / (f["c+"] + EPS_FLOOR),
+    "n_chi": lambda f: f["n+"] * f["chi"],
+    "n_ln_n_chi": lambda f: f["n_ln_n"] * f["chi"],
+    "p_fluct": lambda f: f["p"] - np.mean(f["p"]),
+    "n_grad_phi_u": lambda f: f["n+"] * (-f.params.gravity * f["u"][2]),
+    "advect": lambda f: np.sum(f["u"] * f["grad_psi"], axis=0),
+    "chemotactic": lambda f: np.sum(f["grad_c"] * f["grad_psi"], axis=0),
+}
+
+
+class _LEIFields(dict):
+    """The LEI's fields on Omega's cells by name, each formed once: one
+    given (psi and its derivatives), an ``_LEI_FORMS`` form, or else
+    ``read(name)``, a state's field."""
+
+    def __init__(self, read, params, **given):
+        super().__init__(given)
+        self.read, self.params = read, params
+
+    def __missing__(self, name):
+        form = _LEI_FORMS.get(name)
+        value = self[name] = form(self) if form else self.read(name)
+        return value
 
 
 @dataclass
 class LEIReport:
+    """The LEI's terms at time t by name, each side in ``LEI_TERMS`` order."""
     t: float
     lhs_terms: dict
     rhs_terms: dict
@@ -388,10 +425,9 @@ class LEIReport:
 
 def lei_residual(traj: Trajectory, tf: TestFunction, t: float,
                  center_x, omega_radius: float) -> LEIReport:
-    """All terms of the local energy inequality for the test function tf
-    centered at (center_x, t), integrated over Omega = B_omega_radius,
-    with the trajectory's physics; ||c0|| in the kinetic weight
-    (18/Theta0)||c0|| is the max of c in the first snapshot.
+    """Every term of the local energy inequality (``LEI_TERMS``) for the
+    test function tf centered at (center_x, t), integrated over Omega =
+    B_omega_radius, with the trajectory's physics.
 
     Time integrals run over the overlaps of the window
     (t - tf.support_time, t] with the snapshot intervals, by the window
@@ -400,46 +436,35 @@ def lei_residual(traj: Trajectory, tf: TestFunction, t: float,
     linear interpolation of the fields between snapshots; final-time ball
     integrals use the snapshot nearest to t.  Integrands are formed on
     Omega's cells only, from psi's spectral derivatives taken on the full
-    grid.  Returns the named terms and the residual rhs_total - lhs_total
-    (nonnegative when the inequality holds).
+    grid from one transform of psi per interval.  Returns the named terms
+    and the residual rhs_total - lhs_total (nonnegative when the
+    inequality holds).
     """
     if tf.support_radius > omega_radius:
         raise ValueError("test-function support exceeds the integration ball")
     grid = traj.grid
-    params = traj.params
-    theta0 = params.theta0
+    params, th = traj.params, traj.params.theta0
     c0max = float(np.max(traj.states[0].c))
-    kin = (18.0 / theta0) * c0max  # the weight of the kinetic terms
-    vol = grid.cell_volume
     cells = np.flatnonzero(ball_mask(grid, center_x, omega_radius))
     rho = np.sqrt(grid.min_image_distance_sq(center_x))
+    rho_om = gather(rho, cells)
     times = traj.times
     overlaps = _window_overlaps(times, t - tf.support_time, t)[0]
+    terms = {"lhs": dict.fromkeys(LHS_TERM_NAMES, 0.0),
+             "rhs": dict.fromkeys(RHS_TERM_NAMES, 0.0)}
 
-    lhs = {name: 0.0 for name in LHS_TERM_NAMES}
-    rhs = {name: 0.0 for name in RHS_TERM_NAMES}
-
-    def om(a):
-        # a's values on Omega's cells, in the order of a[..., mask]
-        return np.take(a.reshape(a.shape[:-3] + (-1,)), cells, axis=-1)
-
-    def ball_sum(arr):
-        return float(np.sum(arr) * vol)
-
-    rho_om = om(rho)
+    def ball_sum(f, integrand, factor):
+        return float(np.sum(f[integrand] * f[factor]) * grid.cell_volume)
 
     # final-time terms at the snapshot nearest to t
     sf = traj.state_at(t)
-    at = sf.on(cells)
-    psi_f = tf.value_rt(rho_om, sf.time - t)
-    lhs["entropy_final"] = ball_sum(at("n_ln_n") * psi_f)
-    lhs["grad_sqrt_c_final"] = (2.0 / theta0) * ball_sum(
-        np.sum(at("grad_sqrt_c") ** 2, axis=0) * psi_f
-    )
-    lhs["kinetic_final"] = kin * ball_sum(np.sum(at("u") ** 2, axis=0) * psi_f)
+    f = _LEIFields(sf.on(cells), params, psi_final=tf.value_rt(rho_om, sf.time - t))
+    for side, name, weight, integrand, factor in LEI_TERMS:
+        if factor == "psi_final":
+            terms[side][name] = weight(th, c0max) * ball_sum(f, integrand, factor)
 
     # time-integrated terms: midpoint in psi, linear in the fields; each
-    # snapshot's fields on Omega's cells are kept for the next interval
+    # snapshot's view of Omega's cells is kept for the next interval
     views = {}
     for i, a, b in overlaps:
         w = b - a
@@ -448,13 +473,6 @@ def lei_residual(traj: Trajectory, tf: TestFunction, t: float,
         psi = tf.value_rt(rho, tm - t)
         if not np.any(psi):
             continue
-        # spatial derivatives of psi taken spectrally from the sampled
-        # array, so discrete integration by parts is exact (the cell sum
-        # of Delta psi and of u . grad psi against constants vanishes);
-        # the time derivative is analytic
-        gpsi = om(gradient(grid, psi))
-        hres = tf.dt_rt(rho_om, tm - t) + om(laplacian(grid, psi))
-        psi = om(psi)
         views = {j: views.get(j) or traj.states[j].on(cells) for j in (i, i + 1)}
 
         def mid(name):
@@ -462,41 +480,18 @@ def lei_residual(traj: Trajectory, tf: TestFunction, t: float,
             f0, f1 = views[i](name), views[i + 1](name)
             return f0 + lam * (f1 - f0)
 
-        u = mid("u")
-        n = np.maximum(mid("n"), 0.0)
-        c = np.clip(mid("c"), 0.0, None)
-        p = mid("p")
-        nln = mid("n_ln_n")
-        gsc_sq = np.sum(mid("grad_sqrt_c") ** 2, axis=0)
-        u_gpsi = np.sum(u * gpsi, axis=0)
-        grad_c = mid("grad_c")
-        chi_c = params.chi_eval(c)
-        gc_gpsi = np.sum(grad_c * gpsi, axis=0)
+        # spatial derivatives of psi taken spectrally from the sampled
+        # array, so discrete integration by parts is exact (the cell sum
+        # of Delta psi and of u . grad psi against constants vanishes);
+        # the time derivative is analytic
+        psi_hat = grid.rfftn(psi)
+        grad_psi = gather(np.stack([grid.irfftn(ik * psi_hat) for ik in grid.ik]), cells)
+        heat = tf.dt_rt(rho_om, tm - t) + gather(grid.irfftn(-grid.k_sq * psi_hat), cells)
+        # the whole-grid psi and psi_hat are not kept while the fields are formed
+        psi, psi_hat = gather(psi, cells), None
+        f = _LEIFields(mid, params, psi=psi, grad_psi=grad_psi, heat=heat)
+        for side, name, weight, integrand, factor in LEI_TERMS:
+            if factor != "psi_final":
+                terms[side][name] += weight(th, c0max) * w * ball_sum(f, integrand, factor)
 
-        lhs["grad_sqrt_n"] += 4.0 * w * ball_sum(mid("grad_sqrt_n_sq") * psi)
-        lhs["lap_sqrt_c"] += (4.0 / (3.0 * theta0)) * w * ball_sum(
-            mid("lap_sqrt_c") ** 2 * psi
-        )
-        lhs["grad_u"] += kin * w * ball_sum(mid("grad_u_sq") * psi)
-        lhs["entropy_quartic"] += (2.0 / (3.0 * theta0)) * w * ball_sum(
-            gsc_sq**2 / (c + EPS_FLOOR) * psi
-        )
-
-        rhs["entropy_heat"] += w * ball_sum(nln * hres)
-        rhs["entropy_advect"] += w * ball_sum(nln * u_gpsi)
-        rhs["chemo_flux"] += w * ball_sum(n * chi_c * gc_gpsi)
-        rhs["entropy_chemo_flux"] += w * ball_sum(nln * chi_c * gc_gpsi)
-        rhs["grad_sqrt_c_heat"] += (2.0 / theta0) * w * ball_sum(gsc_sq * hres)
-        rhs["grad_sqrt_c_advect"] += (2.0 / theta0) * w * ball_sum(gsc_sq * u_gpsi)
-        u_sq = np.sum(u**2, axis=0)
-        rhs["kinetic_heat"] += kin * w * ball_sum(u_sq * hres)
-        rhs["kinetic_advect"] += kin * w * ball_sum(u_sq * u_gpsi)
-        rhs["pressure_advect"] += (36.0 / theta0) * c0max * w * ball_sum(
-            (p - np.mean(p)) * u_gpsi
-        )
-        # grad_phi = (0, 0, -gravity)
-        rhs["buoyancy"] += -(36.0 / theta0) * c0max * w * ball_sum(
-            n * (-params.gravity * u[2]) * psi
-        )
-
-    return LEIReport(t=t, lhs_terms=lhs, rhs_terms=rhs)
+    return LEIReport(t=t, lhs_terms=terms["lhs"], rhs_terms=terms["rhs"])

@@ -11,10 +11,10 @@ piecewise-linear-in-time interpolant of the spatial integral.  Two
 primitives, ``cylinder_values`` at one centre and ``cylinder_maps`` at
 every grid point at once, are the only code that decides which cells and
 snapshots make up a cylinder.  Both build the mask and the window once
-for any number of integrands, take their integrands in one form, a
-pointwise ``fields(state, cells)`` (see ``catalog_fields``), and return
-one shape, (integrals, sups).  Their time window, and the local energy
-inequality's, follow one rule, ``_window_overlaps``.
+for any number of integrands, take their integrands in one form,
+``fields(at)`` of a snapshot's ``State.on`` view (see ``catalog_fields``),
+and return one shape, (integrals, sups).  Their time window, and the
+local energy inequality's, follow one rule, ``_window_overlaps``.
 """
 
 from __future__ import annotations
@@ -374,37 +374,23 @@ INTEGRAND_NAMES = (
 
 
 def catalog_fields(*integrands: tuple[str, float]) -> Callable:
-    """The pointwise ``fields(state, cells)`` of catalog integrands: for
-    each (name, power) that integrand to that power, one term each.
+    """The ``fields`` of catalog integrands: for each (name, power) that
+    integrand to that power.
 
-    ``fields(state, cells)`` is the one integrand form of the cylinder
-    primitives.  It returns one tuple of terms per integrand, each term an
-    array of values on the state's arrays restricted to ``a[cells]``
-    (``a[..., cells]`` for a vector): a ball mask for one centre, or
-    ``slice(None)`` for the whole grid.  An integrand is the sum of its
-    terms (a term's leading axes, such as a vector's components, summed
-    too).  ``cylinder_maps`` needs elementwise terms, as the catalog's
-    are; a per-centre pass may also use terms that depend on the whole
-    ball, such as a ball mean (``diagnostics.mean_removed``) or a selection
-    of its cells (``diagnostics.log_split``'s density bands)."""
+    ``fields(at)`` is the one integrand form of the cylinder primitives.
+    ``at`` is one snapshot's ``State.on`` view of the cells a primitive
+    reads: one ball's cells for one centre, the whole grid for
+    ``cylinder_maps``.  It returns one array per integrand, of values on
+    those cells.  ``cylinder_maps`` needs elementwise integrands, as the
+    catalog's are; a per-centre pass may also use integrands that depend
+    on the whole ball, such as a ball mean (``diagnostics.mean_removed``)
+    or a selection of its cells (``diagnostics.log_split``'s density
+    bands)."""
     for name, _ in integrands:
         if name not in INTEGRAND_NAMES:
             raise UnknownIntegrandError(f"unknown integrand {name!r}")
-
-    def fields(state, cells):
-        at = state.on(cells)
-        # a**1.0 is a: skip the pass
-        return [(at(name) if p == 1.0 else at(name) ** p,) for name, p in integrands]
-
-    return fields
-
-
-def _ball_values(state, mask, fields: Callable) -> np.ndarray:
-    """The ball integral of each integrand of ``fields`` on one snapshot,
-    as one array in its order."""
-    vol = state.grid.cell_volume
-    return np.array([sum(np.sum(term) * vol for term in terms)
-                     for terms in fields(state, mask)])
+    # a**1.0 is a: skip the pass
+    return lambda at: [at(name) if p == 1.0 else at(name) ** p for name, p in integrands]
 
 
 def _window_overlaps(times: np.ndarray, t_lo: float, t_hi: float):
@@ -425,13 +411,6 @@ def _window_overlaps(times: np.ndarray, t_lo: float, t_hi: float):
     a = np.maximum(times[:-1], t_lo)
     b = np.minimum(times[1:], t_hi)
     return [(i, a[i], b[i]) for i in np.flatnonzero(b > a).tolist()], eps
-
-
-def _ball_and_window(traj, Q: ParabolicCylinder):
-    """Q's ball mask, the recorded times and Q's time interval: which
-    cells and snapshots make up Q."""
-    mask = ball_mask(traj.grid, Q.center_x, Q.radius)
-    return mask, traj.times, *Q.time_interval()
 
 
 def _snapshot_weights(times: np.ndarray, t_lo: float, t_hi: float) -> dict:
@@ -460,6 +439,19 @@ def _sup_snapshots(times: np.ndarray, t_lo: float, t_hi: float) -> list:
     return idx
 
 
+def _cylinder(traj, Q: ParabolicCylinder, integrals, sups):
+    """Which cells and snapshots make up Q: its ball mask, and its window's
+    snapshots in time order as (state, time weight, is a sup snapshot); the
+    weight is None unless ``integrals`` are given, the flag False unless
+    ``sups`` are."""
+    times, (t_lo, t_hi) = traj.times, Q.time_interval()
+    mask = ball_mask(traj.grid, Q.center_x, Q.radius)
+    weights = {} if integrals is None else _snapshot_weights(times, t_lo, t_hi)
+    peaks = set() if sups is None else set(_sup_snapshots(times, t_lo, t_hi))
+    return mask, [(traj.states[i], weights.get(i), i in peaks)
+                  for i in sorted(peaks.union(weights))]
+
+
 def cylinder_values(traj, Q: ParabolicCylinder, integrals: Callable = None,
                     sups: Callable = None):
     """Q's space-time integral of each integrand of ``integrals`` and, of
@@ -468,18 +460,22 @@ def cylinder_values(traj, Q: ParabolicCylinder, integrals: Callable = None,
 
     The time rule integrates the piecewise-linear interpolant of each
     ball integral, so one pass (one mask, one window) serves any number
-    of integrands.  Returns (integrals, sups), each one array in its
-    fields' order, or None where no fields were given: the shape
-    ``cylinder_maps`` returns at every grid point.
+    of integrands; each snapshot is read through one view of Q's cells,
+    which its integrals and sups share.  Returns (integrals, sups), each
+    one array in its fields' order, or None where no fields were given:
+    the shape ``cylinder_maps`` returns at every grid point.
     """
-    mask, times, t_lo, t_hi = _ball_and_window(traj, Q)
+    mask, window = _cylinder(traj, Q, integrals, sups)
+    cells, vol = np.flatnonzero(mask), traj.grid.cell_volume
     int_values = sup_values = None
-    if integrals is not None:
-        int_values = sum(w * _ball_values(traj.states[i], mask, integrals)
-                         for i, w in _snapshot_weights(times, t_lo, t_hi).items())
-    if sups is not None:
-        sup_values = np.max([_ball_values(traj.states[i], mask, sups)
-                             for i in _sup_snapshots(times, t_lo, t_hi)], axis=0)
+    for state, w, peak in window:
+        at = state.on(cells)
+        if w is not None:
+            v = w * np.array([np.sum(a) * vol for a in integrals(at)])
+            int_values = v if int_values is None else int_values + v
+        if peak:
+            v = np.array([np.sum(a) * vol for a in sups(at)])
+            sup_values = v if sup_values is None else np.maximum(sup_values, v)
     return int_values, sup_values
 
 
@@ -488,47 +484,38 @@ def cylinder_maps(traj, t0: float, radius: float, integrals: Callable = None,
     """Whole-grid maps of ``cylinder_values`` over Q_r((x, t0)) at every
     grid point x at once.
 
-    ``integrals`` and ``sups`` are ``fields(state, cells)`` (see
-    ``catalog_fields``) whose terms are elementwise and whose integrands
-    are nonnegative.  A ball sum at a grid point is the periodic
+    ``integrals`` and ``sups`` are ``fields(at)`` (see ``catalog_fields``)
+    whose integrands are elementwise and nonnegative; each snapshot's view
+    is of the whole grid.  A ball sum at a grid point is the periodic
     convolution of the integrand with the lattice ball at the origin, so
     each map is one real-FFT convolution: of the weighted sum over the
     window's snapshots for the integrals (time weights applied before
     transforming), and of each snapshot, then an elementwise max, for the
     sups.  A convolution's rounding error scales with the map's largest
     value, not with the value at x, so a ball holding only zeros may come
-    out slightly negative; every map is clipped at 0.  Returns (integral maps, sup maps), each a
-    (k, N, N, N) array indexed by the grid index of x, or None where no
-    fields were given.
+    out slightly negative; every map is clipped at 0.  Returns (integral
+    maps, sup maps), each a (k, N, N, N) array indexed by the grid index
+    of x, or None where no fields were given.
     """
     grid = traj.grid
-    stencil, times, t_lo, t_hi = _ball_and_window(
-        traj, ParabolicCylinder((0.0, 0.0, 0.0), t0, radius))
+    stencil, window = _cylinder(
+        traj, ParabolicCylinder((0.0, 0.0, 0.0), t0, radius), integrals, sups)
     kernel = grid.rfftn(stencil.astype(float)) * grid.cell_volume
-
-    def pointwise(state, fields):
-        """Each integrand on the whole grid, its terms (and their
-        components) summed."""
-        return [sum(t if t.ndim == 3 else t.sum(axis=0) for t in terms)
-                for terms in fields(state, slice(None))]
 
     def convolve(values):
         out = grid.irfftn(grid.rfftn(values) * kernel)
         return np.maximum(out, 0.0, out=out)
 
-    int_maps = sup_maps = None
-    if integrals is not None:
-        total = None
-        for i, w in _snapshot_weights(times, t_lo, t_hi).items():
-            values = pointwise(traj.states[i], integrals)
+    total = sup_maps = None
+    for state, w, peak in window:
+        at = state.on(slice(None))
+        if w is not None:
+            values = integrals(at)
             if total is None:
                 total = np.zeros((len(values),) + stencil.shape)
             for acc, f in zip(total, values):
                 acc += w * f
-        int_maps = convolve(total)
-    if sups is not None:
-        for i in _sup_snapshots(times, t_lo, t_hi):
-            snap = convolve(np.stack(pointwise(traj.states[i], sups)))
+        if peak:
+            snap = convolve(np.stack(sups(at)))
             sup_maps = snap if sup_maps is None else np.maximum(sup_maps, snap)
-    return int_maps, sup_maps
-
+    return None if total is None else convolve(total), sup_maps

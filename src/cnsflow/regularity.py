@@ -146,30 +146,29 @@ _DISSIPATION = (("grad_sqrt_n_sq", 1.0), ("grad_u_sq", 1.0), ("hess_sqrt_c_sq", 
 
 
 def _sup_bundle(w: float = 1.0):
-    """The pointwise ``fields`` of the sup-in-time bundle, one integrand
-    n + |n ln(w n)| + |grad sqrt(c)|^2 + |u|^2 in three terms.  w rescales
-    the density argument of the logarithm for analytically rescaled
-    bundles."""
+    """The ``fields`` of the sup-in-time bundle, one integrand
+    n + |n ln(w n)| + |grad sqrt(c)|^2 + |u|^2.  w rescales the density
+    argument of the logarithm for analytically rescaled bundles."""
 
-    def fields(s, cells):
-        at = s.on(cells)
+    def fields(at):
         n = np.maximum(at("n"), 0.0)
         nln = np.abs(n * guarded_log(n, w))
-        return [(n + nln, at("grad_sqrt_c") ** 2, at("u") ** 2)]
+        return [n + nln + np.sum(at("grad_sqrt_c") ** 2, axis=0)
+                + np.sum(at("u") ** 2, axis=0)]
 
     return fields
 
 
 def _cubic_bundle(w: float):
-    """The pointwise ``fields`` of the cubic bundle:
-    n^(3/2)(|ln(w n)| + 1)^(3/2), |grad sqrt(c)|^3, |u|^3 and |P|^(3/2)."""
+    """The ``fields`` of the cubic bundle: n^(3/2)(|ln(w n)| + 1)^(3/2),
+    |grad sqrt(c)|^3, |u|^3 and |P|^(3/2)."""
     catalog = catalog_fields(("abs_grad_sqrt_c", 3.0), ("abs_u", 3.0),
                              ("abs_p", 1.5))
 
-    def fields(s, cells):
-        n = np.maximum(s.n[cells], 0.0)
+    def fields(at):
+        n = np.maximum(at("n"), 0.0)
         lnw = np.abs(guarded_log(n, w))
-        return [(n**1.5 * (lnw + 1.0) ** 1.5,), *catalog(s, cells)]
+        return [n**1.5 * (lnw + 1.0) ** 1.5, *catalog(at)]
 
     return fields
 
@@ -420,8 +419,8 @@ def induction_verify(traj: Trajectory, z0, k_max: int, cfg: RegularityConfig,
     bound = cfg.c1 * math.sqrt(eps0)
     dissipation = catalog_fields(*_DISSIPATION)
 
-    def integrals(state, cells):
-        return [*dissipation(state, cells), (mean_removed(state.p[cells], 1.5),)]
+    def integrals(at):
+        return [*dissipation(at), mean_removed(at("p"), 1.5)]
 
     levels = []
     for k in range(1, k_max + 1):

@@ -114,10 +114,18 @@ class State:
         return self._cache[name]
 
     def on(self, cells) -> _OnCells:
-        """``at(name)``: a base array (n, c, u, p) or derived field on
-        ``cells`` (a boolean mask, flat indices or ``slice(None)``), in the
-        order of ``a[..., mask]``, each gathered or formed once."""
+        """The one way a functional reads a snapshot: ``at(name)``, a base
+        array (n, c, u, p) or derived field on ``cells`` (flat indices, or
+        ``slice(None)`` for the whole grid), each gathered or formed once."""
         return _OnCells(self, cells)
+
+
+def gather(a: np.ndarray, cells) -> np.ndarray:
+    """The values of a field (last three axes the grid) on ``cells``: flat
+    indices, in their order, or ``slice(None)`` for ``a`` itself."""
+    if isinstance(cells, slice):
+        return a
+    return np.take(a.reshape(a.shape[:-3] + (-1,)), cells, axis=-1)
 
 
 class _OnCells:
@@ -125,8 +133,6 @@ class _OnCells:
     has gathered is freed with it and not left to the cycle collector."""
 
     def __init__(self, state: State, cells):
-        if getattr(cells, "dtype", None) == bool:
-            cells = np.flatnonzero(cells)
         self.state, self.cells, self.got = state, cells, {}
 
     def __call__(self, name: str) -> np.ndarray:
@@ -137,8 +143,7 @@ class _OnCells:
             else:
                 s = self.state
                 a = getattr(s, name) if name in ("n", "c", "u", "p") else s.derived(name)
-                self.got[name] = a if isinstance(self.cells, slice) else np.take(
-                    a.reshape(a.shape[:-3] + (-1,)), self.cells, axis=-1)
+                self.got[name] = gather(a, self.cells)
         return self.got[name]
 
 

@@ -10,11 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cnsflow import cli
 from cnsflow.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
+    LEI_COLUMNS,
     ConfigError,
     _parse_psi,
     config_get,
@@ -550,3 +552,47 @@ def test_plot_data_rejects_unknown_kind(tmp_path):
     with pytest.raises(SystemExit):  # argparse rejects the choice
         main(["plot-data", "--csv-in", str(src), "--kind", "bogus",
               "--out", str(tmp_path / "y.csv")])
+
+
+def test_lei_columns_are_the_csv_header():
+    """The columns derived from the LEI's table are the header every LEI
+    CSV has carried."""
+    assert LEI_COLUMNS == (
+        "t", "lhs_entropy_final", "lhs_grad_sqrt_n", "lhs_grad_sqrt_c_final",
+        "lhs_lap_sqrt_c", "lhs_kinetic_final", "lhs_grad_u", "lhs_entropy_quartic",
+        "rhs_entropy_heat", "rhs_entropy_advect", "rhs_chemo_flux",
+        "rhs_entropy_chemo_flux", "rhs_grad_sqrt_c_heat", "rhs_grad_sqrt_c_advect",
+        "rhs_kinetic_heat", "rhs_kinetic_advect", "rhs_pressure_advect",
+        "rhs_buoyancy", "residual")
+
+
+def test_failed_pipeline_manifest_names_the_simulate_phase(tmp_path, capsys):
+    """A run past the CFL limit exits 3 and still writes manifest.json,
+    naming the phase that failed, with no phase time."""
+    cfg = tmp_path / "tg.cfg"
+    cfg.write_text("grid.n = 16\ngrid.l = 1.0\nsim.dt = 0.05\nsim.t_end = 0.1\n"
+                   "init.preset = taylor_green\ninit.amplitude = 1.0\n")
+    out = tmp_path / "o"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
+    assert "CFL number 0.800 > 0.5" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failed_phase"] == "simulate"
+    assert manifest["phase_seconds"] == {}
+
+
+def test_failed_pipeline_manifest_keeps_the_earlier_phase_times(workdir, tmp_path,
+                                                                monkeypatch):
+    """A phase that fails after others leaves their times in manifest.json
+    and names itself; the exit code is its exception's."""
+    def fail(*args, **kwargs):
+        raise FloatingPointError("flag sweep failed")
+
+    monkeypatch.setattr(cli, "flag_sweep", fail)
+    out = tmp_path / "o"
+    assert main(["pipeline", "--config", str(workdir / "run.cfg"),
+                 "--out", str(out)]) == EXIT_NUMERIC
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failed_phase"] == "flag"
+    assert list(manifest["phase_seconds"]) == ["energy", "lei", "quantities", "simulate"]
+    assert all(s > 0 for s in manifest["phase_seconds"].values())
+    assert "flags" not in manifest["outputs"] and "lei" in manifest["outputs"]

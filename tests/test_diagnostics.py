@@ -18,6 +18,9 @@ from cnsflow import (
     verify_scaling_invariance,
 )
 
+from cnsflow import state
+from cnsflow.grid_fields import _snapshot_weights, _sup_snapshots
+
 from conftest import make_constant_u_traj, mean_removed_oracle
 
 
@@ -62,6 +65,28 @@ def test_mean_removed_velocity_matches_oracle(smooth_traj):
     exact = mean_removed_oracle(smooth_traj, x0, t0, r, "u", 3.0) / r**2
     assert exact > 0.0
     assert abs(got - exact) <= 1e-12 * exact
+
+
+def test_quantities_gather_velocity_once_per_snapshot(smooth_traj, monkeypatch):
+    """compute_quantities reads each snapshot of its window through one
+    view, which its integrals (|u|^3 and C~_u's mean-removed u) and its
+    sups (|u|^2) share: u is gathered once per snapshot, and for no
+    snapshot outside the window."""
+    x0, t0, r = (0.5, 0.5, 0.5), 0.05, 0.1
+    index = {id(s.u): i for i, s in enumerate(smooth_traj.states)}
+    gathered = []
+
+    def counted(a, cells, _gather=state.gather):
+        if id(a) in index:
+            gathered.append(index[id(a)])
+        return _gather(a, cells)
+
+    monkeypatch.setattr(state, "gather", counted)
+    compute_quantities(smooth_traj, ParabolicCylinder(x0, t0, r))
+    times, t_lo = smooth_traj.times, t0 - r**2
+    window = set(_snapshot_weights(times, t_lo, t0)) | set(_sup_snapshots(times, t_lo, t0))
+    assert len(window) > 2
+    assert sorted(gathered) == sorted(window)
 
 
 def test_cubic_velocity_grows_with_radius():

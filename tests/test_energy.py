@@ -13,11 +13,16 @@ from cnsflow import (
     ball_mask,
     check_heat_properties,
     global_energy_check,
+    gradient,
     heat_test_function,
+    laplacian,
     lei_residual,
     simulate,
     smooth_bump,
 )
+from cnsflow.energy import LHS_TERM_NAMES, RHS_TERM_NAMES
+from cnsflow.grid_fields import _window_overlaps
+from cnsflow.state import EPS_FLOOR, guarded_log
 
 
 def test_heat_kernel_value_at_origin():
@@ -38,8 +43,6 @@ def test_heat_kernel_scale_dilation():
 def test_invalid_test_functions_rejected():
     with pytest.raises(ValueError):
         heat_test_function(1)
-    with pytest.raises(ValueError):
-        heat_test_function(3, plateau_x=0.02)  # plateau misses Q_{r_4}
     with pytest.raises(ValueError):
         smooth_bump(-0.1, 0.01)
 
@@ -148,3 +151,119 @@ def test_lei_kinetic_weight_is_the_first_state_max_c():
     assert ball_u_sq_psi > 0
     assert rep.lhs_terms["kinetic_final"] == pytest.approx(
         (18.0 / theta0) * 0.5 * ball_u_sq_psi, rel=1e-12)
+
+
+def _lei_oracle(traj, tf, t, center_x, omega_radius):
+    """The local energy inequality's 17 terms written out one by one, each
+    with its own integrand: the (lhs, rhs) dicts ``lei_residual`` must
+    reproduce bit for bit."""
+    grid, params = traj.grid, traj.params
+    theta0 = params.theta0
+    c0max = float(np.max(traj.states[0].c))
+    kin = (18.0 / theta0) * c0max
+    vol = grid.cell_volume
+    mask = ball_mask(grid, center_x, omega_radius)
+    rho = np.sqrt(grid.min_image_distance_sq(center_x))
+    times = traj.times
+    overlaps = _window_overlaps(times, t - tf.support_time, t)[0]
+    lhs = {name: 0.0 for name in LHS_TERM_NAMES}
+    rhs = {name: 0.0 for name in RHS_TERM_NAMES}
+
+    def ball_sum(arr):
+        return float(np.sum(arr) * vol)
+
+    sf = traj.state_at(t)
+    psi_f = tf.value_rt(rho[mask], sf.time - t)
+    n = np.maximum(sf.n[mask], 0.0)
+    lhs["entropy_final"] = ball_sum(n * guarded_log(n, 1.0) * psi_f)
+    lhs["grad_sqrt_c_final"] = (2.0 / theta0) * ball_sum(
+        np.sum(sf.derived("grad_sqrt_c")[:, mask] ** 2, axis=0) * psi_f)
+    lhs["kinetic_final"] = kin * ball_sum(np.sum(sf.u[:, mask] ** 2, axis=0) * psi_f)
+
+    def on(s, name):
+        a = getattr(s, name) if name in ("n", "c", "u", "p") else s.derived(name)
+        if name == "n_ln_n":
+            a = np.maximum(s.n, 0.0) * guarded_log(np.maximum(s.n, 0.0), 1.0)
+        return a[..., mask]
+
+    for i, a, b in overlaps:
+        w = b - a
+        tm = 0.5 * (a + b)
+        lam = (tm - times[i]) / (times[i + 1] - times[i])
+        psi = tf.value_rt(rho, tm - t)
+        if not np.any(psi):
+            continue
+        gpsi = gradient(grid, psi)[:, mask]
+        hres = tf.dt_rt(rho[mask], tm - t) + laplacian(grid, psi)[mask]
+        psi = psi[mask]
+        s0, s1 = traj.states[i], traj.states[i + 1]
+
+        def mid(name):
+            f0, f1 = on(s0, name), on(s1, name)
+            return f0 + lam * (f1 - f0)
+
+        u = mid("u")
+        n = np.maximum(mid("n"), 0.0)
+        c = np.clip(mid("c"), 0.0, None)
+        p = mid("p")
+        nln = mid("n_ln_n")
+        gsc_sq = np.sum(mid("grad_sqrt_c") ** 2, axis=0)
+        u_gpsi = np.sum(u * gpsi, axis=0)
+        chi_c = params.chi_eval(c)
+        gc_gpsi = np.sum(mid("grad_c") * gpsi, axis=0)
+        u_sq = np.sum(u**2, axis=0)
+
+        lhs["grad_sqrt_n"] += 4.0 * w * ball_sum(mid("grad_sqrt_n_sq") * psi)
+        lhs["lap_sqrt_c"] += (4.0 / (3.0 * theta0)) * w * ball_sum(
+            mid("lap_sqrt_c") ** 2 * psi)
+        lhs["grad_u"] += kin * w * ball_sum(mid("grad_u_sq") * psi)
+        lhs["entropy_quartic"] += (2.0 / (3.0 * theta0)) * w * ball_sum(
+            gsc_sq**2 / (c + EPS_FLOOR) * psi)
+        rhs["entropy_heat"] += w * ball_sum(nln * hres)
+        rhs["entropy_advect"] += w * ball_sum(nln * u_gpsi)
+        rhs["chemo_flux"] += w * ball_sum(n * chi_c * gc_gpsi)
+        rhs["entropy_chemo_flux"] += w * ball_sum(nln * chi_c * gc_gpsi)
+        rhs["grad_sqrt_c_heat"] += (2.0 / theta0) * w * ball_sum(gsc_sq * hres)
+        rhs["grad_sqrt_c_advect"] += (2.0 / theta0) * w * ball_sum(gsc_sq * u_gpsi)
+        rhs["kinetic_heat"] += kin * w * ball_sum(u_sq * hres)
+        rhs["kinetic_advect"] += kin * w * ball_sum(u_sq * u_gpsi)
+        rhs["pressure_advect"] += (36.0 / theta0) * c0max * w * ball_sum(
+            (p - np.mean(p)) * u_gpsi)
+        rhs["buoyancy"] += -(36.0 / theta0) * c0max * w * ball_sum(
+            n * (-params.gravity * u[2]) * psi)
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("center", [(0.5, 0.5, 0.5), (0.4903, 0.5121, 0.5237)],
+                         ids=["grid", "off_grid"])
+@pytest.mark.parametrize("tf", [heat_test_function(3, scale=2.0),
+                                heat_test_function(4, scale=2.0),
+                                heat_test_function(5, scale=2.0),
+                                smooth_bump(0.2, 0.05), smooth_bump(0.12, 0.03)],
+                         ids=["heat3", "heat4", "heat5", "bump_0.2", "bump_0.12"])
+def test_lei_table_equals_the_term_by_term_oracle(lei_traj, tf, center):
+    """Every LEI term, in the table's order, is bitwise the one written
+    out by hand, at a grid centre and at an off-grid one."""
+    rep = lei_residual(lei_traj, tf, 0.0, center, 0.25)
+    lhs, rhs = _lei_oracle(lei_traj, tf, 0.0, center, 0.25)
+    assert list(rep.lhs_terms.items()) == list(lhs.items())
+    assert list(rep.rhs_terms.items()) == list(rhs.items())
+    assert rep.max_abs_term > 0
+
+
+def test_lei_transforms_psi_once_per_interval(constant_state_traj, monkeypatch):
+    """With the snapshots' derived fields cached, an LEI pass makes one
+    forward and four inverse transforms per snapshot interval: psi's, for
+    its gradient and its Laplacian."""
+    traj, tf = constant_state_traj, smooth_bump(0.2, 0.05)
+    lei_residual(traj, tf, 0.0, (0.5, 0.5, 0.5), 0.25)
+    calls = {"rfftn": 0, "irfftn": 0}
+    for name in calls:
+        def counted(grid, a, _f=getattr(Grid, name), _name=name):
+            calls[_name] += 1
+            return _f(grid, a)
+        monkeypatch.setattr(Grid, name, counted)
+    lei_residual(traj, tf, 0.0, (0.5, 0.5, 0.5), 0.25)
+    intervals = len(_window_overlaps(traj.times, -tf.support_time, 0.0)[0])
+    assert intervals == 5
+    assert calls == {"rfftn": intervals, "irfftn": 4 * intervals}

@@ -25,6 +25,7 @@ from cnsflow.grid_fields import (
     cylinder_values,
 )
 from cnsflow import State, Trajectory
+from cnsflow.state import gather
 
 
 def trig_field(grid):
@@ -445,7 +446,7 @@ def test_array_passes_equal_scalar_passes(smooth_traj):
              ("abs_n_ln_n", 1.0), ("sqrt_n", 2.0))
 
     def scalar(name, p):
-        return lambda s, cells: [((s.derived(name) ** p)[cells],)]
+        return lambda at: [gather(at.state.derived(name) ** p, at.cells)]
 
     both = catalog_fields(*terms)
     integrals, sups = cylinder_values(smooth_traj, Q, both, both)

@@ -107,9 +107,9 @@ def test_floored_root_derivatives_are_bitwise_their_operators():
 
 
 def test_pointwise_fields_on_any_cells_are_the_whole_grid_ones():
-    """Each pointwise field, on a ball mask, on the ball's flat indices and
-    on the whole grid, is bitwise its whole-grid formula gathered on those
-    cells, and none is cached."""
+    """Each pointwise field, on a ball's flat indices and on the whole
+    grid, is bitwise its whole-grid formula gathered on those cells, and
+    none is cached."""
     s = _seeded_state()
     n, c = np.maximum(s.n, 0.0), np.maximum(s.c, 0.0)
     gsc_sq = np.sum(s.derived("grad_sqrt_c") ** 2, axis=0)
@@ -128,7 +128,6 @@ def test_pointwise_fields_on_any_cells_are_the_whole_grid_ones():
     flat = np.flatnonzero(mask)
     for name, ref in whole.items():
         assert np.array_equal(s.derived(name), ref), name
-        assert np.array_equal(s.on(mask)(name), ref[mask]), name
         assert np.array_equal(s.on(flat)(name), ref.ravel()[flat]), name
         assert np.array_equal(s.on(slice(None))(name), ref), name
     assert set(s._cache) == {"grad_sqrt_c"}
