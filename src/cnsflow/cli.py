@@ -3,9 +3,12 @@ orchestration, CSV emission, and deterministic manifests.
 
 Configuration files are flat ``key = value`` text with dotted namespaces
 (``grid.n = 32``); ``#`` starts a comment, and a key no command reads
-(``CONFIG_KEYS``) is an error.  All tabular outputs are CSV
-with a stable header and deterministic float formatting, so a rerun with
-an identical manifest produces byte-identical files.
+(``CONFIG_KEYS``) is an error.  A run config must set ``REQUIRED_KEYS``;
+an unset key takes the default of the dataclass field it sets (``init.*``:
+of ``solver.initial_state``), and a value that does not parse exits 2
+naming its key.  All tabular outputs are CSV with a stable header and
+deterministic float formatting, so a rerun with an identical manifest
+produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -18,13 +21,13 @@ import sys
 import time
 import warnings
 from contextlib import suppress
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .diagnostics import compute_quantities
+from .diagnostics import LocalQuantities, compute_quantities
 from .energy import (
     LEI_TERMS,
     global_energy_check,
@@ -43,7 +46,7 @@ from .grid_fields import (
 )
 from .hausdorff import dimension_estimate
 from .pressure import decompose_local, harmonic_residual
-from .regularity import FLAG_COLUMNS, RegularityConfig, flag_sweep
+from .regularity import FLAG_COLUMNS, PAPER_THRESHOLD, RegularityConfig, flag_sweep
 from .snapshot import read_snapshot, read_trajectory, snapshot_time
 from .solver import CFLError, SimulationConfig, simulate, step_times
 from .state import PhysParams
@@ -103,16 +106,36 @@ def parse_config(path) -> dict:
     return cfg
 
 
-#: every key a command reads from a config file
-CONFIG_KEYS = frozenset((
-    "grid.n", "grid.l",
-    "sim.dt", "sim.t_end", "sim.output_stride", "sim.seed", "sim.order",
-    "phys.theta0", "phys.chi", "phys.gravity", "phys.c0_max",
-    "init.preset", "init.amplitude", "init.width", "init.c0", "init.modes",
-    "init.n_mean", "init.path",
-    "reg.delta0", "reg.eps1", "reg.theta0", "reg.c1", "reg.working_threshold",
-    "pipeline.flag_stride", "pipeline.radii",
-))
+def _float_list(text: str) -> tuple:
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+#: every key a command reads from a config file: the object it sets
+#: (``sim``: SimulationConfig, ``phys``: PhysParams, ``init``: the init
+#: dict, ``reg``: RegularityConfig, ``pipeline``: the pipeline's own), the
+#: field it sets there, and how its value parses
+_CONFIG = {
+    "grid.n": ("sim", "grid_n", int), "grid.l": ("sim", "grid_l", float),
+    "sim.dt": ("sim", "dt", float), "sim.t_end": ("sim", "t_end", float),
+    "sim.output_stride": ("sim", "output_stride", int),
+    "sim.seed": ("sim", "seed", int), "sim.order": ("sim", "order", int),
+    "phys.theta0": ("phys", "theta0", float), "phys.gravity": ("phys", "gravity", float),
+    "phys.chi": ("phys", "chi_coeffs", _float_list),
+    "phys.c0_max": ("phys", "c0_max", float),
+    "init.preset": ("init", "preset", str), "init.path": ("init", "path", str),
+    "init.modes": ("init", "modes", int), "init.c0": ("init", "c0", float),
+    "init.amplitude": ("init", "amplitude", float), "init.width": ("init", "width", float),
+    "init.n_mean": ("init", "n_mean", float),
+    "reg.delta0": ("reg", "delta0", float), "reg.eps1": ("reg", "eps1", float),
+    "reg.theta0": ("reg", "theta0", float), "reg.c1": ("reg", "c1", float),
+    "reg.working_threshold": ("reg", "working_threshold", float),
+    "pipeline.flag_stride": ("pipeline", "flag_stride", int),
+    "pipeline.radii": ("pipeline", "radii", _float_list),
+}
+CONFIG_KEYS = frozenset(_CONFIG)
+
+#: the keys a run config must set
+REQUIRED_KEYS = ("grid.n", "grid.l", "sim.dt", "sim.t_end")
 
 
 def read_config(path) -> dict:
@@ -140,8 +163,12 @@ def config_get(cfg: dict, key: str, cast=str, default=_REQUIRED):
         raise ConfigError(f"config key {key!r}: cannot parse {cfg[key]!r}") from exc
 
 
-def _float_list(text: str) -> tuple:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+def _fields_of(cfg: dict, target: str) -> dict:
+    """The fields of ``target`` that ``cfg`` sets, each parsed by the
+    table; a missing required key is a ConfigError that names it."""
+    return {name: config_get(cfg, key, cast)
+            for key, (obj, name, cast) in _CONFIG.items()
+            if obj == target and (key in cfg or key in REQUIRED_KEYS)}
 
 
 def _center(text: str) -> tuple:
@@ -154,48 +181,19 @@ def _center(text: str) -> tuple:
 
 
 def build_sim_config(cfg: dict) -> tuple:
-    """Assemble the simulation config and physical parameters."""
-    init = {"preset": config_get(cfg, "init.preset", str, "zero")}
-    for key, value in cfg.items():
-        if key.startswith("init.") and key != "init.preset":
-            name = key[len("init."):]
-            try:
-                init[name] = float(value) if name != "path" else value
-            except ValueError:
-                init[name] = value
-    sim = SimulationConfig(
-        grid_n=config_get(cfg, "grid.n", int),
-        grid_l=config_get(cfg, "grid.l", float),
-        dt=config_get(cfg, "sim.dt", float),
-        t_end=config_get(cfg, "sim.t_end", float),
-        output_stride=config_get(cfg, "sim.output_stride", int, 10),
-        seed=config_get(cfg, "sim.seed", int, 0),
-        order=config_get(cfg, "sim.order", int, 1),
-        init=init,
-    )
-    params = PhysParams(
-        theta0=config_get(cfg, "phys.theta0", float, 1.0),
-        chi_coeffs=config_get(cfg, "phys.chi", _float_list, (1.0,)),
-        gravity=config_get(cfg, "phys.gravity", float, 0.0),
-        c0_max=config_get(cfg, "phys.c0_max", float,
-                          float(init.get("c0", 1.0))),
-    )
-    return sim, params
+    """Assemble the simulation config and physical parameters.  An unset
+    ``phys.c0_max`` is ``init.c0`` when that is set."""
+    sim, phys, init = (_fields_of(cfg, t) for t in ("sim", "phys", "init"))
+    if "c0" in init:
+        phys.setdefault("c0_max", init["c0"])
+    if init:
+        sim["init"] = init
+    return SimulationConfig(**sim), PhysParams(**phys)
 
 
 def build_reg_config(cfg: dict) -> RegularityConfig:
-    kwargs = {}
-    for key, attr, cast in (
-        ("reg.delta0", "delta0", float),
-        ("reg.eps1", "eps1", float),
-        ("reg.theta0", "theta0", float),
-        ("reg.c1", "c1", float),
-        ("reg.working_threshold", "working_threshold", float),
-    ):
-        if key in cfg:
-            kwargs[attr] = config_get(cfg, key, cast)
     try:
-        return RegularityConfig(**kwargs)
+        return RegularityConfig(**_fields_of(cfg, "reg"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -204,19 +202,14 @@ def build_reg_config(cfg: dict) -> RegularityConfig:
 # CSV helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def write_csv(path, header, rows) -> None:
-    """CSV with a stable header and deterministic float formatting."""
+    """CSV with a stable header; a float is written as its repr."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
+                             else str(v) for v in row])
 
 
 def read_csv(path) -> tuple:
@@ -231,17 +224,13 @@ def read_csv(path) -> tuple:
 # manifest
 # ---------------------------------------------------------------------------
 
-def _hash_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def write_manifest(out_dir, config_path, sim, params, phase_seconds,
                    outputs, failed_phase=None) -> Path:
     """manifest.json: the run's inputs, outputs and per-phase seconds, and,
     for a failed pipeline, the phase that failed."""
     manifest = {
         "version": __version__,
-        "config_sha256": _hash_file(config_path),
+        "config_sha256": hashlib.sha256(Path(config_path).read_bytes()).hexdigest(),
         "seed": sim.seed,
         "grid": {"n": sim.grid_n, "box_length": sim.grid_l, "dt": sim.dt},
         "params": asdict(params),
@@ -260,14 +249,12 @@ def write_manifest(out_dir, config_path, sim, params, phase_seconds,
 # subcommand bodies
 # ---------------------------------------------------------------------------
 
-QUANTITY_COLUMNS = (
-    "t0", "x0", "x1", "x2", "r",
-    "a_u", "e_u", "a_grad_sqrt_c", "e_grad_sqrt_c", "a_sqrt_n", "e_sqrt_n",
-    "c_u", "c_u_tilde", "c_sqrt_n", "c_grad_sqrt_c", "d", "m", "n_entropy",
-    "a_combined", "e_combined", "c_combined", "g",
-)
+#: the cylinder's (t0, x0, r), then LocalQuantities' values in field order
+QUANTITY_COLUMNS = ("t0", "x0", "x1", "x2", "r",
+                    *(f.name for f in fields(LocalQuantities)[3:]))
 
 LEI_COLUMNS = ("t", *(f"{side}_{name}" for side, name, *_ in LEI_TERMS), "residual")
+DIMENSION_COLUMNS = ("kind", "scale", "value")
 
 
 def _quantity_row(traj, x0, t0: float, r: float) -> list:
@@ -353,10 +340,8 @@ def cmd_diagnose_pressure(args) -> int:
         sel = inside[k + 1] & ~inside[k]
         if not np.any(sel):
             continue
-        mid = 0.5 * (lo + hi)
-        rows.append(["profile_p", mid, float(np.mean(state.p[sel]))])
-        rows.append(["profile_p1", mid, float(np.mean(dec.p1[sel]))])
-        rows.append(["profile_p2", mid, float(np.mean(dec.p2[sel]))])
+        rows += [[kind, 0.5 * (lo + hi), float(np.mean(a[sel]))] for kind, a in (
+            ("profile_p", state.p), ("profile_p1", dec.p1), ("profile_p2", dec.p2))]
     rows.append(["identity_residual", rho, dec.identity_residual(state.p)])
     rows.append(["harmonic_deviation", rho, res["max_deviation"]])
     rows.append(["harmonic_relative", rho, res["relative"]])
@@ -417,6 +402,13 @@ def _candidate_centers(traj, stride: int) -> np.ndarray:
     return np.stack([*x, t], axis=-1).reshape(-1, 4)
 
 
+def _flag_rows(traj, stride: int, radii, reg, criterion: str) -> list:
+    """The FLAG_COLUMNS rows of a sweep over every stride-th grid point at
+    the last snapshot time."""
+    centers = _candidate_centers(traj, stride)
+    return flag_sweep(traj, centers, radii, reg, criterion=criterion).rows()
+
+
 def cmd_flag(args) -> int:
     traj = read_trajectory(args.traj)
     radii = _float_list(args.radii)
@@ -424,28 +416,21 @@ def cmd_flag(args) -> int:
         raise ConfigError("empty --radii")
     reg = build_reg_config(read_config(args.config)) if args.config \
         else RegularityConfig()
-    centers = _candidate_centers(traj, int(args.grid_stride))
-    flags = flag_sweep(traj, centers, radii, reg, criterion=args.criterion)
-    write_csv(args.out, FLAG_COLUMNS, flags.rows())
+    rows = _flag_rows(traj, int(args.grid_stride), radii, reg, args.criterion)
+    write_csv(args.out, FLAG_COLUMNS, rows)
     return EXIT_OK
 
 
 def _parse_scales(spec: str) -> list:
     """Either 2^-a..2^-b or a comma list of radii.  A bare exponent range
     such as 3..5 is refused: it does not say whether 2^3 or 2^-3 is meant."""
-    if ".." in spec:
-        lo, hi = spec.split("..")
-
-        def expo(tok):
-            tok = tok.strip()
-            if not tok.startswith("2^"):
-                raise ConfigError(f"--scales {spec!r}: write a range as 2^-a..2^-b")
-            return int(tok[2:])
-
-        a, b = expo(lo), expo(hi)
-        lo_e, hi_e = min(-a, -b), max(-a, -b)
-        return [2.0**-k for k in range(lo_e, hi_e + 1)]
-    return list(_float_list(spec))
+    if ".." not in spec:
+        return list(_float_list(spec))
+    ends = [tok.strip() for tok in spec.split("..")]
+    if not all(tok.startswith("2^") for tok in ends):
+        raise ConfigError(f"--scales {spec!r}: write a range as 2^-a..2^-b")
+    lo, hi = sorted(-int(tok[2:]) for tok in ends)
+    return [2.0**-k for k in range(lo, hi + 1)]
 
 
 def cmd_dimension(args) -> int:
@@ -461,7 +446,7 @@ def cmd_dimension(args) -> int:
         trend = est.measure_trend(alpha)
         out_rows.append(["measure_trend_decreasing", alpha,
                          1.0 if trend["classification"] == "decreasing" else 0.0])
-    write_csv(args.out, ("kind", "scale", "value"), out_rows)
+    write_csv(args.out, DIMENSION_COLUMNS, out_rows)
     return EXIT_OK
 
 
@@ -470,9 +455,9 @@ def cmd_pipeline(args) -> int:
     sim, params = build_sim_config(cfg)
     reg = build_reg_config(cfg)
     # parsed before the run, so a malformed value is a config error
-    flag_stride = config_get(cfg, "pipeline.flag_stride", int,
-                             max(1, sim.grid_n // 4))
-    radii = config_get(cfg, "pipeline.radii", _float_list, None)
+    pipe = _fields_of(cfg, "pipeline")
+    flag_stride = pipe.get("flag_stride", max(1, sim.grid_n // 4))
+    radii = pipe.get("radii")
     key = "sim.t_end" if radii is None else "pipeline.radii"
     L = sim.grid_l
     center, omega = (L / 2.0,) * 3, L / 4.0
@@ -490,76 +475,59 @@ def cmd_pipeline(args) -> int:
     # radius at t_last for the quantities and flags, then the LEI's ball)
     # by the cylinder quadrature's own rules on the planned grid and span
     grid = Grid(sim.grid_n, L)
-    for phase, r, depth in [("quantities", r, r**2) for r in radii] + [
+    for name, r, depth in [("quantities", r, r**2) for r in radii] + [
             ("lei", omega, bump_span)]:
         try:
             ball_mask(grid, center, r)
             _snapshot_weights(np.array([t_first, t_last]), t_last - depth, t_last)
         except ValueError as exc:
-            raise ConfigError(f"{key}: phase {phase!r} would fail: {exc}") from exc
+            raise ConfigError(f"{key}: phase {name!r} would fail: {exc}") from exc
     tf = smooth_bump(bump_r, bump_span)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     phase_seconds = {}
     outputs = {}
 
-    def phase(name, fn):
+    def phase(name, output, fn, header=None):
+        """Run one phase, timed; with a header, ``fn`` returns the rows of
+        ``<output>.csv``.  The output is recorded once the phase is done."""
+        path = out / (f"{output}.csv" if header else output)
         t0 = time.perf_counter()
         try:
             result = fn()
+            if header:
+                write_csv(path, header, result)
         except Exception as exc:
             with suppress(OSError):  # the phase's own error sets the exit code
                 write_manifest(out, args.config, sim, params, phase_seconds,
                                outputs, failed_phase=name)
             raise PhaseError(f"pipeline phase {name!r} failed: {exc}") from exc
         phase_seconds[name] = time.perf_counter() - t0
+        outputs[output] = path
         return result
 
-    traj_dir = out / "trajectory"
-    traj = phase("simulate", lambda: simulate(sim, params, out_dir=traj_dir))
-    outputs["trajectory"] = traj_dir
-
-    def quantities():
-        rows = [_quantity_row(traj, center, t_last, r) for r in sorted(radii)]
-        write_csv(out / "quantities.csv", QUANTITY_COLUMNS, rows)
-
-    phase("quantities", quantities)
-    outputs["quantities"] = out / "quantities.csv"
+    traj = phase("simulate", "trajectory",
+                 lambda: simulate(sim, params, out_dir=out / "trajectory"))
+    phase("quantities", "quantities", lambda: [
+        _quantity_row(traj, center, t_last, r) for r in sorted(radii)], QUANTITY_COLUMNS)
 
     def energy():
         rep = global_energy_check(traj)
-        rows = [[t, l] for t, l in zip(rep["times"], rep["lhs"])]
-        write_csv(out / "energy.csv", ("t", "lhs"), rows)
+        return zip(rep["times"], rep["lhs"])
 
-    phase("energy", energy)
-    outputs["energy"] = out / "energy.csv"
-
-    def lei():
-        write_csv(out / "lei.csv", LEI_COLUMNS,
-                  [_lei_row(traj, tf, t_last, center, omega)])
-
-    phase("lei", lei)
-    outputs["lei"] = out / "lei.csv"
-
-    def flags():
-        centers = _candidate_centers(traj, flag_stride)
-        fs = flag_sweep(traj, centers, radii, reg, criterion="thm13")
-        write_csv(out / "flags.csv", FLAG_COLUMNS, fs.rows())
-        return fs
-
-    flag_set = phase("flag", flags)
-    outputs["flags"] = out / "flags.csv"
+    phase("energy", "energy", energy, ("t", "lhs"))
+    phase("lei", "lei", lambda: [_lei_row(traj, tf, t_last, center, omega)], LEI_COLUMNS)
+    flag_rows = phase("flag", "flags", lambda: _flag_rows(
+        traj, flag_stride, radii, reg, "thm13"), FLAG_COLUMNS)
 
     def dimension():
-        rows = []
-        if len(flag_set):
-            scales = [L / 8.0, L / 16.0, L / 32.0]
-            rows = _dimension_rows(
-                dimension_estimate(flag_set.points, scales, box_length=L))
-        write_csv(out / "dimension.csv", ("kind", "scale", "value"), rows)
+        points = [[x0, x1, x2, t0] for t0, x0, x1, x2, *_ in flag_rows]
+        if not points:
+            return []
+        scales = [L / 8.0, L / 16.0, L / 32.0]
+        return _dimension_rows(dimension_estimate(points, scales, box_length=L))
 
-    phase("dimension", dimension)
-    outputs["dimension"] = out / "dimension.csv"
+    phase("dimension", "dimension", dimension, DIMENSION_COLUMNS)
 
     write_manifest(out, args.config, sim, params, phase_seconds, outputs)
     return EXIT_OK
@@ -578,15 +546,11 @@ def emit_plot_data(csv_in, kind: str, csv_out) -> None:
         raise ConfigError(f"unknown plot kind {kind!r}")
     header, rows = read_csv(csv_in)
     if kind == "quantity-vs-r":
-        names = [n for n in QUANTITY_COLUMNS[5:]]
-        r_idx = header.index("r")
-        out_rows = []
-        for row in rows:
-            vals = [np.log10(max(float(row[header.index(n)]), 1e-300))
-                    for n in names]
-            out_rows.append([np.log10(float(row[r_idx]))] + vals)
-        write_csv(csv_out, ["log10_r"] + ["log10_" + n for n in names],
-                  out_rows)
+        names = QUANTITY_COLUMNS[5:]
+        out_rows = [[np.log10(float(row[header.index("r")]))]
+                    + [np.log10(max(float(row[header.index(n)]), 1e-300)) for n in names]
+                    for row in rows]
+        write_csv(csv_out, ["log10_r"] + ["log10_" + n for n in names], out_rows)
     elif kind == "g-trace":
         rho_idx, g_idx = header.index("r"), header.index("g")
         out_rows = [[k, float(row[rho_idx]), float(row[g_idx])]
@@ -661,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--grid-stride", default="8")
     fp.add_argument("--radii", required=True)
     fp.add_argument("--criterion", default="thm13",
-                    choices=("thm13", "thm16i", "thm16ii"))
+                    choices=tuple(PAPER_THRESHOLD))
     fp.add_argument("--config", default=None)
     fp.add_argument("--out", required=True)
     fp.set_defaults(fn=cmd_flag)

@@ -106,7 +106,7 @@ FLAG_COLUMNS = ("t0", "x0", "x1", "x2", "r_star", "value",
                 "working_threshold", "paper_threshold", "margin")
 
 #: the closed-form threshold each sweep criterion is reported against
-_PAPER_THRESHOLD = {"thm13": "epsilon", "thm16i": "epsilon0", "thm16ii": "epsilon2"}
+PAPER_THRESHOLD = {"thm13": "epsilon", "thm16i": "epsilon0", "thm16ii": "epsilon2"}
 
 
 @dataclass
@@ -226,7 +226,7 @@ def _centre_report(traj: Trajectory, z0, criterion: str, radii, cfg: RegularityC
                                       _at_centre(traj, tuple(z0[0]), float(z0[1])))
     value, thr = float(value), cfg.working_threshold
     return {"value": value, "r_star": float(r_star), "working_threshold": thr,
-            "paper_threshold": thresholds(cfg, traj.params)[_PAPER_THRESHOLD[criterion]],
+            "paper_threshold": thresholds(cfg, traj.params)[PAPER_THRESHOLD[criterion]],
             "flagged": not value <= thr, "margin": value / thr,
             detail: {k: float(v) for k, v in parts.items()}}
 
@@ -283,7 +283,7 @@ def flag_sweep(traj: Trajectory, centers: np.ndarray, radii: Sequence[float],
     ``flag_thm13`` / ``flag_thm16``.  Map and per-centre values agree to
     rounding relative to the map's largest value.
     """
-    if criterion not in _PAPER_THRESHOLD:
+    if criterion not in PAPER_THRESHOLD:
         raise ValueError(f"unknown criterion {criterion!r}")
     if len(radii) == 0:
         raise CylinderRangeError("need at least one radius")
@@ -308,7 +308,7 @@ def flag_sweep(traj: Trajectory, centers: np.ndarray, radii: Sequence[float],
         r_star=r_star[order],
         value=value[order],
         working_threshold=cfg.working_threshold,
-        paper_threshold=thresholds(cfg, traj.params)[_PAPER_THRESHOLD[criterion]],
+        paper_threshold=thresholds(cfg, traj.params)[PAPER_THRESHOLD[criterion]],
     )
 
 

@@ -122,9 +122,12 @@ class State:
 
 def gather(a: np.ndarray, cells) -> np.ndarray:
     """The values of a field (last three axes the grid) on ``cells``: flat
-    indices, in their order, or ``slice(None)`` for ``a`` itself."""
+    indices, in their order, or ``slice(None)`` for ``a`` itself.  A
+    boolean mask is refused: ``np.take`` would read it as the indices 0, 1."""
     if isinstance(cells, slice):
         return a
+    if np.asarray(cells).dtype == bool:
+        raise TypeError("cells is a boolean mask; pass np.flatnonzero(mask)")
     return np.take(a.reshape(a.shape[:-3] + (-1,)), cells, axis=-1)
 
 

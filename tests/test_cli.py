@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cnsflow import cli
+from cnsflow import PhysParams, RegularityConfig, SimulationConfig, cli
 from cnsflow.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -112,14 +112,58 @@ def test_missing_config_key_exits_2(workdir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [("sim.dt", "0"), ("sim.dt", "-0.001"),
-                                        ("sim.output_stride", "0"), ("sim.order", "3")])
+                                        ("sim.output_stride", "0"), ("sim.order", "3"),
+                                        ("init.modes", "2.5"), ("init.amplitude", "abc")])
 def test_bad_run_parameter_exits_2_before_any_snapshot(tmp_path, capsys, key, value):
     p = tmp_path / "bad.cfg"
     p.write_text(CONFIG_TEXT + f"{key} = {value}\n")
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(p), "--out", str(out)]) == EXIT_CONFIG
     assert key.split(".")[1] in capsys.readouterr().err
-    assert not list(out.glob("snap_*.cns"))
+    assert not out.exists()
+
+
+def test_required_keys_alone_build_the_dataclass_defaults():
+    """A config of the required keys alone sets nothing else: every other
+    field is its dataclass's default."""
+    cfg = {"grid.n": "12", "grid.l": "2.0", "sim.dt": "0.002", "sim.t_end": "0.5"}
+    assert set(cfg) == set(cli.REQUIRED_KEYS)
+    sim, params = cli.build_sim_config(cfg)
+    assert sim == SimulationConfig(grid_n=12, grid_l=2.0, dt=0.002, t_end=0.5)
+    assert params == PhysParams()
+    assert cli.build_reg_config(cfg) == RegularityConfig()
+    for key in cfg:
+        with pytest.raises(ConfigError, match=key):
+            cli.build_sim_config({k: v for k, v in cfg.items() if k != key})
+
+
+def test_every_config_key_reaches_its_field():
+    """Each key, set to a value other than its default, arrives at its
+    field parsed by its type; an unset phys.c0_max is init.c0."""
+    cfg = {"grid.n": "12", "grid.l": "2.0", "sim.dt": "0.002", "sim.t_end": "0.5",
+           "sim.output_stride": "3", "sim.seed": "7", "sim.order": "2",
+           "phys.theta0": "2.0", "phys.chi": "0.5,0.25", "phys.gravity": "0.3",
+           "phys.c0_max": "3.0",
+           "init.preset": "gaussian", "init.amplitude": "0.2", "init.width": "0.1",
+           "init.c0": "2.0", "init.modes": "3", "init.n_mean": "0.7",
+           "init.path": "snap.cns",
+           "reg.delta0": "0.08", "reg.eps1": "0.5", "reg.theta0": "0.2", "reg.c1": "3.0",
+           "reg.working_threshold": "0.5",
+           "pipeline.flag_stride": "2", "pipeline.radii": "0.1,0.2"}
+    assert set(cfg) == cli.CONFIG_KEYS
+    sim, params = cli.build_sim_config(cfg)
+    assert sim == SimulationConfig(
+        grid_n=12, grid_l=2.0, dt=0.002, t_end=0.5, output_stride=3, seed=7, order=2,
+        init={"preset": "gaussian", "amplitude": 0.2, "width": 0.1, "c0": 2.0,
+              "modes": 3, "n_mean": 0.7, "path": "snap.cns"})
+    assert type(sim.init["modes"]) is int
+    assert params == PhysParams(theta0=2.0, chi_coeffs=(0.5, 0.25), gravity=0.3,
+                                c0_max=3.0)
+    assert cli.build_reg_config(cfg) == RegularityConfig(
+        delta0=0.08, eps1=0.5, theta0=0.2, c1=3.0, working_threshold=0.5)
+    assert cli._fields_of(cfg, "pipeline") == {"flag_stride": 2, "radii": (0.1, 0.2)}
+    del cfg["phys.c0_max"]
+    assert cli.build_sim_config(cfg)[1].c0_max == 2.0
 
 
 @pytest.mark.parametrize("line", ["sim.output_strid = 2", "init.mdoes = 3"])
@@ -564,6 +608,16 @@ def test_lei_columns_are_the_csv_header():
         "rhs_entropy_chemo_flux", "rhs_grad_sqrt_c_heat", "rhs_grad_sqrt_c_advect",
         "rhs_kinetic_heat", "rhs_kinetic_advect", "rhs_pressure_advect",
         "rhs_buoyancy", "residual")
+
+
+def test_quantity_columns_are_the_csv_header():
+    """The columns read off LocalQuantities are the header every
+    quantities CSV has carried."""
+    assert cli.QUANTITY_COLUMNS == (
+        "t0", "x0", "x1", "x2", "r",
+        "a_u", "e_u", "a_grad_sqrt_c", "e_grad_sqrt_c", "a_sqrt_n", "e_sqrt_n",
+        "c_u", "c_u_tilde", "c_sqrt_n", "c_grad_sqrt_c", "d", "m", "n_entropy",
+        "a_combined", "e_combined", "c_combined", "g")
 
 
 def test_failed_pipeline_manifest_names_the_simulate_phase(tmp_path, capsys):

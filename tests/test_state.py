@@ -133,6 +133,16 @@ def test_pointwise_fields_on_any_cells_are_the_whole_grid_ones():
     assert set(s._cache) == {"grad_sqrt_c"}
 
 
+def test_cells_as_a_boolean_mask_are_refused():
+    """``np.take`` reads a boolean mask as the flat indices 0 and 1, so a
+    mask is refused; its flat indices read the masked values."""
+    s = _seeded_state()
+    mask = ball_mask(s.grid, (0.25, 0.5, 0.625), 0.2)
+    with pytest.raises(TypeError, match="flatnonzero"):
+        s.on(mask)("n")
+    assert np.array_equal(s.on(np.flatnonzero(mask))("n"), s.n[mask])
+
+
 def test_fields_on_cells_are_freed_without_the_cycle_collector():
     """What ``State.on`` forms is freed as soon as it is dropped: a
     whole-grid pointwise field left to the cycle collector stayed alive

@@ -3,8 +3,10 @@
     python3 tools/perf_record.py --parent ../parent-checkout --out BENCH_21.json
 
 Run from the root of the change's checkout; ``--parent`` is a checkout of
-the parent commit.  Two parts, each run in fresh processes, one BLAS/OpenMP
-thread each:
+the parent commit.  It records the line count and byte size of each
+tree's ``src/cnsflow/*.py``, which a setup_s difference can be read
+against (the workloads' children compile that source), and two parts,
+each run in fresh processes, one BLAS/OpenMP thread each:
 
 - end to end: ``bench/run.py --trace 0`` of every workload in both trees,
   ``--pairs`` alternated pairs per workload (parent first on even pairs,
@@ -86,6 +88,13 @@ def child_env(tree: Path) -> dict:
     return env
 
 
+def source_size(tree: Path) -> dict:
+    files = sorted((tree / "src" / "cnsflow").glob("*.py"))
+    return {"files": len(files),
+            "lines": sum(len(f.read_text().splitlines()) for f in files),
+            "bytes": sum(f.stat().st_size for f in files)}
+
+
 def quartiles(values) -> dict:
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": round(q1, 4), "median": round(q2, 4), "q3": round(q3, 4),
@@ -165,6 +174,7 @@ def main(argv=None) -> int:
     trees = {"parent": args.parent.resolve(), "change": Path.cwd().resolve()}
     record = {
         "machine": {"nproc": os.cpu_count(), "cpu_threads_per_child": 1},
+        "source": {name: source_size(tree) for name, tree in trees.items()},
         "per_step": per_step(trees),
     }
     if not args.skip_end_to_end:
