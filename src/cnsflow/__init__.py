@@ -17,12 +17,10 @@ from .grid_fields import (
     ParabolicCylinder,
     RescaleError,
     ball_mask,
-    dealias,
     divergence,
     gradient,
     hessian_components,
     laplacian,
-    leray_project,
 )
 from .state import PhysParams, State, Trajectory, rescale_state
 from .snapshot import (
@@ -72,7 +70,6 @@ from .regularity import (
     flag_sweep,
     flag_thm13,
     flag_thm16,
-    gamma_window,
     induction_verify,
     iteration_trace,
     thresholds,

@@ -286,27 +286,22 @@ def laplacian(g: Grid, f: np.ndarray) -> np.ndarray:
     return g.irfftn(-g.k_sq * g.rfftn(f))
 
 
+def second_derivative(g: Grid, fh: np.ndarray, i: int, j: int) -> np.ndarray:
+    """d_i d_j of the field whose half spectrum is ``fh``; the diagonal
+    keeps the Nyquist modes, like the Laplacian."""
+    sym = -g._k_full[i] ** 2 if i == j else -g.k[i] * g.k[j]
+    return g.irfftn(sym * fh)
+
+
 def hessian_components(g: Grid, f: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
     """All nine second derivatives d_i d_j f (symmetric; computed once per
-    pair); the diagonal keeps the Nyquist modes, like the Laplacian."""
+    pair)."""
     fh = g.rfftn(f)
     out = {}
     for i in range(3):
         for j in range(i, 3):
-            sym = -g._k_full[i] ** 2 if i == j else -g.k[i] * g.k[j]
-            out[(i, j)] = out[(j, i)] = g.irfftn(sym * fh)
+            out[(i, j)] = out[(j, i)] = second_derivative(g, fh, i, j)
     return out
-
-
-def leray_project(g: Grid, v: np.ndarray) -> np.ndarray:
-    """Remove the gradient part of a (3, N, N, N) field:
-    P u = u - grad(Delta^-1 div u)."""
-    return g.irfftn(g.project_hat(g.rfftn(v)))
-
-
-def dealias(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """2/3-rule truncation of a physical-space array."""
-    return grid.kept_irfftn(grid.kept_rfftn(values))
 
 
 # ---------------------------------------------------------------------------

@@ -31,14 +31,6 @@ from .grid_fields import (
 from .state import Trajectory, guarded_log
 
 
-def gamma_window(delta0: float) -> tuple[float, float]:
-    """Admissible open interval for the interpolation exponent gamma.
-
-    Nonempty for every delta0 > 0 since delta0/(6 - 3*delta0) > 0.
-    """
-    return (0.0, min(1.0 / 9.0, delta0 / (6.0 - 3.0 * delta0)))
-
-
 @dataclass(frozen=True)
 class RegularityConfig:
     """Exponents and constants of the regularity criteria.

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid_fields import Grid
-from .state import PhysParams, State, Trajectory
+from .grid_fields import Grid, _check_finite
+from .state import PhysParams, State, StoredStates, Trajectory
 
 MAGIC = b"CNS1"
 HEADER_BYTES = 24
@@ -57,13 +57,26 @@ def snapshot_time(path) -> float:
         return _read_header(f, path)[2]
 
 
-def read_snapshot(path) -> State:
+def read_snapshot(path, grid: Grid = None) -> State:
     """Read one CNS1 snapshot; its header is checked before any array is
-    read."""
+    read.  The state is built on ``grid`` when one is given (a trajectory
+    passes its own, so its Fourier symbols are made once), else on a new
+    Grid of the header's N and L."""
     with open(path, "rb") as f:
         n, box_length, t = _read_header(f, path)
         data = np.fromfile(f, dtype="<f8", count=6 * n**3).reshape(6, n, n, n)
-    return State(Grid(n, box_length), data[0], data[1], data[2:5], data[5], t)
+    grid = grid or Grid(n, box_length)
+    return State(grid, data[0], data[1], data[2:5], data[5], t)
+
+
+def _check_values(path, n: int) -> None:
+    """Raise NonFiniteFieldError, as ``State`` would, naming the first of
+    n, c, u, P with a non-finite entry; one field is read at a time and
+    none is kept."""
+    with open(path, "rb") as f:
+        f.seek(HEADER_BYTES)
+        for name, count in (("n", 1), ("c", 1), ("u", 3), ("p", 1)):
+            _check_finite(np.fromfile(f, dtype="<f8", count=count * n**3), name)
 
 
 def snapshot_name(index: int) -> str:
@@ -86,7 +99,7 @@ def write_trajectory_meta(out_dir, traj: Trajectory) -> None:
     meta = {
         "format": "CNS1",
         "count": len(traj.states),
-        "times": [s.time for s in traj.states],
+        "times": traj.times.tolist(),
         "grid": {"n": traj.grid.n, "box_length": traj.grid.box_length},
         "params": asdict(traj.params),
     }
@@ -100,9 +113,15 @@ def write_trajectory_meta(out_dir, traj: Trajectory) -> None:
 
 
 def read_trajectory(in_dir) -> Trajectory:
-    """Read a trajectory directory.  The physics come from the "params"
-    entry of ``trajectory.json``; a directory without one (or without the
-    file) reads with ``PhysParams()``."""
+    """Open a trajectory directory.  Every snapshot is checked here, with
+    the errors ``read_snapshot`` and ``Trajectory`` raise: its header and
+    file length first, then one grid and strictly increasing times, then
+    that every value is finite (streamed, nothing kept).  Only the headers
+    are kept: snapshot i is read the first time ``states[i]`` is indexed,
+    on the trajectory's one Grid, and kept for the trajectory's lifetime.
+    The physics come from the "params" entry of ``trajectory.json``; a
+    directory without one (or without the file) reads with
+    ``PhysParams()``."""
     src = Path(in_dir)
     meta_path = src / "trajectory.json"
     meta = {}
@@ -118,4 +137,14 @@ def read_trajectory(in_dir) -> Trajectory:
         params = PhysParams(**meta.get("params", {}))
     except TypeError as exc:  # an unknown or missing key
         raise ValueError(f"{meta_path}: {exc}") from exc
-    return Trajectory([read_snapshot(p) for p in paths], params=params)
+    heads = []
+    for p in paths:
+        with open(p, "rb") as f:
+            n, box_length, t = _read_header(f, p)
+        heads.append((Grid(n, box_length), t))
+    # every state is built on the first header's grid, the trajectory's own
+    traj = Trajectory(StoredStates(heads, lambda i: read_snapshot(paths[i], heads[0][0])),
+                      params=params)
+    for p, (g, _) in zip(paths, heads):
+        _check_values(p, g.n)
+    return traj

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -14,8 +15,8 @@ from .grid_fields import (
     RescaleError,
     _check_finite,
     gradient,
-    hessian_components,
     laplacian,
+    second_derivative,
 )
 
 #: Floor added under square roots so gradients of sqrt(n), sqrt(c) stay finite
@@ -37,13 +38,47 @@ def _abs(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(v**2, axis=0))
 
 
+def _sum_into(out: np.ndarray, arrays) -> np.ndarray:
+    """Add ``arrays`` into ``out`` in their order, bitwise their
+    left-to-right sum, with no stacked temporary.  Callers allocate
+    ``out`` before the arrays, so the long-lived result lies below their
+    temporaries and the heap can give those pages back: with the first
+    array as the output, the benchmark's 32^3 pipeline peaked 1.5 MB
+    higher."""
+    it = iter(arrays)
+    np.copyto(out, next(it))
+    for a in it:
+        out += a
+    return out
+
+
+def _squared(a: np.ndarray) -> np.ndarray:
+    return np.square(a, out=a)
+
+
 def _grad_sq(g: Grid, a: np.ndarray) -> np.ndarray:
-    return np.sum(gradient(g, a) ** 2, axis=0)
+    """|grad a|^2: the squares of d_0 a, d_1 a, d_2 a, in that order."""
+    out = np.empty(a.shape)
+    fh = g.rfftn(a)
+    return _sum_into(out, (_squared(g.irfftn(ik * fh)) for ik in g.ik))
 
 
 def _hess_sq(g: Grid, a: np.ndarray) -> np.ndarray:
-    hess = hessian_components(g, a)
-    return sum(hess[(i, j)] ** 2 for i in range(3) for j in range(3))
+    """|Hess a|^2: the squares of the nine d_i d_j a in row-major (i, j)
+    order; a mirrored square is made once and kept until its second use."""
+    out = np.empty(a.shape)
+    fh = g.rfftn(a)
+    mirrored = {}
+
+    def square(i, j):
+        if i > j:
+            return mirrored.pop((j, i))
+        sq = _squared(second_derivative(g, fh, i, j))
+        if i < j:
+            mirrored[(i, j)] = sq
+        return sq
+
+    return _sum_into(out, (square(i, j) for i in range(3) for j in range(3)))
 
 
 def _n_ln_n(n: np.ndarray) -> np.ndarray:
@@ -54,7 +89,8 @@ def _n_ln_n(n: np.ndarray) -> np.ndarray:
 #: The derived fields that take a transform: name -> its form on a state.
 #: Made on the whole grid on first use and cached by the state.
 TRANSFORMED = {
-    "grad_u_sq": lambda s: sum(_grad_sq(s.grid, comp) for comp in s.u),
+    "grad_u_sq": lambda s: _sum_into(np.empty(s.n.shape),
+                                      (_grad_sq(s.grid, comp) for comp in s.u)),
     "grad_sqrt_n_sq": lambda s: _grad_sq(s.grid, _floored_sqrt(s.n)),
     "grad_sqrt_c": lambda s: gradient(s.grid, _floored_sqrt(s.c)),
     "hess_sqrt_c_sq": lambda s: _hess_sq(s.grid, _floored_sqrt(s.c)),
@@ -212,31 +248,55 @@ class PhysParams:
         return total
 
 
+class StoredStates(Sequence):
+    """The read-only states of an on-disk trajectory, known at first by
+    their headers alone: ``heads`` holds each one's (grid, time).  State i
+    is made by ``read(i)`` the first time it is indexed, then kept for the
+    sequence's lifetime."""
+
+    def __init__(self, heads: list, read: Callable[[int], State]):
+        self.heads, self._read, self._kept = heads, read, {}
+
+    def __len__(self) -> int:
+        return len(self.heads)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        if i not in self._kept:
+            self._kept[i] = self._read(i)
+        return self._kept[i]
+
+
 class Trajectory:
     """Snapshots on one grid at strictly increasing times, and the physics
     that produced them.  The intervals between snapshots need not be
     equal: a run whose step count is not a multiple of its output stride
-    ends with a shorter one.  ``times`` is read from the states once, when
-    the trajectory is built; to shift the states' times, build a new
+    ends with a shorter one.
+
+    ``states`` is the one way to get a state: a list for a trajectory
+    built in memory, a ``StoredStates`` for one opened by
+    ``read_trajectory``, which reads each snapshot on first use.  ``grid``
+    and ``times`` are taken once, when the trajectory is built, from the
+    states or the stored headers; to shift the states' times, build a new
     trajectory from them."""
 
     def __init__(self, states: Sequence[State], params: PhysParams = PhysParams()):
         if not states:
             raise ValueError("trajectory needs at least one state")
-        grid = states[0].grid
-        if any(s.grid != grid for s in states):
+        stored = isinstance(states, StoredStates)
+        heads = states.heads if stored else [(s.grid, s.time) for s in states]
+        self.grid = heads[0][0]
+        if any(g != self.grid for g, _ in heads):
             raise ValueError("all states must share one grid")
-        self.times = np.array([s.time for s in states])
+        self.times = np.array([t for _, t in heads])
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("snapshot times must be strictly increasing")
-        self.states = list(states)
+        self.states = states if stored else list(states)
         self.params = params
         #: solver health of the run that produced the states, when known
         self.run_log: Optional[dict] = None
-
-    @property
-    def grid(self) -> Grid:
-        return self.states[0].grid
 
     def state_at(self, t: float) -> State:
         """Snapshot closest to time t."""

@@ -3,6 +3,7 @@ trips, and byte-identical rerun determinism."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cnsflow import PhysParams, RegularityConfig, SimulationConfig, cli
+from cnsflow import PhysParams, RegularityConfig, SimulationConfig, cli, snapshot
 from cnsflow.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -392,6 +393,107 @@ def test_nan_snapshot_exits_3(traj_dir, tmp_path, capsys):
     assert code == EXIT_NUMERIC
     assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def seven_snap_dir(workdir):
+    """The smoke-test run to t = 0.015: 7 snapshots, 0.0025 apart."""
+    cfg = workdir / "seven.cfg"
+    cfg.write_text(CONFIG_TEXT.replace("sim.t_end = 0.01", "sim.t_end = 0.015"))
+    out = workdir / "seven"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert len(list(out.glob("snap_*.cns"))) == 7
+    return out
+
+
+def _analysis_argv(command, traj, out):
+    """One analysis subcommand on ``traj`` at its last time, t = 0.015.
+    Its radii (r^2 <= 0.002025) and the LEI bump's span (0.004) reach
+    back into the last one and the last two snapshot intervals."""
+    centers = out.with_name("centers.csv")
+    centers.write_text("x0,x1,x2,t0\n0.5,0.25,0.75,0.015\n")
+    traj, out = str(traj), str(out)
+    return {
+        "quantities": ["diagnose", "quantities", "--traj", traj, "--centers", str(centers),
+                       "--radii", "0.03,0.045", "--out", out],
+        "flag_thm13": ["flag", "--traj", traj, "--grid-stride", "8", "--radii",
+                       "0.03,0.045", "--criterion", "thm13", "--out", out],
+        "flag_thm16i": ["flag", "--traj", traj, "--grid-stride", "8", "--radii",
+                        "0.03,0.045", "--criterion", "thm16i", "--out", out],
+        "verify_lei": ["verify-lei", "--traj", traj, "--psi", "bump:r=0.08,span=0.004",
+                       "--t", "0.015", "--out", out],
+    }[command]
+
+
+#: the snapshots each command reads: its window and, for the LEI's c0max,
+#: snapshot 0
+WINDOW_READS = {"quantities": [5, 6], "flag_thm13": [5, 6], "flag_thm16i": [5, 6],
+                "verify_lei": [0, 4, 5, 6]}
+
+
+@pytest.mark.parametrize("command", list(WINDOW_READS))
+def test_analysis_reads_only_its_window(seven_snap_dir, tmp_path, monkeypatch, command):
+    """A trajectory subcommand reads each snapshot its window needs once,
+    and no other: opening the trajectory checks every snapshot but keeps
+    none."""
+    reads = []
+    real = snapshot.read_snapshot
+
+    def counted(path, grid=None):
+        reads.append(int(Path(path).stem.split("_")[1]))
+        return real(path, grid)
+
+    monkeypatch.setattr(snapshot, "read_snapshot", counted)
+    out = tmp_path / "out.csv"
+    assert main(_analysis_argv(command, seven_snap_dir, out)) == EXIT_OK
+    assert sorted(reads) == WINDOW_READS[command]
+    assert out.exists()
+
+
+def _damaged_copy(src, dst, index, damage):
+    shutil.copytree(src, dst)
+    path = dst / f"snap_{index:06d}.cns"
+    good = path.read_bytes()
+    nan_at = 24 + 8 * (2 * 16**3 + 5)  # a cell of u_0
+    path.write_bytes({
+        "bad_magic": b"XXXX" + good[4:],
+        "truncated": good[:-8],
+        "trailing_bytes": good + b"\x00" * 8,
+        "corrupt_n": good[:4] + (2**21).to_bytes(4, "little") + good[8:],
+        "nan": good[:nan_at] + np.array([np.nan], dtype="<f8").tobytes() + good[nan_at + 8:],
+    }[damage])
+    return dst
+
+
+@pytest.mark.parametrize("command", list(WINDOW_READS))
+@pytest.mark.parametrize("damage, code, message", [
+    ("bad_magic", EXIT_CONFIG, "bad magic"),
+    ("truncated", EXIT_CONFIG, "truncated or overlong"),
+    ("trailing_bytes", EXIT_CONFIG, "truncated or overlong"),
+    ("corrupt_n", EXIT_CONFIG, "truncated or overlong"),
+    ("nan", EXIT_NUMERIC, "u has 1 non-finite entries"),
+])
+def test_damaged_snapshot_outside_every_window_fails_at_open(
+        seven_snap_dir, tmp_path, monkeypatch, capsys, command, damage, code, message):
+    """Snapshot 1 lies in no command's window, yet a damaged one fails the
+    command when the trajectory is opened, with its exit code and message
+    and no CSV.  A damaged header or file length is found before any
+    array is read."""
+    traj = _damaged_copy(seven_snap_dir, tmp_path / "traj", 1, damage)
+    arrays = []
+    real = np.fromfile
+
+    def counted(*args, **kwargs):
+        arrays.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "fromfile", counted)
+    out = tmp_path / "out.csv"
+    assert main(_analysis_argv(command, traj, out)) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    if damage != "nan":
+        assert arrays == []
 
 
 def test_missing_restart_snapshot_exits_4(tmp_path, monkeypatch):

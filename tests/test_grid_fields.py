@@ -12,12 +12,10 @@ from cnsflow import (
     Grid,
     ParabolicCylinder,
     ball_mask,
-    dealias,
     divergence,
     gradient,
     hessian_components,
     laplacian,
-    leray_project,
 )
 from cnsflow.grid_fields import (
     UnknownIntegrandError,
@@ -26,6 +24,17 @@ from cnsflow.grid_fields import (
 )
 from cnsflow import State, Trajectory
 from cnsflow.state import gather
+
+
+def leray_project(g: Grid, v: np.ndarray) -> np.ndarray:
+    """Remove the gradient part of a (3, N, N, N) field:
+    P u = u - grad(Delta^-1 div u)."""
+    return g.irfftn(g.project_hat(g.rfftn(v)))
+
+
+def dealias(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """2/3-rule truncation of a physical-space array."""
+    return grid.kept_irfftn(grid.kept_rfftn(values))
 
 
 def trig_field(grid):

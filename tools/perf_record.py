@@ -16,7 +16,15 @@ each run in fresh processes, one BLAS/OpenMP thread each:
   (median), its real transforms (each ``Grid`` method whose name ends in
   ``fftn``, counted in N^3 fields, full ``rfftn``/``irfftn`` apart from the
   pruned ones) and its tracemalloc peak above its inputs, for a step from
-  physical arrays and, where ``advance`` takes ``hats``, a carried one.
+  physical arrays and, where ``advance`` takes ``hats``, a carried one;
+- trajectory commands: ``diagnose quantities``, ``flag --grid-stride 8``
+  and ``verify-lei`` on 64^3 trajectories of 6 and 11 snapshots (made
+  by the change's ``cnsflow simulate``), each command in a fresh process
+  per run, parent and change alternated: its ``ru_maxrss`` (MB) and the
+  wall time of ``cli.main``, medians of COMMAND_RUNS runs, and
+  whether the two trees' CSVs are byte-identical.  Every window (radii
+  2h and 3h, an LEI bump of span 1.5 snapshot intervals) ends inside a
+  snapshot interval, so both lengths read the same number of snapshots.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 WORKLOADS = ("solve", "pipeline", "diagnose")
@@ -78,6 +87,38 @@ for path in ("fresh", "carried") if carries else ("fresh",):
     tracemalloc.stop()
     result[path] = row
 print(json.dumps(result))
+"""
+
+
+#: a 64^3 run that keeps a snapshot every 1e-3; t_end sets the count
+TRAJ_CONFIG = """\
+grid.n = 64
+grid.l = 1.0
+sim.dt = 2e-4
+sim.t_end = {t_end!r}
+sim.output_stride = 5
+sim.seed = 7
+phys.theta0 = 1.0
+phys.chi = 0.5
+phys.gravity = 0.5
+phys.c0_max = 1.0
+init.preset = random_smooth
+init.amplitude = 0.05
+init.n_mean = 1.0
+init.c0 = 1.0
+init.modes = 2
+"""
+TRAJ_SNAPSHOTS = (6, 11)
+COMMAND_RUNS = 3
+
+COMMAND_PROBE = r"""
+import json, resource, sys, time
+from cnsflow import cli
+
+t0 = time.perf_counter()
+code = cli.main(sys.argv[1:])
+print(json.dumps({"exit": code, "wall_s": time.perf_counter() - t0,
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
 
 
@@ -162,6 +203,55 @@ def per_step(trees: dict) -> dict:
     return out
 
 
+def trajectory_commands(traj: Path, t_last: float, centres: Path) -> dict:
+    """command -> its argv, without ``--out``, at the trajectory's last time."""
+    radii, traj = "0.03125,0.046875", str(traj)
+    return {
+        "diagnose quantities": ["diagnose", "quantities", "--traj", traj,
+                                "--centers", str(centres), "--radii", radii],
+        "flag": ["flag", "--traj", traj, "--grid-stride", "8", "--radii", radii],
+        "verify-lei": ["verify-lei", "--traj", traj, "--psi", "bump:r=0.05,span=0.0015",
+                       "--t", repr(t_last)],
+    }
+
+
+def trajectory_rss(trees: dict) -> dict:
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for count in TRAJ_SNAPSHOTS:
+            traj, cfg = work / f"traj{count}", work / f"traj{count}.cfg"
+            cfg.write_text(TRAJ_CONFIG.format(t_end=(count - 1) * 1e-3))
+            subprocess.run([sys.executable, "-m", "cnsflow.cli", "simulate", "--config",
+                            str(cfg), "--out", str(traj)], env=child_env(trees["change"]),
+                           capture_output=True, check=True)
+            t_last = json.loads((traj / "trajectory.json").read_text())["times"][-1]
+            centres = work / "centres.csv"
+            centres.write_text("x0,x1,x2,t0\n" + "".join(
+                f"{x!r},{y!r},{z!r},{t_last!r}\n"
+                for x, y, z in ((0.5, 0.5, 0.5), (0.25, 0.75, 0.125))))
+            for command, argv in trajectory_commands(traj, t_last, centres).items():
+                key = f"{command} snapshots={count}"
+                results = {name: [] for name in trees}
+                for i in range(COMMAND_RUNS):
+                    for name in list(trees) if i % 2 == 0 else list(trees)[::-1]:
+                        proc = subprocess.run(
+                            [sys.executable, "-c", COMMAND_PROBE, *argv,
+                             "--out", str(work / f"{name}.csv")],
+                            env=child_env(trees[name]), capture_output=True, text=True,
+                            check=True)
+                        results[name].append(json.loads(proc.stdout.strip().splitlines()[-1]))
+                row = {"csv_identical": (work / "parent.csv").read_bytes()
+                       == (work / "change.csv").read_bytes()}
+                for name, rs in results.items():
+                    row[name] = {"exit": sorted({r["exit"] for r in rs}),
+                                 **{m: round(statistics.median(r[m] for r in rs), 4)
+                                    for m in ("peak_rss_mb", "wall_s")}}
+                out[key] = row
+                print(f"{key}: {row}", file=sys.stderr, flush=True)
+    return out
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, type=Path)
@@ -176,6 +266,10 @@ def main(argv=None) -> int:
         "machine": {"nproc": os.cpu_count(), "cpu_threads_per_child": 1},
         "source": {name: source_size(tree) for name, tree in trees.items()},
         "per_step": per_step(trees),
+        "trajectory_commands": {
+            "command": "python3 -c COMMAND_PROBE <cnsflow argv>, one fresh process per run",
+            "runs": COMMAND_RUNS,
+            "rows": trajectory_rss(trees)},
     }
     if not args.skip_end_to_end:
         record["end_to_end"] = {
