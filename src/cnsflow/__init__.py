@@ -19,7 +19,6 @@ from .grid_fields import (
     ball_mask,
     divergence,
     gradient,
-    hessian_components,
     laplacian,
 )
 from .state import PhysParams, State, Trajectory, rescale_state

@@ -127,7 +127,6 @@ _CONFIG = {
     "init.amplitude": ("init", "amplitude", float), "init.width": ("init", "width", float),
     "init.n_mean": ("init", "n_mean", float),
     "reg.delta0": ("reg", "delta0", float), "reg.eps1": ("reg", "eps1", float),
-    "reg.theta0": ("reg", "theta0", float), "reg.c1": ("reg", "c1", float),
     "reg.working_threshold": ("reg", "working_threshold", float),
     "pipeline.flag_stride": ("pipeline", "flag_stride", int),
     "pipeline.radii": ("pipeline", "radii", _float_list),
@@ -149,14 +148,9 @@ def read_config(path) -> dict:
     return cfg
 
 
-_REQUIRED = object()
-
-
-def config_get(cfg: dict, key: str, cast=str, default=_REQUIRED):
+def config_get(cfg: dict, key: str, cast=str):
     if key not in cfg:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing config key {key!r}")
-        return default
+        raise ConfigError(f"missing config key {key!r}")
     try:
         return cast(cfg[key])
     except (TypeError, ValueError) as exc:

@@ -293,17 +293,6 @@ def second_derivative(g: Grid, fh: np.ndarray, i: int, j: int) -> np.ndarray:
     return g.irfftn(sym * fh)
 
 
-def hessian_components(g: Grid, f: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-    """All nine second derivatives d_i d_j f (symmetric; computed once per
-    pair)."""
-    fh = g.rfftn(f)
-    out = {}
-    for i in range(3):
-        for j in range(i, 3):
-            out[(i, j)] = out[(j, i)] = second_derivative(g, fh, i, j)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # cylinder quadrature
 # ---------------------------------------------------------------------------
@@ -394,8 +383,8 @@ def _window_overlaps(times: np.ndarray, t_lo: float, t_hi: float):
     Raises CylinderRangeError unless the window lies in the recorded span
     up to the tolerance eps = 1e-12 max(1, span); a window with a NaN
     bound lies in no span.  Returns the overlaps
-    (i, a, b), a < b, of the window with each snapshot interval
-    [t_i, t_{i+1}], and eps.
+    (i, a, b), b - a > eps, of the window with each snapshot interval
+    [t_i, t_{i+1}], and eps: an overlap of rounding width is none.
     """
     eps = 1e-12 * max(1.0, abs(times[-1] - times[0]))
     if not (t_lo >= times[0] - eps and t_hi <= times[-1] + eps):
@@ -405,7 +394,7 @@ def _window_overlaps(times: np.ndarray, t_lo: float, t_hi: float):
         )
     a = np.maximum(times[:-1], t_lo)
     b = np.minimum(times[1:], t_hi)
-    return [(i, a[i], b[i]) for i in np.flatnonzero(b > a).tolist()], eps
+    return [(i, a[i], b[i]) for i in np.flatnonzero(b - a > eps).tolist()], eps
 
 
 def _snapshot_weights(times: np.ndarray, t_lo: float, t_hi: float) -> dict:

@@ -53,15 +53,14 @@ def _cylinders_disjoint(a: ParabolicCylinder, b: ParabolicCylinder,
 
 
 def _contained_in_shifted_dilate(q: ParabolicCylinder, big: ParabolicCylinder,
-                                 factor: float = 5.0,
                                  box_length: Optional[float] = None) -> bool:
-    """Is Q contained in the shifted cylinder Q*(center(big), factor*r_big)?
+    """Is Q contained in the shifted cylinder Q*(center(big), 5 r_big)?
 
     The dilate is the *shifted* cylinder B(x, R) x (t - 7R^2/8, t + R^2/8)
-    with R = factor * r_big: the plain backward dilate cannot absorb the
-    future part of neighbours, the shifted one can.
+    with R = 5 r_big: the plain backward dilate cannot absorb the future
+    part of neighbours, the shifted one can.
     """
-    R = factor * big.radius
+    R = 5.0 * big.radius
     if _spatial_dist(q.center_x, big.center_x, box_length) + q.radius > R + 1e-12:
         return False
     lo, hi = q.time_interval()
@@ -99,7 +98,7 @@ def verify_vitali(cylinders: Sequence[ParabolicCylinder],
         for i, a in enumerate(selected) for b in selected[i + 1:]
     )
     covered = all(
-        any(_contained_in_shifted_dilate(q, s, 5.0, box_length)
+        any(_contained_in_shifted_dilate(q, s, box_length)
             for s in selected)
         for q in cylinders
     )

@@ -106,11 +106,14 @@ def advance(grid: Grid, n, c, u, params: PhysParams, dt: float, order: int = 1,
     blocks, their products dealiased by ``Grid.kept_rfftn``.  Advection of
     u is in rotational form, u x curl u; the projection removes the
     gradient part of u.grad u.  Diffusion uses the exact integrating factor
-    E = exp(-|k|^2 dt): E hat is written into the spectra in place, and
-    E (hat + dt f) on the kept block.  c is clamped to [0, c0_max] and n at
-    zero; the step log holds the clamped mass and the number of spectra a
-    clamp forced to be rebuilt ("spectra_rebuilt").  The new arrays are
-    checked for finiteness once.
+    E = exp(-|k|^2 dt).  Off the kept block every update is E hat, written
+    into the spectra once, in place; then the Euler block E (b + dt f), b
+    the block before the step: the whole order-1 update and, at order 2,
+    Heun's predictor, inverted from the spectra before the corrector
+    E b + dt/2 (E f + f2) overwrites the block.  c is clamped to
+    [0, c0_max] and n at zero; the step log holds the clamped mass and the
+    number of spectra a clamp forced to be rebuilt ("spectra_rebuilt").
+    The new arrays are checked for finiteness once.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
@@ -129,50 +132,40 @@ def advance(grid: Grid, n, c, u, params: PhysParams, dt: float, order: int = 1,
     n_hat = grid.rfftn(n) if n_hat is None else n_hat
     c_hat = grid.rfftn(c) if c_hat is None else c_hat
     u_hat = grid.rfftn(u) if u_hat is None else u_hat
+    fs = _rhs_hats(grid, n, c, u, c_hat, u_hat, params)
+
+    spectra = (n_hat, c_hat, u_hat)
+    blocks = [grid.kept(hat) for hat in spectra]
     E = np.exp(-grid.k_sq * dt)
     E_kept = grid.kept(E)
-
-    def put(hat, f, project=False):
-        """Write ``f`` on the kept block of E ``hat`` (in place)."""
+    for hat in spectra:
         hat *= E
-        if project and u_rebuilt:
-            grid.project_hat(hat, out=hat)
-        hat[grid.kept_index(hat.shape)] = grid.project_hat(f, out=f) if project else f
-        return hat
+    if u_rebuilt:
+        grid.project_hat(u_hat, out=u_hat)
+    kept = grid.kept_index(u_hat.shape)
 
-    fn, fc, fu = _rhs_hats(grid, n, c, u, c_hat, u_hat, params)
+    def put(hat, f):
+        """Write the block ``f`` into ``hat``, projecting a velocity block."""
+        hat[kept] = grid.project_hat(f, out=f) if f.ndim == 4 else f
+
+    # Euler: E (b + dt f) on the block; at order 2, Heun's predictor
+    for hat, b, f in zip(spectra, blocks, fs):
+        put(hat, (b + dt * f) * E_kept)
     if order == 2:
-        # Heun on the integrating-factor variables
-        def predict(hat, f):
-            return (grid.kept(hat) + dt * f) * E_kept
-
-        u_pred_hat = put(u_hat.copy(), predict(u_hat, fu), project=True)
-        n_pred, _ = _clamp(grid.irfftn(put(n_hat.copy(), predict(n_hat, fn))))
-        c_pred_hat = put(c_hat.copy(), predict(c_hat, fc))
-        c_pred, clipped = _clamp(grid.irfftn(c_pred_hat), params.c0_max)
-        if clipped:
-            c_pred_hat = grid.rfftn(c_pred)
-            rebuilt += 1
-        fn2, fc2, fu2 = _rhs_hats(grid, n_pred, c_pred, grid.irfftn(u_pred_hat),
-                                  c_pred_hat, u_pred_hat, params)
-        del n_pred, c_pred, c_pred_hat, u_pred_hat
-        # E hat + dt/2 (E f + f2) on the block
-        for hat, f, f2 in ((n_hat, fn, fn2), (c_hat, fc, fc2), (u_hat, fu, fu2)):
+        n_pred, _ = _clamp(grid.irfftn(n_hat))
+        c_pred, clipped = _clamp(grid.irfftn(c_hat), params.c0_max)
+        rebuilt += clipped
+        fs2 = _rhs_hats(grid, n_pred, c_pred, grid.irfftn(u_hat),
+                        grid.rfftn(c_pred) if clipped else c_hat, u_hat, params)
+        del n_pred, c_pred
+        # the corrector: E b + dt/2 (E f + f2) on the block
+        for hat, b, f, f2 in zip(spectra, blocks, fs, fs2):
             f *= E_kept
             f += f2
             f *= 0.5 * dt
-            f += E_kept * grid.kept(hat)
-        del fn2, fc2, fu2
-    else:
-        # E (hat + dt f), formed in the tendency arrays
-        for hat, f in ((n_hat, fn), (c_hat, fc), (u_hat, fu)):
-            f *= dt
-            f += grid.kept(hat)
-            f *= E_kept
-    put(n_hat, fn)
-    put(c_hat, fc)
-    put(u_hat, fu, project=True)
-    del fn, fc, fu
+            f += E_kept * b
+            put(hat, f)
+    del fs, blocks
 
     u_arr = grid.irfftn(u_hat)
     n_arr = grid.irfftn(n_hat)

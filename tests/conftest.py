@@ -15,6 +15,7 @@ from cnsflow import (
     ball_mask,
     simulate,
 )
+from cnsflow.grid_fields import second_derivative
 
 
 # property tests draw the same few examples on every run
@@ -92,6 +93,17 @@ def constant_state_traj():
         for t in np.linspace(-0.08, 0.0, 9)
     ]
     return Trajectory(states, PhysParams(theta0=1.0, chi_coeffs=(0.5,), c0_max=1.0))
+
+
+def hessian_components(g: Grid, f: np.ndarray) -> dict:
+    """All nine second derivatives d_i d_j f (symmetric; computed once per
+    pair)."""
+    fh = g.rfftn(f)
+    out = {}
+    for i in range(3):
+        for j in range(i, 3):
+            out[(i, j)] = out[(j, i)] = second_derivative(g, fh, i, j)
+    return out
 
 
 def make_constant_u_traj(N=64, L=4.0, u0=(1.0, 0.0, 0.0),

@@ -90,7 +90,6 @@ def test_parse_config_comments_and_namespaces(tmp_path):
     with pytest.raises(ConfigError):
         config_get(cfg, "missing.key")
     assert config_get(cfg, "a.b", int) == 1
-    assert config_get(cfg, "nope", float, 2.5) == 2.5
 
 
 def test_parse_config_rejects_garbage(tmp_path):
@@ -148,7 +147,7 @@ def test_every_config_key_reaches_its_field():
            "init.preset": "gaussian", "init.amplitude": "0.2", "init.width": "0.1",
            "init.c0": "2.0", "init.modes": "3", "init.n_mean": "0.7",
            "init.path": "snap.cns",
-           "reg.delta0": "0.08", "reg.eps1": "0.5", "reg.theta0": "0.2", "reg.c1": "3.0",
+           "reg.delta0": "0.08", "reg.eps1": "0.5",
            "reg.working_threshold": "0.5",
            "pipeline.flag_stride": "2", "pipeline.radii": "0.1,0.2"}
     assert set(cfg) == cli.CONFIG_KEYS
@@ -161,7 +160,7 @@ def test_every_config_key_reaches_its_field():
     assert params == PhysParams(theta0=2.0, chi_coeffs=(0.5, 0.25), gravity=0.3,
                                 c0_max=3.0)
     assert cli.build_reg_config(cfg) == RegularityConfig(
-        delta0=0.08, eps1=0.5, theta0=0.2, c1=3.0, working_threshold=0.5)
+        delta0=0.08, eps1=0.5, working_threshold=0.5)
     assert cli._fields_of(cfg, "pipeline") == {"flag_stride": 2, "radii": (0.1, 0.2)}
     del cfg["phys.c0_max"]
     assert cli.build_sim_config(cfg)[1].c0_max == 2.0

@@ -22,7 +22,7 @@ from cnsflow import (
 )
 from cnsflow.energy import LHS_TERM_NAMES, RHS_TERM_NAMES
 from cnsflow.grid_fields import _window_overlaps
-from cnsflow.state import EPS_FLOOR, guarded_log
+from cnsflow.state import EPS_FLOOR, StoredStates, guarded_log
 
 
 def test_heat_kernel_value_at_origin():
@@ -267,3 +267,32 @@ def test_lei_transforms_psi_once_per_interval(constant_state_traj, monkeypatch):
     intervals = len(_window_overlaps(traj.times, -tf.support_time, 0.0)[0])
     assert intervals == 5
     assert calls == {"rfftn": intervals, "irfftn": 4 * intervals}
+
+
+def test_lei_window_within_rounding_of_a_snapshot_reads_nothing_before_it(smooth_traj):
+    """A window that starts within rounding of snapshot k's time, here just
+    below it, overlaps the interval before t_k by less than eps: that is
+    no overlap, so the pass reads no snapshot before t_k (besides the
+    first, which sets the kinetic weight), and its terms are those of a
+    trajectory whose snapshot k - 1 is another state."""
+    times, k = smooth_traj.times, 50
+    tf = smooth_bump(0.2, 4 * (times[k + 1] - times[k]))
+    t = times[k] + tf.support_time - 1e-15
+    assert times[k] - 1e-12 < t - tf.support_time < times[k]
+    assert _window_overlaps(times, t - tf.support_time, t)[0][0][0] == k
+    read = set()
+
+    def load(i):
+        read.add(i)
+        return smooth_traj.states[i]
+
+    stored = Trajectory(StoredStates([(smooth_traj.grid, s) for s in times], load),
+                        smooth_traj.params)
+    rep = lei_residual(stored, tf, t, (0.5, 0.5, 0.5), 0.25)
+    assert read == {0, *range(k, k + 5)}
+    states = list(smooth_traj.states)
+    s = states[k - 1]
+    states[k - 1] = State(s.grid, 2.0 * s.n, 0.5 * s.c, -s.u, s.p, s.time)
+    other = lei_residual(Trajectory(states, smooth_traj.params), tf, t, (0.5, 0.5, 0.5), 0.25)
+    assert rep.lhs_terms == other.lhs_terms and rep.rhs_terms == other.rhs_terms
+    assert rep.max_abs_term > 0

@@ -14,7 +14,6 @@ from cnsflow import (
     ball_mask,
     divergence,
     gradient,
-    hessian_components,
     laplacian,
 )
 from cnsflow.grid_fields import (
@@ -24,6 +23,7 @@ from cnsflow.grid_fields import (
 )
 from cnsflow import State, Trajectory
 from cnsflow.state import gather
+from conftest import hessian_components
 
 
 def leray_project(g: Grid, v: np.ndarray) -> np.ndarray:

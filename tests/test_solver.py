@@ -552,6 +552,108 @@ def test_carried_step_memory_is_bounded():
     assert peak <= 13 * 8 * 32**3
 
 
+def test_carried_order2_step_memory_is_bounded():
+    """One carried 64^3 order-2 step peaks at most 40 MB above its inputs
+    (38.9 measured; 44.3 when the predictor was formed in copies of the
+    three spectra): the predictor lives in the carried spectra."""
+    params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.5, c0_max=1.0)
+    cfg = SimulationConfig(grid_n=64, grid_l=1.0, seed=1,
+                           init={"preset": "random_smooth", "amplitude": 0.05,
+                                 "n_mean": 1.0, "c0": 1.0, "modes": 2})
+    s = initial_state(cfg, params)
+    *f, _, hats = advance(s.grid, s.n, s.c, s.u, params, 2e-4, 2)
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    advance(s.grid, *f, params, 2e-4, 2, hats=hats)
+    peak = tracemalloc.get_traced_memory()[1] - base
+    tracemalloc.stop()
+    assert peak <= 40e6
+
+
+def _copying_heun_hats(grid, n, c, u, params, dt, hats):
+    """Heun's step with its predictor formed in copies of the three
+    spectra (E hat off the kept block, E (hat + dt f) on it), the
+    corrector written into the spectra last: the reference for the step
+    that forms the predictor in the spectra themselves.  Returns the new
+    spectra, before any clamp, and the number of spectra rebuilt."""
+    n_hat, c_hat, u_hat = hats or (None,) * 3
+    rebuilt = 0 if hats is None else (n_hat is None) + (c_hat is None)
+    u_rebuilt = u_hat is None
+    n_hat = grid.rfftn(n) if n_hat is None else n_hat
+    c_hat = grid.rfftn(c) if c_hat is None else c_hat
+    u_hat = grid.rfftn(u) if u_hat is None else u_hat
+    E = np.exp(-grid.k_sq * dt)
+    E_kept = grid.kept(E)
+
+    def put(hat, f, project=False):
+        hat *= E
+        if project and u_rebuilt:
+            grid.project_hat(hat, out=hat)
+        hat[grid.kept_index(hat.shape)] = grid.project_hat(f, out=f) if project else f
+        return hat
+
+    def predict(hat, f):
+        return (grid.kept(hat) + dt * f) * E_kept
+
+    fn, fc, fu = solver._rhs_hats(grid, n, c, u, c_hat, u_hat, params)
+    u_pred_hat = put(u_hat.copy(), predict(u_hat, fu), project=True)
+    n_pred, _ = solver._clamp(grid.irfftn(put(n_hat.copy(), predict(n_hat, fn))))
+    c_pred_hat = put(c_hat.copy(), predict(c_hat, fc))
+    c_pred, clipped = solver._clamp(grid.irfftn(c_pred_hat), params.c0_max)
+    if clipped:
+        c_pred_hat = grid.rfftn(c_pred)
+        rebuilt += 1
+    fs2 = solver._rhs_hats(grid, n_pred, c_pred, grid.irfftn(u_pred_hat),
+                           c_pred_hat, u_pred_hat, params)
+    for hat, f, f2 in zip((n_hat, c_hat, u_hat), (fn, fc, fu), fs2):
+        f *= E_kept
+        f += f2
+        f *= 0.5 * dt
+        f += E_kept * grid.kept(hat)
+    put(n_hat, fn)
+    put(c_hat, fc)
+    put(u_hat, fu, project=True)
+    return (n_hat, c_hat, u_hat), rebuilt
+
+
+@pytest.mark.parametrize("amplitude, c0_max, rebuilt_total, clipped",
+                         [(0.2, 1.0, 0, 0), (0.9, 0.8, 4, 2)])
+def test_order2_step_is_bitwise_the_copying_predictor(amplitude, c0_max, rebuilt_total,
+                                                      clipped):
+    """Ten order-2 steps of a 32^3 run, the first from physical arrays,
+    then carried, and the sixth with u_hat rebuilt: every output array,
+    spectrum and rebuilt count is == to the step that formed its
+    predictor in copies of the spectra.  In the second run c starts above
+    c0_max: the clamps act and ``rebuilt_total`` spectra are rebuilt,
+    ``clipped`` of them for a predicted c that was clipped."""
+    params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.3, c0_max=c0_max)
+    cfg = SimulationConfig(grid_n=32, grid_l=1.0, seed=5,
+                           init={"preset": "random_smooth", "amplitude": amplitude,
+                                 "n_mean": 1.0, "c0": 1.0, "modes": 3})
+    s = initial_state(cfg, params)
+    g, f, hats = s.grid, (s.n, s.c, s.u), None
+    predicted_clips = rebuilt = 0
+    for i in range(10):
+        if i == 5:
+            hats = (hats[0], hats[1], None)
+        copies = None if hats is None else tuple(None if h is None else h.copy()
+                                                 for h in hats)
+        ref, ref_rebuilt = _copying_heun_hats(g, *f, params, 2e-4, copies)
+        *f, log, new = advance(g, *f, params, 2e-4, 2, hats=hats)
+        assert log["spectra_rebuilt"] == ref_rebuilt
+        rebuilt += ref_rebuilt
+        predicted_clips += ref_rebuilt - (0 if hats is None else
+                                          sum(h is None for h in hats[:2]))
+        expected = (np.maximum(g.irfftn(ref[0]), 0.0),
+                    np.clip(g.irfftn(ref[1]), 0.0, c0_max), g.irfftn(ref[2]))
+        for a, b in zip(f, expected):
+            assert np.array_equal(a, b)
+        for h, r in zip(new, ref):
+            assert h is None or np.array_equal(h, r)
+        hats = new
+    assert (rebuilt, predicted_clips) == (rebuilt_total, clipped)
+
+
 _rotational_rhs_hats = solver._rhs_hats
 
 

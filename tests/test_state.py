@@ -28,10 +28,10 @@ from cnsflow.grid_fields import (
     INTEGRAND_NAMES,
     RescaleError,
     gradient,
-    hessian_components,
     laplacian,
 )
 from cnsflow.state import EPS_FLOOR, POINTWISE, TRANSFORMED, guarded_log
+from conftest import hessian_components
 
 
 def _state(N=16, L=1.0, n=None, c=None, u=None, t=0.0):
