@@ -17,21 +17,24 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
 import warnings
 from contextlib import suppress
 from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .diagnostics import LocalQuantities, compute_quantities
+from .diagnostics import LocalQuantities, quantities_plan
 from .energy import (
     LEI_TERMS,
-    global_energy_check,
+    energy_plan,
     heat_test_function,
+    lei_plan,
     lei_residual,
     smooth_bump,
 )
@@ -40,13 +43,22 @@ from .grid_fields import (
     Grid,
     NonFiniteFieldError,
     ParabolicCylinder,
+    Pass,
+    Plan,
     RescaleError,
     _snapshot_weights,
     ball_mask,
+    sweep,
 )
 from .hausdorff import dimension_estimate
 from .pressure import decompose_local, harmonic_residual
-from .regularity import FLAG_COLUMNS, PAPER_THRESHOLD, RegularityConfig, flag_sweep
+from .regularity import (
+    FLAG_COLUMNS,
+    PAPER_THRESHOLD,
+    RegularityConfig,
+    flag_plan,
+    flag_sweep,
+)
 from .snapshot import read_snapshot, read_trajectory, snapshot_time
 from .solver import CFLError, SimulationConfig, simulate, step_times
 from .state import PhysParams
@@ -219,9 +231,11 @@ def read_csv(path) -> tuple:
 # ---------------------------------------------------------------------------
 
 def write_manifest(out_dir, config_path, sim, params, phase_seconds,
-                   outputs, failed_phase=None) -> Path:
-    """manifest.json: the run's inputs, outputs and per-phase seconds, and,
-    for a failed pipeline, the phase that failed."""
+                   outputs, failed_phase=None, flag_near_threshold=None) -> Path:
+    """manifest.json, through a temporary file: the run's inputs, outputs
+    and per-phase seconds, the flag sweep's count of rows within rounding
+    of its threshold once it has one, and, for a failed pipeline, the
+    phase that failed."""
     manifest = {
         "version": __version__,
         "config_sha256": hashlib.sha256(Path(config_path).read_bytes()).hexdigest(),
@@ -233,9 +247,13 @@ def write_manifest(out_dir, config_path, sim, params, phase_seconds,
     }
     if failed_phase is not None:
         manifest["failed_phase"] = failed_phase
+    if flag_near_threshold is not None:
+        manifest["flag_near_threshold"] = flag_near_threshold
     path = Path(out_dir) / "manifest.json"
-    with open(path, "w") as f:
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
+    os.replace(tmp, path)
     return path
 
 
@@ -251,16 +269,19 @@ LEI_COLUMNS = ("t", *(f"{side}_{name}" for side, name, *_ in LEI_TERMS), "residu
 DIMENSION_COLUMNS = ("kind", "scale", "value")
 
 
-def _quantity_row(traj, x0, t0: float, r: float) -> list:
-    """One QUANTITY_COLUMNS row: the cylinder quantities at (x0, t0, r)."""
-    d = compute_quantities(traj, ParabolicCylinder(x0, t0, r)).as_dict()
-    return [t0, x0[0], x0[1], x0[2], r] + [d[name] for name in QUANTITY_COLUMNS[5:]]
+def _quantity_row(traj, x0, t0: float, r: float) -> Plan:
+    """The plan of one QUANTITY_COLUMNS row: the cylinder quantities at
+    (x0, t0, r)."""
+    def row(q):
+        d = q.as_dict()
+        return [t0, x0[0], x0[1], x0[2], r] + [d[name] for name in QUANTITY_COLUMNS[5:]]
+
+    return quantities_plan(traj, ParabolicCylinder(x0, t0, r)).then(row)
 
 
-def _lei_row(traj, tf, t: float, center, omega: float) -> list:
-    """One LEI_COLUMNS row: the local energy inequality terms at time t."""
-    rep = lei_residual(traj, tf, t, center, omega)
-    return [t, *rep.lhs_terms.values(), *rep.rhs_terms.values(), rep.residual]
+def _lei_row(rep) -> list:
+    """One LEI_COLUMNS row: the local energy inequality terms of a report."""
+    return [rep.t, *rep.lhs_terms.values(), *rep.rhs_terms.values(), rep.residual]
 
 
 def _dimension_rows(est) -> list:
@@ -312,8 +333,8 @@ def cmd_diagnose_quantities(args) -> int:
     radii = _float_list(args.radii)
     if not radii:
         raise ConfigError("empty --radii")
-    rows = [_quantity_row(traj, x0, t0, r)
-            for *x0, t0 in centers.tolist() for r in sorted(radii)]
+    rows = Plan.all(_quantity_row(traj, x0, t0, r)
+                    for *x0, t0 in centers.tolist() for r in sorted(radii)).run(traj)
     write_csv(args.out, QUANTITY_COLUMNS, rows)
     return EXIT_OK
 
@@ -380,7 +401,7 @@ def cmd_verify_lei(args) -> int:
     center = _center(args.center) if args.center else (L / 2,) * 3
     omega = float(args.omega) if args.omega else L / 4.0
     t = float(args.t)
-    write_csv(args.out, LEI_COLUMNS, [_lei_row(traj, tf, t, center, omega)])
+    write_csv(args.out, LEI_COLUMNS, [_lei_row(lei_residual(traj, tf, t, center, omega))])
     return EXIT_OK
 
 
@@ -396,13 +417,6 @@ def _candidate_centers(traj, stride: int) -> np.ndarray:
     return np.stack([*x, t], axis=-1).reshape(-1, 4)
 
 
-def _flag_rows(traj, stride: int, radii, reg, criterion: str) -> list:
-    """The FLAG_COLUMNS rows of a sweep over every stride-th grid point at
-    the last snapshot time."""
-    centers = _candidate_centers(traj, stride)
-    return flag_sweep(traj, centers, radii, reg, criterion=criterion).rows()
-
-
 def cmd_flag(args) -> int:
     traj = read_trajectory(args.traj)
     radii = _float_list(args.radii)
@@ -410,8 +424,11 @@ def cmd_flag(args) -> int:
         raise ConfigError("empty --radii")
     reg = build_reg_config(read_config(args.config)) if args.config \
         else RegularityConfig()
-    rows = _flag_rows(traj, int(args.grid_stride), radii, reg, args.criterion)
-    write_csv(args.out, FLAG_COLUMNS, rows)
+    centers = _candidate_centers(traj, int(args.grid_stride))
+    flags = flag_sweep(traj, centers, radii, reg, criterion=args.criterion)
+    write_csv(args.out, FLAG_COLUMNS, flags.rows())
+    print(f"flag: {flags.near_threshold} of {len(centers)} rows lie within rounding "
+          "of the working threshold", file=sys.stderr)
     return EXIT_OK
 
 
@@ -442,6 +459,41 @@ def cmd_dimension(args) -> int:
                          1.0 if trend["classification"] == "decreasing" else 0.0])
     write_csv(args.out, DIMENSION_COLUMNS, out_rows)
     return EXIT_OK
+
+
+class _HeldPlan:
+    """One analysis phase of the pipeline in its shared sweep: its plan,
+    the seconds its building and steps take, and the first exception
+    either raised, held until the phase's turn (``result``), so the phases
+    before it still finish."""
+
+    def __init__(self, build):
+        self.seconds, self.error = 0.0, None
+        self.plan = self._timed(build)
+
+    def _timed(self, fn, *args):
+        if self.error is None:
+            t0 = time.perf_counter()
+            try:
+                return fn(*args)
+            except Exception as exc:  # held until the phase's turn
+                self.error = exc
+            finally:
+                self.seconds += time.perf_counter() - t0
+
+    def passes(self) -> list:
+        """The plan's passes, each step timed and held."""
+        if self.plan is None:
+            return []
+        return [Pass(p.snapshots, partial(self._timed, p.step)) for p in self.plan.passes]
+
+    def result(self):
+        """The phase's result, or its held exception; the plan, and what
+        its passes gathered, go with it."""
+        if self.error is not None:
+            raise self.error
+        plan, self.plan = self.plan, None
+        return plan.finish()
 
 
 def cmd_pipeline(args) -> int:
@@ -481,10 +533,13 @@ def cmd_pipeline(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     phase_seconds = {}
     outputs = {}
+    near = {}  # the flag sweep's count of rows within rounding of its threshold
 
-    def phase(name, output, fn, header=None):
-        """Run one phase, timed; with a header, ``fn`` returns the rows of
-        ``<output>.csv``.  The output is recorded once the phase is done."""
+    def phase(name, output, fn, header=None, before=0.0):
+        """Run one phase, timed, plus ``before`` seconds spent on it
+        earlier; with a header, ``fn`` returns the rows of
+        ``<output>.csv``.  The output is recorded, and the manifest
+        rewritten, once the phase is done."""
         path = out / (f"{output}.csv" if header else output)
         t0 = time.perf_counter()
         try:
@@ -494,25 +549,41 @@ def cmd_pipeline(args) -> int:
         except Exception as exc:
             with suppress(OSError):  # the phase's own error sets the exit code
                 write_manifest(out, args.config, sim, params, phase_seconds,
-                               outputs, failed_phase=name)
+                               outputs, failed_phase=name, **near)
             raise PhaseError(f"pipeline phase {name!r} failed: {exc}") from exc
-        phase_seconds[name] = time.perf_counter() - t0
+        phase_seconds[name] = before + time.perf_counter() - t0
         outputs[output] = path
+        write_manifest(out, args.config, sim, params, phase_seconds, outputs, **near)
         return result
 
     traj = phase("simulate", "trajectory",
                  lambda: simulate(sim, params, out_dir=out / "trajectory"))
-    phase("quantities", "quantities", lambda: [
-        _quantity_row(traj, center, t_last, r) for r in sorted(radii)], QUANTITY_COLUMNS)
+    # the analysis phases read the streamed trajectory in one sweep
+    held = {
+        "quantities": _HeldPlan(lambda: Plan.all(
+            _quantity_row(traj, center, t_last, r) for r in sorted(radii))),
+        "energy": _HeldPlan(lambda: energy_plan(traj).then(
+            lambda rep: list(zip(rep["times"], rep["lhs"])))),
+        "lei": _HeldPlan(lambda: lei_plan(traj, tf, t_last, center, omega).then(
+            lambda rep: [_lei_row(rep)])),
+        "flag": _HeldPlan(lambda: flag_plan(
+            traj, _candidate_centers(traj, flag_stride), radii, reg)),
+    }
+    try:
+        sweep(traj, [p for h in held.values() for p in h.passes()])
+    except Exception as exc:  # a snapshot read failed: no phase has its data
+        for h in held.values():
+            h.error = h.error or exc
+    for name, header in (("quantities", QUANTITY_COLUMNS), ("energy", ("t", "lhs")),
+                         ("lei", LEI_COLUMNS)):
+        phase(name, name, held[name].result, header, held[name].seconds)
 
-    def energy():
-        rep = global_energy_check(traj)
-        return zip(rep["times"], rep["lhs"])
+    def flag():
+        flags = held["flag"].result()
+        near["flag_near_threshold"] = flags.near_threshold
+        return flags.rows()
 
-    phase("energy", "energy", energy, ("t", "lhs"))
-    phase("lei", "lei", lambda: [_lei_row(traj, tf, t_last, center, omega)], LEI_COLUMNS)
-    flag_rows = phase("flag", "flags", lambda: _flag_rows(
-        traj, flag_stride, radii, reg, "thm13"), FLAG_COLUMNS)
+    flag_rows = phase("flag", "flags", flag, FLAG_COLUMNS, held["flag"].seconds)
 
     def dimension():
         points = [[x0, x1, x2, t0] for t0, x0, x1, x2, *_ in flag_rows]
@@ -522,8 +593,6 @@ def cmd_pipeline(args) -> int:
         return _dimension_rows(dimension_estimate(points, scales, box_length=L))
 
     phase("dimension", "dimension", dimension, DIMENSION_COLUMNS)
-
-    write_manifest(out, args.config, sim, params, phase_seconds, outputs)
     return EXIT_OK
 
 

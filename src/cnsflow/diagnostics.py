@@ -15,7 +15,13 @@ from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
-from .grid_fields import ParabolicCylinder, catalog_fields, cylinder_values
+from .grid_fields import (
+    ParabolicCylinder,
+    Plan,
+    catalog_fields,
+    cylinder_values,
+    values_plan,
+)
 from .state import Trajectory, guarded_log, rescale_state
 
 #: quantity names whose values are exactly preserved by the rescaling
@@ -74,6 +80,41 @@ def mean_removed(a: np.ndarray, power: float) -> np.ndarray:
     return mag**power
 
 
+def quantities_plan(traj: Trajectory, Q: ParabolicCylinder) -> Plan:
+    """``compute_quantities`` as a plan: one pass over Q."""
+    r = Q.radius
+    inv_r = 1.0 / r
+    inv_r2 = inv_r * inv_r
+    catalog = catalog_fields(
+        ("grad_u_sq", 1.0), ("hess_sqrt_c_sq", 1.0), ("grad_sqrt_n_sq", 1.0),
+        ("abs_u", 3.0), ("sqrt_n", 3.0), ("abs_grad_sqrt_c", 3.0),
+        ("abs_p", 1.5), ("abs_n_ln_n", 1.5))
+
+    def quantities(result) -> LocalQuantities:
+        ints, sups = result
+        a_u, a_gc, a_sn, m = (inv_r * sups).tolist()
+        e_u, e_gc, e_sn = (inv_r * ints[:3]).tolist()
+        c_u, c_sn, c_gc, d, n_ent, c_ut = (inv_r2 * ints[3:]).tolist()
+
+        a_comb = a_u + a_gc + a_sn
+        e_comb = e_u + e_gc + e_sn
+        c_comb = c_u + c_sn + c_gc
+        return LocalQuantities(
+            r=r, center_x=Q.center_x, center_t=Q.center_t,
+            a_u=a_u, e_u=e_u, a_grad_sqrt_c=a_gc, e_grad_sqrt_c=e_gc,
+            a_sqrt_n=a_sn, e_sqrt_n=e_sn, c_u=c_u, c_u_tilde=c_ut,
+            c_sqrt_n=c_sn, c_grad_sqrt_c=c_gc, d=d, m=m, n_entropy=n_ent,
+            a_combined=a_comb, e_combined=e_comb, c_combined=c_comb,
+            g=n_ent + d + c_comb,
+        )
+
+    return values_plan(
+        traj, Q,
+        integrals=lambda at: [*catalog(at), mean_removed(at("u"), 3.0)],
+        sups=catalog_fields(("abs_u", 2.0), ("abs_grad_sqrt_c", 2.0),
+                            ("sqrt_n", 2.0), ("abs_n_ln_n", 1.0))).then(quantities)
+
+
 def compute_quantities(traj: Trajectory, Q: ParabolicCylinder) -> LocalQuantities:
     """Evaluate every cylinder quantity on Q in one pass over Q: sups in
     time (the a_* and m) and space-time integrals (the rest, with
@@ -82,33 +123,7 @@ def compute_quantities(traj: Trajectory, Q: ParabolicCylinder) -> LocalQuantitie
     The pressure integral d uses raw |P|; the mean-removed pressure enters
     only the dyadic induction (``regularity.induction_verify``).
     """
-    r = Q.radius
-    inv_r = 1.0 / r
-    inv_r2 = inv_r * inv_r
-    catalog = catalog_fields(
-        ("grad_u_sq", 1.0), ("hess_sqrt_c_sq", 1.0), ("grad_sqrt_n_sq", 1.0),
-        ("abs_u", 3.0), ("sqrt_n", 3.0), ("abs_grad_sqrt_c", 3.0),
-        ("abs_p", 1.5), ("abs_n_ln_n", 1.5))
-    ints, sups = cylinder_values(
-        traj, Q,
-        integrals=lambda at: [*catalog(at), mean_removed(at("u"), 3.0)],
-        sups=catalog_fields(("abs_u", 2.0), ("abs_grad_sqrt_c", 2.0),
-                            ("sqrt_n", 2.0), ("abs_n_ln_n", 1.0)))
-    a_u, a_gc, a_sn, m = (inv_r * sups).tolist()
-    e_u, e_gc, e_sn = (inv_r * ints[:3]).tolist()
-    c_u, c_sn, c_gc, d, n_ent, c_ut = (inv_r2 * ints[3:]).tolist()
-
-    a_comb = a_u + a_gc + a_sn
-    e_comb = e_u + e_gc + e_sn
-    c_comb = c_u + c_sn + c_gc
-    return LocalQuantities(
-        r=r, center_x=Q.center_x, center_t=Q.center_t,
-        a_u=a_u, e_u=e_u, a_grad_sqrt_c=a_gc, e_grad_sqrt_c=e_gc,
-        a_sqrt_n=a_sn, e_sqrt_n=e_sn, c_u=c_u, c_u_tilde=c_ut,
-        c_sqrt_n=c_sn, c_grad_sqrt_c=c_gc, d=d, m=m, n_entropy=n_ent,
-        a_combined=a_comb, e_combined=e_comb, c_combined=c_comb,
-        g=n_ent + d + c_comb,
-    )
+    return quantities_plan(traj, Q).run(traj)
 
 
 def rescaled_cylinder(Q: ParabolicCylinder, rho0: float) -> ParabolicCylinder:

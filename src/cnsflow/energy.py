@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid_fields import _window_overlaps, ball_mask
+from .grid_fields import Pass, Plan, _window_overlaps, ball_mask
 from .state import EPS_FLOOR, Trajectory, gather
 
 
@@ -269,6 +269,52 @@ def check_heat_properties(levels=(2, 3, 4, 5, 6), m: int = 240) -> dict:
 # global energy inequality
 # ---------------------------------------------------------------------------
 
+def energy_plan(traj: Trajectory) -> Plan:
+    """``global_energy_check`` as a plan: one pass over every snapshot."""
+    theta0 = traj.params.theta0
+    vol = traj.grid.cell_volume
+    times = traj.times
+    inst, dissip = [], []
+
+    def step(i, s):
+        n = np.maximum(s.n, 0.0)
+        inst.append(
+            float(np.sum(s.u**2) * vol)
+            + float(np.sum((n + 1.0) * np.log1p(n)) * vol)
+            + (2.0 / theta0) * float(np.sum(s.derived("grad_sqrt_c") ** 2) * vol)
+        )
+        dissip.append(
+            float(np.sum(s.derived("grad_u_sq")) * vol)
+            + float(np.sum(s.derived("grad_sqrt_n1_sq")) * vol)
+            + (4.0 / (3.0 * theta0)) * float(np.sum(s.derived("hess_sqrt_c_sq")) * vol)
+            + (1.0 / (3.0 * theta0)) * float(np.sum(s.derived("entropy_quartic")) * vol)
+        )
+
+    def finish() -> dict:
+        inst_a = np.array(inst)
+        dissip_a = np.array(dissip)
+        cumulative = np.concatenate(
+            [[0.0], np.cumsum(0.5 * np.diff(times) * (dissip_a[1:] + dissip_a[:-1]))]
+        )
+        lhs = inst_a + cumulative
+        rel_t = times - times[0]
+        c_star = float(np.max(lhs / (1.0 + rel_t)))
+        tol = 1e-6 * max(1.0, lhs[0])
+        excess = lhs - (lhs[0] + c_star * rel_t)
+        return {
+            "times": times,
+            "lhs": lhs,
+            "instantaneous": inst_a,
+            "dissipation_cumulative": cumulative,
+            "c_star": c_star,
+            "bounded": bool(np.all(excess <= tol)),
+            "nonincreasing": bool(np.all(np.diff(lhs) <= tol)),
+            "max_increase": float(np.max(np.diff(lhs))) if len(lhs) > 1 else 0.0,
+        }
+
+    return Plan([Pass(range(len(times)), step)], finish)
+
+
 def global_energy_check(traj: Trajectory) -> dict:
     """Evaluate the global energy functional along the trajectory, with the
     trajectory's Theta0.
@@ -283,43 +329,7 @@ def global_energy_check(traj: Trajectory) -> dict:
     C* = max_t LHS(t)/(1+t-t_start), and whether LHS ever exceeds
     LHS(start) + C*(t - t_start) beyond tolerance.
     """
-    theta0 = traj.params.theta0
-    vol = traj.grid.cell_volume
-    times = traj.times
-    inst, dissip = [], []
-    for s in traj.states:
-        n = np.maximum(s.n, 0.0)
-        inst.append(
-            float(np.sum(s.u**2) * vol)
-            + float(np.sum((n + 1.0) * np.log1p(n)) * vol)
-            + (2.0 / theta0) * float(np.sum(s.derived("grad_sqrt_c") ** 2) * vol)
-        )
-        dissip.append(
-            float(np.sum(s.derived("grad_u_sq")) * vol)
-            + float(np.sum(s.derived("grad_sqrt_n1_sq")) * vol)
-            + (4.0 / (3.0 * theta0)) * float(np.sum(s.derived("hess_sqrt_c_sq")) * vol)
-            + (1.0 / (3.0 * theta0)) * float(np.sum(s.derived("entropy_quartic")) * vol)
-        )
-    inst = np.array(inst)
-    dissip = np.array(dissip)
-    cumulative = np.concatenate(
-        [[0.0], np.cumsum(0.5 * np.diff(times) * (dissip[1:] + dissip[:-1]))]
-    )
-    lhs = inst + cumulative
-    rel_t = times - times[0]
-    c_star = float(np.max(lhs / (1.0 + rel_t)))
-    tol = 1e-6 * max(1.0, lhs[0])
-    excess = lhs - (lhs[0] + c_star * rel_t)
-    return {
-        "times": times,
-        "lhs": lhs,
-        "instantaneous": inst,
-        "dissipation_cumulative": cumulative,
-        "c_star": c_star,
-        "bounded": bool(np.all(excess <= tol)),
-        "nonincreasing": bool(np.all(np.diff(lhs) <= tol)),
-        "max_increase": float(np.max(np.diff(lhs))) if len(lhs) > 1 else 0.0,
-    }
+    return energy_plan(traj).run(traj)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +433,85 @@ class LEIReport:
         )
 
 
+def lei_plan(traj: Trajectory, tf: TestFunction, t: float,
+             center_x, omega_radius: float) -> Plan:
+    """``lei_residual`` as a plan: one pass over the first snapshot (for
+    ||c0||), the one nearest to t and the ends of each snapshot interval
+    the window overlaps.  The first is visited before any term is formed,
+    and an interval's terms when its later end is, from a view of its
+    earlier end kept until then."""
+    if tf.support_radius > omega_radius:
+        raise ValueError("test-function support exceeds the integration ball")
+    grid = traj.grid
+    params, th = traj.params, traj.params.theta0
+    cells = np.flatnonzero(ball_mask(grid, center_x, omega_radius))
+    rho = np.sqrt(grid.min_image_distance_sq(center_x))
+    rho_om = gather(rho, cells)
+    times = traj.times
+    # each overlap (i, a, b) by the index of its interval's later end
+    overlaps = {i + 1: (i, a, b)
+                for i, a, b in _window_overlaps(times, t - tf.support_time, t)[0]}
+    final = int(np.argmin(np.abs(times - t)))  # the snapshot nearest to t
+    terms = {"lhs": dict.fromkeys(LHS_TERM_NAMES, 0.0),
+             "rhs": dict.fromkeys(RHS_TERM_NAMES, 0.0)}
+    c0max = None
+    kept = {}  # the view of an interval's earlier end, until its later end
+
+    def ball_sum(f, integrand, factor):
+        return float(np.sum(f[integrand] * f[factor]) * grid.cell_volume)
+
+    def final_terms(sf):
+        # final-time terms at the snapshot nearest to t
+        f = _LEIFields(sf.on(cells), params, psi_final=tf.value_rt(rho_om, sf.time - t))
+        for side, name, weight, integrand, factor in LEI_TERMS:
+            if factor == "psi_final":
+                terms[side][name] = weight(th, c0max) * ball_sum(f, integrand, factor)
+
+    def interval(i, a, b, view0, view1):
+        # time-integrated terms: midpoint in psi, linear in the fields
+        w = b - a
+        tm = 0.5 * (a + b)
+        lam = (tm - times[i]) / (times[i + 1] - times[i])
+        psi = tf.value_rt(rho, tm - t)
+        if not np.any(psi):
+            return
+
+        def mid(name):
+            # a base or derived field on Omega's cells, linear in time
+            f0, f1 = view0(name), view1(name)
+            return f0 + lam * (f1 - f0)
+
+        # spatial derivatives of psi taken spectrally from the sampled
+        # array, so discrete integration by parts is exact (the cell sum
+        # of Delta psi and of u . grad psi against constants vanishes);
+        # the time derivative is analytic
+        psi_hat = grid.rfftn(psi)
+        grad_psi = gather(np.stack([grid.irfftn(ik * psi_hat) for ik in grid.ik]), cells)
+        heat = tf.dt_rt(rho_om, tm - t) + gather(grid.irfftn(-grid.k_sq * psi_hat), cells)
+        # the whole-grid psi and psi_hat are not kept while the fields are formed
+        psi, psi_hat = gather(psi, cells), None
+        f = _LEIFields(mid, params, psi=psi, grad_psi=grad_psi, heat=heat)
+        for side, name, weight, integrand, factor in LEI_TERMS:
+            if factor != "psi_final":
+                terms[side][name] += weight(th, c0max) * w * ball_sum(f, integrand, factor)
+
+    def step(j, state):
+        nonlocal c0max
+        if j == 0:
+            c0max = float(np.max(state.c))
+        if j == final:
+            final_terms(state)
+        view = state.on(cells)
+        if j in overlaps:
+            interval(*overlaps[j], kept.pop(j - 1), view)
+        if j + 1 in overlaps:
+            kept[j] = view
+
+    reads = {0, final, *overlaps, *(j - 1 for j in overlaps)}
+    return Plan([Pass(reads, step)],
+                lambda: LEIReport(t=t, lhs_terms=terms["lhs"], rhs_terms=terms["rhs"]))
+
+
 def lei_residual(traj: Trajectory, tf: TestFunction, t: float,
                  center_x, omega_radius: float) -> LEIReport:
     """Every term of the local energy inequality (``LEI_TERMS``) for the
@@ -440,58 +529,4 @@ def lei_residual(traj: Trajectory, tf: TestFunction, t: float,
     and the residual rhs_total - lhs_total (nonnegative when the
     inequality holds).
     """
-    if tf.support_radius > omega_radius:
-        raise ValueError("test-function support exceeds the integration ball")
-    grid = traj.grid
-    params, th = traj.params, traj.params.theta0
-    c0max = float(np.max(traj.states[0].c))
-    cells = np.flatnonzero(ball_mask(grid, center_x, omega_radius))
-    rho = np.sqrt(grid.min_image_distance_sq(center_x))
-    rho_om = gather(rho, cells)
-    times = traj.times
-    overlaps = _window_overlaps(times, t - tf.support_time, t)[0]
-    terms = {"lhs": dict.fromkeys(LHS_TERM_NAMES, 0.0),
-             "rhs": dict.fromkeys(RHS_TERM_NAMES, 0.0)}
-
-    def ball_sum(f, integrand, factor):
-        return float(np.sum(f[integrand] * f[factor]) * grid.cell_volume)
-
-    # final-time terms at the snapshot nearest to t
-    sf = traj.state_at(t)
-    f = _LEIFields(sf.on(cells), params, psi_final=tf.value_rt(rho_om, sf.time - t))
-    for side, name, weight, integrand, factor in LEI_TERMS:
-        if factor == "psi_final":
-            terms[side][name] = weight(th, c0max) * ball_sum(f, integrand, factor)
-
-    # time-integrated terms: midpoint in psi, linear in the fields; each
-    # snapshot's view of Omega's cells is kept for the next interval
-    views = {}
-    for i, a, b in overlaps:
-        w = b - a
-        tm = 0.5 * (a + b)
-        lam = (tm - times[i]) / (times[i + 1] - times[i])
-        psi = tf.value_rt(rho, tm - t)
-        if not np.any(psi):
-            continue
-        views = {j: views.get(j) or traj.states[j].on(cells) for j in (i, i + 1)}
-
-        def mid(name):
-            # a base or derived field on Omega's cells, linear in time
-            f0, f1 = views[i](name), views[i + 1](name)
-            return f0 + lam * (f1 - f0)
-
-        # spatial derivatives of psi taken spectrally from the sampled
-        # array, so discrete integration by parts is exact (the cell sum
-        # of Delta psi and of u . grad psi against constants vanishes);
-        # the time derivative is analytic
-        psi_hat = grid.rfftn(psi)
-        grad_psi = gather(np.stack([grid.irfftn(ik * psi_hat) for ik in grid.ik]), cells)
-        heat = tf.dt_rt(rho_om, tm - t) + gather(grid.irfftn(-grid.k_sq * psi_hat), cells)
-        # the whole-grid psi and psi_hat are not kept while the fields are formed
-        psi, psi_hat = gather(psi, cells), None
-        f = _LEIFields(mid, params, psi=psi, grad_psi=grad_psi, heat=heat)
-        for side, name, weight, integrand, factor in LEI_TERMS:
-            if factor != "psi_final":
-                terms[side][name] += weight(th, c0max) * w * ball_sum(f, integrand, factor)
-
-    return LEIReport(t=t, lhs_terms=terms["lhs"], rhs_terms=terms["rhs"])
+    return lei_plan(traj, tf, t, center_x, omega_radius).run(traj)

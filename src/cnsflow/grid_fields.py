@@ -15,13 +15,19 @@ for any number of integrands, take their integrands in one form,
 ``fields(at)`` of a snapshot's ``State.on`` view (see ``catalog_fields``),
 and return one shape, (integrals, sups).  Their time window, and the
 local energy inequality's, follow one rule, ``_window_overlaps``.
+
+Every analysis reads a trajectory through one loop, ``sweep``, which
+visits each snapshot its passes read once, in time order.  An analysis
+is a ``Plan``: its passes, then a ``finish`` that makes its result of
+what they gathered; plans join (``Plan.all``), so any number of
+analyses share one sweep and hold at most the states their steps keep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -423,17 +429,88 @@ def _sup_snapshots(times: np.ndarray, t_lo: float, t_hi: float) -> list:
     return idx
 
 
+class Pass(NamedTuple):
+    """One analysis's reads of a trajectory: the indices of the snapshots
+    it reads (``snapshots``, any iterable), and ``step(i, state)``, which
+    ``sweep`` calls once for each, in time order, with snapshot i."""
+
+    snapshots: Iterable
+    step: Callable
+
+
+class Plan(NamedTuple):
+    """An analysis split at its one sweep: the passes it sweeps, and
+    ``finish()``, its result from what they gathered."""
+
+    passes: list
+    finish: Callable
+
+    @staticmethod
+    def all(plans) -> Plan:
+        """One plan of several, its passes swept together and its result
+        the list of theirs, each finished in order."""
+        plans = list(plans)
+        return Plan([p for plan in plans for p in plan.passes],
+                     lambda: [plan.finish() for plan in plans])
+
+    def then(self, fn: Callable) -> Plan:
+        """This plan with ``fn`` applied to its result."""
+        return Plan(self.passes, lambda: fn(self.finish()))
+
+    def run(self, traj):
+        """Sweep the passes over ``traj``, then finish."""
+        sweep(traj, self.passes)
+        return self.finish()
+
+
+def sweep(traj, passes) -> None:
+    """The one snapshot loop: visit the union of the passes' snapshots
+    once each, in time order, and give each state to the passes that read
+    it, in their order.  A state comes from ``traj.visit``: a stored
+    trajectory reads it and keeps it no longer than its visit, so its
+    derived fields go with it; an in-memory one keeps its states."""
+    readers = {}
+    for p in passes:
+        for i in p.snapshots:
+            readers.setdefault(i, []).append(p)
+    for i in sorted(readers):
+        state = traj.visit(i)
+        for p in readers[i]:
+            p.step(i, state)
+        del state  # before the next read, so that two visits never overlap
+
+
 def _cylinder(traj, Q: ParabolicCylinder, integrals, sups):
-    """Which cells and snapshots make up Q: its ball mask, and its window's
-    snapshots in time order as (state, time weight, is a sup snapshot); the
-    weight is None unless ``integrals`` are given, the flag False unless
-    ``sups`` are."""
+    """Which cells and snapshots make up Q: its ball mask, and its window
+    as {snapshot index: (time weight, is a sup snapshot)} in time order;
+    the weight is None unless ``integrals`` are given, the flag False
+    unless ``sups`` are."""
     times, (t_lo, t_hi) = traj.times, Q.time_interval()
     mask = ball_mask(traj.grid, Q.center_x, Q.radius)
     weights = {} if integrals is None else _snapshot_weights(times, t_lo, t_hi)
     peaks = set() if sups is None else set(_sup_snapshots(times, t_lo, t_hi))
-    return mask, [(traj.states[i], weights.get(i), i in peaks)
-                  for i in sorted(peaks.union(weights))]
+    return mask, {i: (weights.get(i), i in peaks) for i in sorted(peaks.union(weights))}
+
+
+def values_plan(traj, Q: ParabolicCylinder, integrals: Callable = None,
+                sups: Callable = None) -> Plan:
+    """``cylinder_values`` as a plan: one pass over Q's window, each
+    snapshot read through one view of Q's cells."""
+    mask, window = _cylinder(traj, Q, integrals, sups)
+    cells, vol = np.flatnonzero(mask), traj.grid.cell_volume
+    acc = [None, None]  # integrals, sups
+
+    def step(i, state):
+        w, peak = window[i]
+        at = state.on(cells)
+        if w is not None:
+            v = w * np.array([np.sum(a) * vol for a in integrals(at)])
+            acc[0] = v if acc[0] is None else acc[0] + v
+        if peak:
+            v = np.array([np.sum(a) * vol for a in sups(at)])
+            acc[1] = v if acc[1] is None else np.maximum(acc[1], v)
+
+    return Plan([Pass(window, step)], lambda: tuple(acc))
 
 
 def cylinder_values(traj, Q: ParabolicCylinder, integrals: Callable = None,
@@ -449,18 +526,39 @@ def cylinder_values(traj, Q: ParabolicCylinder, integrals: Callable = None,
     one array in its fields' order, or None where no fields were given:
     the shape ``cylinder_maps`` returns at every grid point.
     """
-    mask, window = _cylinder(traj, Q, integrals, sups)
-    cells, vol = np.flatnonzero(mask), traj.grid.cell_volume
-    int_values = sup_values = None
-    for state, w, peak in window:
-        at = state.on(cells)
+    return values_plan(traj, Q, integrals, sups).run(traj)
+
+
+def maps_plan(traj, t0: float, radius: float, integrals: Callable = None,
+              sups: Callable = None) -> Plan:
+    """``cylinder_maps`` as a plan: one pass over the window, each
+    snapshot read through one view of the whole grid."""
+    grid = traj.grid
+    stencil, window = _cylinder(
+        traj, ParabolicCylinder((0.0, 0.0, 0.0), t0, radius), integrals, sups)
+    kernel = grid.rfftn(stencil.astype(float)) * grid.cell_volume
+
+    def convolve(values):
+        out = grid.irfftn(grid.rfftn(values) * kernel)
+        return np.maximum(out, 0.0, out=out)
+
+    acc = [None, None]  # the weighted sum of the integrands, the sup maps
+
+    def step(i, state):
+        w, peak = window[i]
+        at = state.on(slice(None))
         if w is not None:
-            v = w * np.array([np.sum(a) * vol for a in integrals(at)])
-            int_values = v if int_values is None else int_values + v
+            values = integrals(at)
+            if acc[0] is None:
+                acc[0] = np.zeros((len(values),) + (grid.n,) * 3)
+            for total, f in zip(acc[0], values):
+                total += w * f
         if peak:
-            v = np.array([np.sum(a) * vol for a in sups(at)])
-            sup_values = v if sup_values is None else np.maximum(sup_values, v)
-    return int_values, sup_values
+            snap = convolve(np.stack(sups(at)))
+            acc[1] = snap if acc[1] is None else np.maximum(acc[1], snap)
+
+    return Plan([Pass(window, step)],
+                lambda: (None if acc[0] is None else convolve(acc[0]), acc[1]))
 
 
 def cylinder_maps(traj, t0: float, radius: float, integrals: Callable = None,
@@ -481,25 +579,4 @@ def cylinder_maps(traj, t0: float, radius: float, integrals: Callable = None,
     maps, sup maps), each a (k, N, N, N) array indexed by the grid index
     of x, or None where no fields were given.
     """
-    grid = traj.grid
-    stencil, window = _cylinder(
-        traj, ParabolicCylinder((0.0, 0.0, 0.0), t0, radius), integrals, sups)
-    kernel = grid.rfftn(stencil.astype(float)) * grid.cell_volume
-
-    def convolve(values):
-        out = grid.irfftn(grid.rfftn(values) * kernel)
-        return np.maximum(out, 0.0, out=out)
-
-    total = sup_maps = None
-    for state, w, peak in window:
-        at = state.on(slice(None))
-        if w is not None:
-            values = integrals(at)
-            if total is None:
-                total = np.zeros((len(values),) + stencil.shape)
-            for acc, f in zip(total, values):
-                acc += w * f
-        if peak:
-            snap = convolve(np.stack(sups(at)))
-            sup_maps = snap if sup_maps is None else np.maximum(sup_maps, snap)
-    return None if total is None else convolve(total), sup_maps
+    return maps_plan(traj, t0, radius, integrals, sups).run(traj)

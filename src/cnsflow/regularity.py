@@ -22,11 +22,13 @@ from .diagnostics import compute_quantities, mean_removed
 from .grid_fields import (
     CylinderRangeError,
     ParabolicCylinder,
+    Plan,
     _grid_index,
     _spacetime_points,
     catalog_fields,
-    cylinder_maps,
     cylinder_values,
+    maps_plan,
+    values_plan,
 )
 from .state import Trajectory, guarded_log
 
@@ -97,6 +99,9 @@ def thresholds(cfg: RegularityConfig, params=None) -> dict:
 FLAG_COLUMNS = ("t0", "x0", "x1", "x2", "r_star", "value",
                 "working_threshold", "paper_threshold", "margin")
 
+#: a map value's rounding, relative to the map's largest value
+NEAR_THRESHOLD = 1e-12
+
 #: the closed-form threshold each sweep criterion is reported against
 PAPER_THRESHOLD = {"thm13": "epsilon", "thm16i": "epsilon0", "thm16ii": "epsilon2"}
 
@@ -108,7 +113,10 @@ class FlagSet:
     points is an (m, 4) array of (x0, x1, x2, t) rows ordered by
     (t, x0, x1, x2); r_star and value are the (m,) radius and criterion
     value of each row; the two thresholds are the sweep's, the same for
-    every row.
+    every row.  near_threshold counts the swept rows, flagged or not,
+    read from a map whose value lies within NEAR_THRESHOLD times that
+    map's largest value of the working threshold: the map's rounding, so
+    the per-centre path may decide such a row the other way.
     """
 
     points: np.ndarray
@@ -116,6 +124,7 @@ class FlagSet:
     value: np.ndarray
     working_threshold: float
     paper_threshold: float
+    near_threshold: int = 0
 
     def __len__(self):
         return len(self.points)
@@ -166,46 +175,61 @@ def _cubic_bundle(w: float):
 
 
 def _criterion(criterion: str, radii: Sequence[float], cfg: RegularityConfig,
-               cylinder):
+               cylinder) -> Plan:
     """The one definition of each criterion (see ``flag_thm13`` and
     ``flag_thm16``; thm16 takes rho0 = max(radii)), at one centre or at
     every grid point at once.
 
-    ``cylinder(r, integrals, sups)`` returns the (integrals, sups) of the
-    cylinder of radius r: ``cylinder_values`` at one centre, whose entries
-    are floats, or ``cylinder_maps`` at one time, whose entries are
-    whole-grid maps.  Returns (value, r_star, detail), scalars or maps
-    alike; detail is thm13's value per radius or a thm16 bundle's parts.
+    ``cylinder(r, integrals, sups)`` returns the plan of the cylinder of
+    radius r, whose result is its (integrals, sups): ``values_plan`` at one
+    centre, whose entries are floats, or ``maps_plan`` at one time, whose
+    entries are whole-grid maps.  The cylinders are named first and
+    combined after their one sweep.  Returns the plan of (value, r_star,
+    detail), scalars or maps alike; detail is thm13's value per radius or
+    a thm16 bundle's parts.
     """
     if criterion == "thm13":
-        per_radius = {}
-        best_v = best_r = -np.inf
-        for r in sorted(float(r) for r in radii):
-            i_n, i_u, i_c = cylinder(r, catalog_fields(*_DISSIPATION), None)[0]
-            val = r ** (-1.0 - cfg.delta0) * i_n + (1.0 / r) * (i_u + i_c)
-            per_radius[r] = val
-            better = val > best_v  # ties keep the smaller radius
-            best_v = np.where(better, val, best_v)
-            best_r = np.where(better, r, best_r)
-        return best_v, best_r, per_radius
+        rs = sorted(float(r) for r in radii)
+
+        def best(results):
+            per_radius = {}
+            best_v = best_r = -np.inf
+            for r, (ints, _) in zip(rs, results):
+                i_n, i_u, i_c = ints
+                val = r ** (-1.0 - cfg.delta0) * i_n + (1.0 / r) * (i_u + i_c)
+                per_radius[r] = val
+                better = val > best_v  # ties keep the smaller radius
+                best_v = np.where(better, val, best_v)
+                best_r = np.where(better, r, best_r)
+            return best_v, best_r, per_radius
+
+        return Plan.all(cylinder(r, catalog_fields(*_DISSIPATION), None)
+                        for r in rs).then(best)
     rho0 = float(max(radii))
     if criterion == "thm16i":
-        (i_n, i_u, i_c, i_p), (sup,) = cylinder(
-            rho0, catalog_fields(*_DISSIPATION, ("abs_p", 1.5)), _sup_bundle(rho0**2))
-        parts = {"sup_part": (1.0 / rho0) * sup,
-                 "dissipation": (1.0 / rho0) * (i_n + i_u + i_c),
-                 "pressure": rho0**-2 * i_p}
+        def parts(result):
+            (i_n, i_u, i_c, i_p), (sup,) = result
+            return {"sup_part": (1.0 / rho0) * sup,
+                    "dissipation": (1.0 / rho0) * (i_n + i_u + i_c),
+                    "pressure": rho0**-2 * i_p}
+
+        plan = cylinder(rho0, catalog_fields(*_DISSIPATION, ("abs_p", 1.5)),
+                        _sup_bundle(rho0**2)).then(parts)
     else:
-        ints = cylinder(rho0, _cubic_bundle(rho0**2), None)[0]
-        parts = dict(zip(("density", "chemo", "velocity", "pressure"),
-                         (rho0**-2 * v for v in ints)))
-    value = sum(parts.values())
-    return value, np.full(np.shape(value), rho0), parts
+        plan = cylinder(rho0, _cubic_bundle(rho0**2), None).then(
+            lambda result: dict(zip(("density", "chemo", "velocity", "pressure"),
+                                    (rho0**-2 * v for v in result[0]))))
+
+    def total(parts):
+        value = sum(parts.values())
+        return value, np.full(np.shape(value), rho0), parts
+
+    return plan.then(total)
 
 
 def _at_centre(traj: Trajectory, x0, t0: float):
     """``_criterion``'s ``cylinder`` at the one centre (x0, t0)."""
-    return lambda r, integrals, sups: cylinder_values(
+    return lambda r, integrals, sups: values_plan(
         traj, ParabolicCylinder(x0, t0, r), integrals, sups)
 
 
@@ -214,8 +238,8 @@ def _centre_report(traj: Trajectory, z0, criterion: str, radii, cfg: RegularityC
     """The report shape of every criterion at one centre z0, its detail
     under the key ``detail``: flagged when the value is not certified to
     lie at or below the working threshold."""
-    value, r_star, parts = _criterion(criterion, radii, cfg,
-                                      _at_centre(traj, tuple(z0[0]), float(z0[1])))
+    value, r_star, parts = _criterion(
+        criterion, radii, cfg, _at_centre(traj, tuple(z0[0]), float(z0[1]))).run(traj)
     value, thr = float(value), cfg.working_threshold
     return {"value": value, "r_star": float(r_star), "working_threshold": thr,
             "paper_threshold": thresholds(cfg, traj.params)[PAPER_THRESHOLD[criterion]],
@@ -263,6 +287,62 @@ def flag_thm16(traj: Trajectory, z0, cfg: RegularityConfig,
     return _centre_report(traj, z0, "thm16" + variant, (rho0,), cfg, "parts")
 
 
+def flag_plan(traj: Trajectory, centers: np.ndarray, radii: Sequence[float],
+              cfg: RegularityConfig, criterion: str = "thm13") -> Plan:
+    """``flag_sweep`` as a plan: the criterion maps of every time and the
+    per-centre criterion of every off-grid row, in one sweep."""
+    if criterion not in PAPER_THRESHOLD:
+        raise ValueError(f"unknown criterion {criterion!r}")
+    if len(radii) == 0:
+        raise CylinderRangeError("need at least one radius")
+    pts = _spacetime_points(centers)
+    thr = cfg.working_threshold
+    on_grid, index = _grid_index(traj.grid, pts[:, :3])
+
+    def read_map(rows):
+        # the map rows' values, and how many lie within rounding of thr
+        at = tuple(index[rows].T)
+
+        def read(result):
+            v_map, r_map, _ = result
+            near = np.abs(v_map[at] - thr) <= NEAR_THRESHOLD * np.max(v_map)
+            return v_map[at], r_map[at], int(np.count_nonzero(near))
+
+        return read
+
+    maps = []
+    for t0 in np.unique(pts[on_grid, 3]).tolist():
+        rows = np.flatnonzero(on_grid & (pts[:, 3] == t0))
+        maps.append((rows, _criterion(criterion, radii, cfg,
+                                      partial(maps_plan, traj, t0)).then(read_map(rows))))
+    off_grid = np.flatnonzero(~on_grid).tolist()
+    centres = [_criterion(criterion, radii, cfg, _at_centre(traj, pts[row, :3].tolist(),
+                                                             float(pts[row, 3])))
+               for row in off_grid]
+
+    def collect(results):
+        value, r_star = np.empty(len(pts)), np.empty(len(pts))
+        near = 0
+        for (rows, _), (v, r, k) in zip(maps, results):
+            value[rows], r_star[rows] = v, r
+            near += k
+        for row, (v, r, _) in zip(off_grid, results[len(maps):]):
+            value[row], r_star[row] = v, r
+        keep = ~(value <= thr)
+        order = np.lexsort(pts[:, [2, 1, 0, 3]].T)  # by t, then x0, x1, x2
+        order = order[keep[order]]
+        return FlagSet(
+            points=pts[order],
+            r_star=r_star[order],
+            value=value[order],
+            working_threshold=thr,
+            paper_threshold=thresholds(cfg, traj.params)[PAPER_THRESHOLD[criterion]],
+            near_threshold=near,
+        )
+
+    return Plan.all([plan for _, plan in maps] + centres).then(collect)
+
+
 def flag_sweep(traj: Trajectory, centers: np.ndarray, radii: Sequence[float],
                cfg: RegularityConfig, criterion: str = "thm13") -> FlagSet:
     """Evaluate one criterion at every row of an (m, 4) array of candidate
@@ -272,36 +352,12 @@ def flag_sweep(traj: Trajectory, centers: np.ndarray, radii: Sequence[float],
     rows that are grid points are read from whole-grid criterion maps
     (``cylinder_maps``), one set per time t0; off-grid rows are evaluated
     one by one (``cylinder_values``), by the same ``_criterion`` as
-    ``flag_thm13`` / ``flag_thm16``.  Map and per-centre values agree to
-    rounding relative to the map's largest value.
+    ``flag_thm13`` / ``flag_thm16``; all of them in one sweep.  Map and
+    per-centre values agree to rounding relative to the map's largest
+    value; the FlagSet counts the map rows that lie that close to the
+    working threshold.
     """
-    if criterion not in PAPER_THRESHOLD:
-        raise ValueError(f"unknown criterion {criterion!r}")
-    if len(radii) == 0:
-        raise CylinderRangeError("need at least one radius")
-    pts = _spacetime_points(centers)
-    value, r_star = np.empty(len(pts)), np.empty(len(pts))
-    on_grid, index = _grid_index(traj.grid, pts[:, :3])
-    for t0 in np.unique(pts[on_grid, 3]).tolist():
-        rows = np.flatnonzero(on_grid & (pts[:, 3] == t0))
-        at = tuple(index[rows].T)
-        v_map, r_map, _ = _criterion(criterion, radii, cfg,
-                                     partial(cylinder_maps, traj, t0))
-        value[rows], r_star[rows] = v_map[at], r_map[at]
-    for row in np.flatnonzero(~on_grid).tolist():
-        *x0, t0 = pts[row].tolist()
-        value[row], r_star[row], _ = _criterion(criterion, radii, cfg,
-                                                _at_centre(traj, x0, t0))
-    keep = ~(value <= cfg.working_threshold)
-    order = np.lexsort(pts[:, [2, 1, 0, 3]].T)  # by t, then x0, x1, x2
-    order = order[keep[order]]
-    return FlagSet(
-        points=pts[order],
-        r_star=r_star[order],
-        value=value[order],
-        working_threshold=cfg.working_threshold,
-        paper_threshold=thresholds(cfg, traj.params)[PAPER_THRESHOLD[criterion]],
-    )
+    return flag_plan(traj, centers, radii, cfg, criterion).run(traj)
 
 
 # ---------------------------------------------------------------------------

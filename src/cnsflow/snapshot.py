@@ -89,22 +89,23 @@ def write_trajectory(out_dir, traj: Trajectory) -> None:
     out.mkdir(parents=True, exist_ok=True)
     for i, s in enumerate(traj.states):
         write_snapshot(out / snapshot_name(i), s)
-    write_trajectory_meta(out, traj)
+    write_trajectory_meta(out, traj.grid, traj.times, traj.params, traj.run_log)
 
 
-def write_trajectory_meta(out_dir, traj: Trajectory) -> None:
-    """Write ``trajectory.json`` (times, grid, the physics and, when the
-    trajectory has one, its run log) through a temporary file; written
-    after the snapshots, it marks the trajectory complete."""
+def write_trajectory_meta(out_dir, grid: Grid, times, params: PhysParams,
+                          run_log: dict = None) -> None:
+    """Write ``trajectory.json`` (the snapshot times, grid, the physics
+    and, when known, the run log) through a temporary file; written after
+    the snapshots, it marks the trajectory complete."""
     meta = {
         "format": "CNS1",
-        "count": len(traj.states),
-        "times": traj.times.tolist(),
-        "grid": {"n": traj.grid.n, "box_length": traj.grid.box_length},
-        "params": asdict(traj.params),
+        "count": len(times),
+        "times": [float(t) for t in times],
+        "grid": {"n": grid.n, "box_length": grid.box_length},
+        "params": asdict(params),
     }
-    if traj.run_log is not None:
-        meta["run_log"] = traj.run_log
+    if run_log is not None:
+        meta["run_log"] = run_log
     path = Path(out_dir) / "trajectory.json"
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w") as f:
@@ -118,10 +119,12 @@ def read_trajectory(in_dir) -> Trajectory:
     file length first, then one grid and strictly increasing times, then
     that every value is finite (streamed, nothing kept).  Only the headers
     are kept: snapshot i is read the first time ``states[i]`` is indexed,
-    on the trajectory's one Grid, and kept for the trajectory's lifetime.
-    The physics come from the "params" entry of ``trajectory.json``; a
-    directory without one (or without the file) reads with
-    ``PhysParams()``."""
+    on the trajectory's one Grid, and kept for the trajectory's lifetime;
+    an analysis reads it through ``Trajectory.visit``, which keeps it no
+    longer than the visit.
+    The physics come from the "params" entry of ``trajectory.json``, and
+    the run log from its "run_log" entry; a directory without one (or
+    without the file) reads with ``PhysParams()`` (and no run log)."""
     src = Path(in_dir)
     meta_path = src / "trajectory.json"
     meta = {}
@@ -145,6 +148,7 @@ def read_trajectory(in_dir) -> Trajectory:
     # every state is built on the first header's grid, the trajectory's own
     traj = Trajectory(StoredStates(heads, lambda i: read_snapshot(paths[i], heads[0][0])),
                       params=params)
+    traj.run_log = meta.get("run_log")
     for p, (g, _) in zip(paths, heads):
         _check_values(p, g.n)
     return traj

@@ -16,7 +16,13 @@ import numpy as np
 
 from .grid_fields import Grid, _check_finite
 from .pressure import solve_pressure
-from .snapshot import read_snapshot, snapshot_name, write_snapshot, write_trajectory_meta
+from .snapshot import (
+    read_snapshot,
+    read_trajectory,
+    snapshot_name,
+    write_snapshot,
+    write_trajectory_meta,
+)
 from .state import PhysParams, State, Trajectory
 
 
@@ -317,27 +323,39 @@ def simulate(cfg: SimulationConfig, params: PhysParams, out_dir=None) -> Traject
     every kept snapshot, after which the spectra are rebuilt from the
     arrays, so a run resumed from a kept snapshot is bitwise this run.  When
     ``out_dir`` is given, each kept snapshot is written in the CNS1 format
-    as soon as it is produced, and ``trajectory.json`` (with the physics
-    and the run log) is written last, so it exists only for a run that
-    finished.
+    as soon as it is produced and not kept in memory, and
+    ``trajectory.json`` (with the physics and the run log) is written
+    last, so it exists only for a run that finished; the trajectory
+    returned is that directory, read back (``read_trajectory``).  Before
+    the first step, the marker and every ``snap_*.cns`` at or past this
+    run's snapshot count, left by an earlier run, are deleted.
     """
+    s = initial_state(cfg, params)
+    grid, n, c, u = s.grid, s.n, s.c, s.u
+    times = step_times(cfg, s.time)
+    kept = {i for i in range(1, len(times) + 1)
+            if i % cfg.output_stride == 0 or i == len(times)}
     out = None
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        # a marker left by an earlier run must not vouch for this one
+        # a marker or a snapshot left by an earlier run must not vouch for this one
         (out / "trajectory.json").unlink(missing_ok=True)
-    states = []
+        for path in out.glob("snap_*.cns"):
+            index = path.stem[len("snap_"):]
+            if index.isdigit() and int(index) > len(kept):
+                path.unlink()
+    states, snap_times = [], []
 
     def keep(state: State) -> None:
         if out is not None:
-            write_snapshot(out / snapshot_name(len(states)), state)
-        states.append(state)
+            write_snapshot(out / snapshot_name(len(snap_times)), state)
+        else:
+            states.append(state)
+        snap_times.append(state.time)
 
-    s = initial_state(cfg, params)
     keep(s)
-    grid, n, c, u = s.grid, s.n, s.c, s.u
-    times = step_times(cfg, s.time)
+    del s
     mass0 = float(np.sum(n) * grid.cell_volume)
     run_log = {"clamp_mass_total": 0.0, "c_overshoot_max": 0.0, "mass_drift_max": 0.0,
                "spectra_rebuilt": 0}
@@ -355,11 +373,12 @@ def simulate(cfg: SimulationConfig, params: PhysParams, out_dir=None) -> Traject
             # drift before crediting back the clamped (negative) mass
             drift = abs(mass - run_log["clamp_mass_total"] - mass0) / mass0
             run_log["mass_drift_max"] = max(run_log["mass_drift_max"], drift)
-        if i % cfg.output_stride == 0 or i == len(times):
+        if i in kept:
             keep(_with_pressure(grid, n, c, u, t, params))
             hats = None
-    traj = Trajectory(states, params=params)
-    traj.run_log = run_log
-    if out is not None:
-        write_trajectory_meta(out, traj)
-    return traj
+    if out is None:
+        traj = Trajectory(states, params=params)
+        traj.run_log = run_log
+        return traj
+    write_trajectory_meta(out, grid, snap_times, params, run_log)
+    return read_trajectory(out)

@@ -252,7 +252,7 @@ class StoredStates(Sequence):
     """The read-only states of an on-disk trajectory, known at first by
     their headers alone: ``heads`` holds each one's (grid, time).  State i
     is made by ``read(i)`` the first time it is indexed, then kept for the
-    sequence's lifetime."""
+    sequence's lifetime; ``take(i)`` gives it without keeping it."""
 
     def __init__(self, heads: list, read: Callable[[int], State]):
         self.heads, self._read, self._kept = heads, read, {}
@@ -268,6 +268,11 @@ class StoredStates(Sequence):
             self._kept[i] = self._read(i)
         return self._kept[i]
 
+    def take(self, i: int) -> State:
+        """State i, no longer kept: the kept one, forgotten, or a new read."""
+        i = range(len(self))[i]
+        return self._kept.pop(i) if i in self._kept else self._read(i)
+
 
 class Trajectory:
     """Snapshots on one grid at strictly increasing times, and the physics
@@ -275,12 +280,13 @@ class Trajectory:
     equal: a run whose step count is not a multiple of its output stride
     ends with a shorter one.
 
-    ``states`` is the one way to get a state: a list for a trajectory
-    built in memory, a ``StoredStates`` for one opened by
-    ``read_trajectory``, which reads each snapshot on first use.  ``grid``
-    and ``times`` are taken once, when the trajectory is built, from the
-    states or the stored headers; to shift the states' times, build a new
-    trajectory from them."""
+    ``states`` holds the states: a list for a trajectory built in memory,
+    a ``StoredStates`` for one opened by ``read_trajectory``, which reads
+    each snapshot on first use and keeps it.  The analyses read states
+    through ``visit`` instead, which keeps a stored state no longer than
+    its visit.  ``grid`` and ``times`` are taken once, when the trajectory
+    is built, from the states or the stored headers; to shift the states'
+    times, build a new trajectory from them."""
 
     def __init__(self, states: Sequence[State], params: PhysParams = PhysParams()):
         if not states:
@@ -297,6 +303,13 @@ class Trajectory:
         self.params = params
         #: solver health of the run that produced the states, when known
         self.run_log: Optional[dict] = None
+
+    def visit(self, i: int) -> State:
+        """State i for one visit (``grid_fields.sweep``): a stored state is
+        not kept past it, an in-memory one stays."""
+        if isinstance(self.states, StoredStates):
+            return self.states.take(i)
+        return self.states[i]
 
     def state_at(self, t: float) -> State:
         """Snapshot closest to time t."""

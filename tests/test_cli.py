@@ -6,12 +6,15 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cnsflow import PhysParams, RegularityConfig, SimulationConfig, cli, snapshot
+from cnsflow import PhysParams, RegularityConfig, SimulationConfig, State, cli, snapshot
+from cnsflow.grid_fields import Pass, Plan
 from cnsflow.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -449,6 +452,64 @@ def test_analysis_reads_only_its_window(seven_snap_dir, tmp_path, monkeypatch, c
     assert out.exists()
 
 
+def _live_states(monkeypatch) -> list:
+    """[the most State objects alive at once], from here on: each new
+    state is counted with those not yet freed."""
+    live, peak = weakref.WeakSet(), [0]
+    real = State.__init__
+
+    def init(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        live.add(self)
+        peak[0] = max(peak[0], len(live))
+
+    monkeypatch.setattr(State, "__init__", init)
+    return peak
+
+
+@pytest.mark.parametrize("command", ["pipeline", *WINDOW_READS])
+def test_no_command_holds_more_than_two_states(workdir, seven_snap_dir, tmp_path,
+                                               monkeypatch, command):
+    """Neither ``cnsflow pipeline`` nor a trajectory subcommand ever holds
+    more than two states: the analyses read a stored trajectory one
+    snapshot at a time, and the LEI keeps an interval's earlier end until
+    its later one."""
+    peak = _live_states(monkeypatch)
+    if command == "pipeline":
+        argv = ["pipeline", "--config", str(workdir / "seven.cfg"),
+                "--out", str(tmp_path / "o")]
+    else:
+        argv = _analysis_argv(command, seven_snap_dir, tmp_path / "out.csv")
+    assert main(argv) == EXIT_OK
+    assert 0 < peak[0] <= 2
+
+
+def test_traced_analysis_peak_is_flat_in_snapshots(tmp_path, monkeypatch):
+    """The traced memory peak of a 16^3 pipeline after its simulate phase
+    is the same, within 5%, at 5 and at 13 snapshots: the analyses hold no
+    state past its visit."""
+    real = cli.simulate
+
+    def simulate(*args, **kwargs):
+        traj = real(*args, **kwargs)
+        tracemalloc.reset_peak()
+        return traj
+
+    monkeypatch.setattr(cli, "simulate", simulate)
+    peaks = []
+    for t_end, count in (("0.01", 5), ("0.03", 13)):
+        cfg, out = tmp_path / f"{count}.cfg", tmp_path / str(count)
+        cfg.write_text(CONFIG_TEXT.replace("sim.t_end = 0.01", f"sim.t_end = {t_end}"))
+        tracemalloc.start()
+        try:
+            assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(list((out / "trajectory").glob("snap_*.cns"))) == count
+    assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0], peaks
+
+
 def _damaged_copy(src, dst, index, damage):
     shutil.copytree(src, dst)
     path = dst / f"snap_{index:06d}.cns"
@@ -579,10 +640,12 @@ def test_verify_lei_roundtrip(traj_dir, tmp_path):
     assert len(rows) == 1
 
 
-def test_flag_and_dimension_roundtrip(traj_dir, tmp_path):
+def test_flag_and_dimension_roundtrip(traj_dir, tmp_path, capsys):
     flags = tmp_path / "flags.csv"
     assert main(["flag", "--traj", str(traj_dir), "--grid-stride", "8",
                  "--radii", "0.05,0.09", "--out", str(flags)]) == EXIT_OK
+    assert "of 8 rows lie within rounding of the working threshold" in \
+        capsys.readouterr().err
     header, _ = read_csv(flags)
     assert header[:4] == ["t0", "x0", "x1", "x2"]
     # dimension runs on any flag CSV, including an empty one
@@ -646,6 +709,9 @@ def test_pipeline_and_byte_identical_rerun(workdir, tmp_path):
         assert a == (out2 / "trajectory" / name).read_bytes(), name
     meta = json.loads((out1 / "trajectory" / "trajectory.json").read_text())
     assert meta["params"]["gravity"] == 0.3 and "run_log" in meta
+    near = [json.loads((o / "manifest.json").read_text())["flag_near_threshold"]
+            for o in (out1, out2)]
+    assert near[0] == near[1] and near[0] >= 0
 
 
 def test_analysis_reads_physics_from_trajectory(tmp_path):
@@ -721,6 +787,53 @@ def test_quantity_columns_are_the_csv_header():
         "a_combined", "e_combined", "c_combined", "g")
 
 
+def test_failed_step_is_held_until_its_phase(workdir, tmp_path, monkeypatch):
+    """An exception raised in one phase's step of the pipeline's shared
+    sweep is held until that phase's turn: the phase before it finishes
+    with the outputs of an unbroken run, and the manifest names the phase
+    that failed."""
+    whole = tmp_path / "whole"
+    assert main(["pipeline", "--config", str(workdir / "run.cfg"),
+                 "--out", str(whole)]) == EXIT_OK
+
+    def failing(traj):
+        def step(i, state):
+            raise FloatingPointError("energy step failed")
+
+        return Plan([Pass(range(len(traj.times)), step)], lambda: None)
+
+    monkeypatch.setattr(cli, "energy_plan", failing)
+    out = tmp_path / "o"
+    assert main(["pipeline", "--config", str(workdir / "run.cfg"),
+                 "--out", str(out)]) == EXIT_NUMERIC
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failed_phase"] == "energy"
+    assert list(manifest["phase_seconds"]) == ["quantities", "simulate"]
+    assert not (out / "energy.csv").exists()
+    assert (out / "quantities.csv").read_bytes() == (whole / "quantities.csv").read_bytes()
+
+
+def test_killed_pipeline_leaves_the_phases_it_finished(workdir, tmp_path):
+    """manifest.json is rewritten after each phase, so a pipeline killed
+    outright in its flag phase, which runs no handler, still lists the
+    four phases before it."""
+    code = ("import os, sys\nfrom cnsflow import cli, regularity\n"
+            "regularity.FlagSet.rows = lambda self: os._exit(17)\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = tmp_path / "o"
+    proc = subprocess.run([sys.executable, "-c", code, "pipeline", "--config",
+                           str(workdir / "run.cfg"), "--out", str(out)],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True)
+    assert proc.returncode == 17, proc.stderr[-2000:]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest["phase_seconds"]) == ["energy", "lei", "quantities", "simulate"]
+    assert "failed_phase" not in manifest and "flags" not in manifest["outputs"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "energy.csv", "lei.csv", "manifest.json", "quantities.csv", "trajectory"]
+
+
 def test_failed_pipeline_manifest_names_the_simulate_phase(tmp_path, capsys):
     """A run past the CFL limit exits 3 and still writes manifest.json,
     naming the phase that failed, with no phase time."""
@@ -742,7 +855,7 @@ def test_failed_pipeline_manifest_keeps_the_earlier_phase_times(workdir, tmp_pat
     def fail(*args, **kwargs):
         raise FloatingPointError("flag sweep failed")
 
-    monkeypatch.setattr(cli, "flag_sweep", fail)
+    monkeypatch.setattr(cli, "flag_plan", fail)
     out = tmp_path / "o"
     assert main(["pipeline", "--config", str(workdir / "run.cfg"),
                  "--out", str(out)]) == EXIT_NUMERIC

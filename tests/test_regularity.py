@@ -206,6 +206,11 @@ def test_grid_maps_agree_with_per_centre_values(smooth_traj, criterion):
     near = {tuple(p) for p, c in zip(every.points.tolist(), clear) if not c}
     assert 0 < len(theirs) < len(every)
     assert mine - near == theirs - near
+    # the sweep counts the rows within the maps' rounding of its threshold
+    assert every.near_threshold == 0
+    at_value = RegularityConfig(working_threshold=float(every.value[0]))
+    assert flag_sweep(smooth_traj, centers, radii, at_value,
+                      criterion=criterion).near_threshold >= 1
 
 
 def _spike_traj(N=32, L=1.0):

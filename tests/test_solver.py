@@ -25,6 +25,7 @@ from cnsflow import (
 )
 from cnsflow import solver
 from cnsflow.solver import _band_limited, advance
+from cnsflow.state import StoredStates
 
 
 def test_kappa_is_theta0_s_chi():
@@ -358,6 +359,44 @@ def test_crashed_run_keeps_snapshots_without_commit_marker(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [p.name for p in snaps]
     times = [read_snapshot(p).time for p in snaps]
     assert times == sorted(times) and times[0] == 0.0
+
+
+def test_shorter_rerun_leaves_only_its_own_snapshots(tmp_path):
+    """A rerun into a directory that a longer run filled deletes, before
+    its first step, the snapshots past its own count; so even without its
+    marker, as a rerun killed before its last write leaves it, the
+    directory reads back as this run alone."""
+    base = dict(grid_n=16, grid_l=1.0, dt=5e-4, output_stride=5,
+                init={"preset": "random_smooth", "amplitude": 0.05,
+                      "n_mean": 1.0, "c0": 1.0, "modes": 2})
+    params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.3, c0_max=1.0)
+    simulate(SimulationConfig(t_end=0.01, seed=3, **base), params, out_dir=tmp_path)
+    assert len(list(tmp_path.glob("snap_*.cns"))) == 5
+    short = simulate(SimulationConfig(t_end=0.005, seed=4, **base), params,
+                     out_dir=tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "snap_000000.cns", "snap_000001.cns", "snap_000002.cns", "trajectory.json"]
+    (tmp_path / "trajectory.json").unlink()
+    back = read_trajectory(tmp_path)
+    assert np.array_equal(back.times, short.times) and len(back.times) == 3
+    assert np.array_equal(back.states[-1].n, short.states[-1].n)
+
+
+def test_streamed_run_is_read_back(tmp_path):
+    """A run with an output directory keeps no state in memory: it returns
+    the directory read back, states, physics and run log bitwise those of
+    the same run in memory."""
+    cfg = SimulationConfig(grid_n=16, grid_l=1.0, dt=5e-4, t_end=0.004, output_stride=3,
+                           seed=5, init={"preset": "random_smooth", "amplitude": 0.05})
+    params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.3, c0_max=1.0)
+    mem = simulate(cfg, params)
+    disk = simulate(cfg, params, out_dir=tmp_path)
+    assert isinstance(disk.states, StoredStates) and not disk.states._kept
+    assert disk.params == params and disk.run_log == mem.run_log
+    assert np.array_equal(disk.times, mem.times)
+    for a, b in zip(disk.states, mem.states):
+        for name in ("n", "c", "u", "p"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def _smooth_32(params):

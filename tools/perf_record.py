@@ -13,7 +13,7 @@ each run in fresh processes, one BLAS/OpenMP thread each:
   change first on odd ones), one seed per pair; medians, quartiles
   (inclusive method) and the pairs each tree won, per metric;
 - per step: for N = 32, 48, 64 and orders 1 and 2, the ms per ``advance``
-  (median), its real transforms (each ``Grid`` method whose name ends in
+  (quartiles), its real transforms (each ``Grid`` method whose name ends in
   ``fftn``, counted in N^3 fields, full ``rfftn``/``irfftn`` apart from the
   pruned ones) and its tracemalloc peak above its inputs, for a step from
   physical arrays and, where ``advance`` takes ``hats``, a carried one;
@@ -24,7 +24,16 @@ each run in fresh processes, one BLAS/OpenMP thread each:
   wall time of ``cli.main``, medians of COMMAND_RUNS runs, and
   whether the two trees' CSVs are byte-identical.  Every window (radii
   2h and 3h, an LEI bump of span 1.5 snapshot intervals) ends inside a
-  snapshot interval, so both lengths read the same number of snapshots.
+  snapshot interval, so both lengths read the same number of snapshots;
+- pipeline: ``cnsflow pipeline`` on the benchmark's
+  ``bench/inputs.pipeline_config(7)`` with output stride 5 and 2 (9 and
+  21 snapshots) and at N = 128 (output stride 10, flag stride 16: 5
+  snapshots), each run in a fresh process, parent and change alternated:
+  its ``ru_maxrss`` (MB) and wall time as quartiles, and whether the two
+  trees' CSVs are byte-identical.
+
+Per-step times are reported as quartiles: their medians alone moved by
+tens of percent between sessions with unchanged step code.
 """
 
 from __future__ import annotations
@@ -122,6 +131,16 @@ print(json.dumps({"exit": code, "wall_s": time.perf_counter() - t0,
 """
 
 
+#: pipeline probe -> (its changes to the benchmark's pipeline config, runs per tree)
+PIPELINE_RUNS = {
+    "N=32 snapshots=9": ({}, 3),
+    "N=32 snapshots=21": ({"sim.output_stride": "2"}, 3),
+    "N=128 snapshots=5": ({"grid.n": "128", "sim.output_stride": "10",
+                           "pipeline.flag_stride": "16"}, 1),
+}
+PIPELINE_CSVS = ("quantities.csv", "energy.csv", "lei.csv", "flags.csv", "dimension.csv")
+
+
 def child_env(tree: Path) -> dict:
     env = dict(os.environ)
     env.update({k: "1" for k in THREAD_VARS})
@@ -197,7 +216,7 @@ def per_step(trees: dict) -> dict:
                                       text=True, check=True)
                 rows = json.loads(proc.stdout.strip().splitlines()[-1])
                 for row in rows.values():
-                    row["ms_median"] = round(statistics.median(row.pop("ms")), 2)
+                    row["ms"] = quartiles(row["ms"])
                 out[key][name] = rows
                 print(f"{key} {name}: {rows}", file=sys.stderr, flush=True)
     return out
@@ -252,6 +271,39 @@ def trajectory_rss(trees: dict) -> dict:
     return out
 
 
+def pipeline_rss(trees: dict) -> dict:
+    out = {}
+    proc = subprocess.run([sys.executable, "-c", "import sys; sys.path.insert(0, 'bench'); "
+                           "import inputs; print(inputs.pipeline_config(7), end='')"],
+                          cwd=trees["change"], env=child_env(trees["change"]),
+                          capture_output=True, text=True, check=True)
+    base = dict(line.split(" = ", 1) for line in proc.stdout.splitlines())
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for key, (changes, runs) in PIPELINE_RUNS.items():
+            cfg = work / "pipeline.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**base, **changes}.items()))
+            results = {name: [] for name in trees}
+            for i in range(runs):
+                for name in list(trees) if i % 2 == 0 else list(trees)[::-1]:
+                    proc = subprocess.run(
+                        [sys.executable, "-c", COMMAND_PROBE, "pipeline", "--config", str(cfg),
+                         "--out", str(work / name)],
+                        env=child_env(trees[name]), capture_output=True, text=True, check=True)
+                    results[name].append(json.loads(proc.stdout.strip().splitlines()[-1]))
+            snapshots = len(list((work / "change" / "trajectory").glob("snap_*.cns")))
+            row = {"snapshots": snapshots, "csv_identical": all(
+                (work / "parent" / f).read_bytes() == (work / "change" / f).read_bytes()
+                for f in PIPELINE_CSVS)}
+            for name, rs in results.items():
+                row[name] = {"exit": sorted({r["exit"] for r in rs}),
+                             **{m: quartiles([r[m] for r in rs]) if runs > 1
+                                else round(rs[0][m], 4) for m in ("peak_rss_mb", "wall_s")}}
+            out[key] = row
+            print(f"{key}: {row}", file=sys.stderr, flush=True)
+    return out
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, type=Path)
@@ -266,6 +318,10 @@ def main(argv=None) -> int:
         "machine": {"nproc": os.cpu_count(), "cpu_threads_per_child": 1},
         "source": {name: source_size(tree) for name, tree in trees.items()},
         "per_step": per_step(trees),
+        "pipeline": {
+            "command": "python3 -c COMMAND_PROBE pipeline --config <cfg>, one fresh "
+                       "process per run",
+            "rows": pipeline_rss(trees)},
         "trajectory_commands": {
             "command": "python3 -c COMMAND_PROBE <cnsflow argv>, one fresh process per run",
             "runs": COMMAND_RUNS,
