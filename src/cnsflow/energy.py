@@ -391,6 +391,12 @@ _LEI_FORMS = {
 }
 
 
+#: the state fields the LEI's integrands and factors read, on Omega's
+#: cells: what an interval carries from its earlier end to its later one
+_LEI_STATE_FIELDS = ("n", "c", "u", "p", "n_ln_n", "grad_u_sq", "grad_sqrt_n_sq",
+                     "grad_sqrt_c", "lap_sqrt_c", "grad_c")
+
+
 class _LEIFields(dict):
     """The LEI's fields on Omega's cells by name, each formed once: one
     given (psi and its derivatives), an ``_LEI_FORMS`` form, or else
@@ -437,9 +443,10 @@ def lei_plan(traj: Trajectory, tf: TestFunction, t: float,
              center_x, omega_radius: float) -> Plan:
     """``lei_residual`` as a plan: one pass over the first snapshot (for
     ||c0||), the one nearest to t and the ends of each snapshot interval
-    the window overlaps.  The first is visited before any term is formed,
-    and an interval's terms when its later end is, from a view of its
-    earlier end kept until then."""
+    the window overlaps.  The first is visited before any term is formed.
+    An interval's psi parts and the ``_LEI_STATE_FIELDS`` of its earlier
+    end are gathered on Omega's cells at that end's visit, and its terms
+    are formed at its later end's, so no state is kept past its visit."""
     if tf.support_radius > omega_radius:
         raise ValueError("test-function support exceeds the integration ball")
     grid = traj.grid
@@ -448,39 +455,31 @@ def lei_plan(traj: Trajectory, tf: TestFunction, t: float,
     rho = np.sqrt(grid.min_image_distance_sq(center_x))
     rho_om = gather(rho, cells)
     times = traj.times
-    # each overlap (i, a, b) by the index of its interval's later end
-    overlaps = {i + 1: (i, a, b)
-                for i, a, b in _window_overlaps(times, t - tf.support_time, t)[0]}
-    final = int(np.argmin(np.abs(times - t)))  # the snapshot nearest to t
+    # each overlap (a, b) by the index of its interval's earlier end
+    overlaps = {i: (a, b) for i, a, b in _window_overlaps(times, t - tf.support_time, t)[0]}
+    final = traj.nearest(t)
     terms = {"lhs": dict.fromkeys(LHS_TERM_NAMES, 0.0),
              "rhs": dict.fromkeys(RHS_TERM_NAMES, 0.0)}
     c0max = None
-    kept = {}  # the view of an interval's earlier end, until its later end
+    carried = {}  # an interval's gathered start, by the index of its later end
 
     def ball_sum(f, integrand, factor):
         return float(np.sum(f[integrand] * f[factor]) * grid.cell_volume)
 
-    def final_terms(sf):
+    def final_terms(at, time):
         # final-time terms at the snapshot nearest to t
-        f = _LEIFields(sf.on(cells), params, psi_final=tf.value_rt(rho_om, sf.time - t))
+        f = _LEIFields(at, params, psi_final=tf.value_rt(rho_om, time - t))
         for side, name, weight, integrand, factor in LEI_TERMS:
             if factor == "psi_final":
                 terms[side][name] = weight(th, c0max) * ball_sum(f, integrand, factor)
 
-    def interval(i, a, b, view0, view1):
-        # time-integrated terms: midpoint in psi, linear in the fields
-        w = b - a
+    def begin(i, a, b, at):
+        # an interval's midpoint psi parts and its earlier end's fields, on
+        # Omega's cells; nothing where psi is zero
         tm = 0.5 * (a + b)
-        lam = (tm - times[i]) / (times[i + 1] - times[i])
         psi = tf.value_rt(rho, tm - t)
         if not np.any(psi):
             return
-
-        def mid(name):
-            # a base or derived field on Omega's cells, linear in time
-            f0, f1 = view0(name), view1(name)
-            return f0 + lam * (f1 - f0)
-
         # spatial derivatives of psi taken spectrally from the sampled
         # array, so discrete integration by parts is exact (the cell sum
         # of Delta psi and of u . grad psi against constants vanishes);
@@ -490,7 +489,17 @@ def lei_plan(traj: Trajectory, tf: TestFunction, t: float,
         heat = tf.dt_rt(rho_om, tm - t) + gather(grid.irfftn(-grid.k_sq * psi_hat), cells)
         # the whole-grid psi and psi_hat are not kept while the fields are formed
         psi, psi_hat = gather(psi, cells), None
-        f = _LEIFields(mid, params, psi=psi, grad_psi=grad_psi, heat=heat)
+        lam = (tm - times[i]) / (times[i + 1] - times[i])
+        carried[i + 1] = (b - a, lam, dict(psi=psi, grad_psi=grad_psi, heat=heat),
+                          {name: at(name) for name in _LEI_STATE_FIELDS})
+
+    def end(w, lam, given, start, at):
+        # time-integrated terms: midpoint in psi, linear in the fields
+        def mid(name):
+            f0, f1 = start[name], at(name)
+            return f0 + lam * (f1 - f0)
+
+        f = _LEIFields(mid, params, **given)
         for side, name, weight, integrand, factor in LEI_TERMS:
             if factor != "psi_final":
                 terms[side][name] += weight(th, c0max) * w * ball_sum(f, integrand, factor)
@@ -499,15 +508,16 @@ def lei_plan(traj: Trajectory, tf: TestFunction, t: float,
         nonlocal c0max
         if j == 0:
             c0max = float(np.max(state.c))
-        if j == final:
-            final_terms(state)
-        view = state.on(cells)
+        at = state.on(cells)
+        # psi's whole-grid transforms before this visit forms any derived field
         if j in overlaps:
-            interval(*overlaps[j], kept.pop(j - 1), view)
-        if j + 1 in overlaps:
-            kept[j] = view
+            begin(j, *overlaps[j], at)
+        if j in carried:
+            end(*carried.pop(j), at)
+        if j == final:
+            final_terms(at, state.time)
 
-    reads = {0, final, *overlaps, *(j - 1 for j in overlaps)}
+    reads = {0, final, *overlaps, *(i + 1 for i in overlaps)}
     return Plan([Pass(reads, step)],
                 lambda: LEIReport(t=t, lhs_terms=terms["lhs"], rhs_terms=terms["rhs"]))
 

@@ -20,7 +20,8 @@ Every analysis reads a trajectory through one loop, ``sweep``, which
 visits each snapshot its passes read once, in time order.  An analysis
 is a ``Plan``: its passes, then a ``finish`` that makes its result of
 what they gathered; plans join (``Plan.all``), so any number of
-analyses share one sweep and hold at most the states their steps keep.
+analyses share one sweep, and a stored trajectory's states are read and
+freed one at a time.
 """
 
 from __future__ import annotations
@@ -466,15 +467,15 @@ class Plan(NamedTuple):
 def sweep(traj, passes) -> None:
     """The one snapshot loop: visit the union of the passes' snapshots
     once each, in time order, and give each state to the passes that read
-    it, in their order.  A state comes from ``traj.visit``: a stored
-    trajectory reads it and keeps it no longer than its visit, so its
+    it, in their order.  A state is ``traj.states[i]``: a stored
+    trajectory reads it anew and keeps it no longer than its visit, so its
     derived fields go with it; an in-memory one keeps its states."""
     readers = {}
     for p in passes:
         for i in p.snapshots:
             readers.setdefault(i, []).append(p)
     for i in sorted(readers):
-        state = traj.visit(i)
+        state = traj.states[i]
         for p in readers[i]:
             p.step(i, state)
         del state  # before the next read, so that two visits never overlap

@@ -118,10 +118,8 @@ def read_trajectory(in_dir) -> Trajectory:
     the errors ``read_snapshot`` and ``Trajectory`` raise: its header and
     file length first, then one grid and strictly increasing times, then
     that every value is finite (streamed, nothing kept).  Only the headers
-    are kept: snapshot i is read the first time ``states[i]`` is indexed,
-    on the trajectory's one Grid, and kept for the trajectory's lifetime;
-    an analysis reads it through ``Trajectory.visit``, which keeps it no
-    longer than the visit.
+    are kept: snapshot i is read, on the trajectory's one Grid, each time
+    ``states[i]`` is indexed, and not kept.
     The physics come from the "params" entry of ``trajectory.json``, and
     the run log from its "run_log" entry; a directory without one (or
     without the file) reads with ``PhysParams()`` (and no run log)."""

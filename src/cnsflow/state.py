@@ -249,13 +249,13 @@ class PhysParams:
 
 
 class StoredStates(Sequence):
-    """The read-only states of an on-disk trajectory, known at first by
-    their headers alone: ``heads`` holds each one's (grid, time).  State i
-    is made by ``read(i)`` the first time it is indexed, then kept for the
-    sequence's lifetime; ``take(i)`` gives it without keeping it."""
+    """The read-only states of an on-disk trajectory, known by their
+    headers alone: ``heads`` holds each one's (grid, time).  Indexing i
+    reads state i with ``read(i)`` every time and keeps nothing, so a
+    state lives only as long as its reader holds it."""
 
     def __init__(self, heads: list, read: Callable[[int], State]):
-        self.heads, self._read, self._kept = heads, read, {}
+        self.heads, self._read = heads, read
 
     def __len__(self) -> int:
         return len(self.heads)
@@ -263,15 +263,7 @@ class StoredStates(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
-        i = range(len(self))[i]
-        if i not in self._kept:
-            self._kept[i] = self._read(i)
-        return self._kept[i]
-
-    def take(self, i: int) -> State:
-        """State i, no longer kept: the kept one, forgotten, or a new read."""
-        i = range(len(self))[i]
-        return self._kept.pop(i) if i in self._kept else self._read(i)
+        return self._read(range(len(self))[i])
 
 
 class Trajectory:
@@ -282,11 +274,10 @@ class Trajectory:
 
     ``states`` holds the states: a list for a trajectory built in memory,
     a ``StoredStates`` for one opened by ``read_trajectory``, which reads
-    each snapshot on first use and keeps it.  The analyses read states
-    through ``visit`` instead, which keeps a stored state no longer than
-    its visit.  ``grid`` and ``times`` are taken once, when the trajectory
-    is built, from the states or the stored headers; to shift the states'
-    times, build a new trajectory from them."""
+    a snapshot each time it is indexed and keeps none.  ``grid`` and
+    ``times`` are taken once, when the trajectory is built, from the
+    states or the stored headers; to shift the states' times, build a new
+    trajectory from them."""
 
     def __init__(self, states: Sequence[State], params: PhysParams = PhysParams()):
         if not states:
@@ -304,17 +295,9 @@ class Trajectory:
         #: solver health of the run that produced the states, when known
         self.run_log: Optional[dict] = None
 
-    def visit(self, i: int) -> State:
-        """State i for one visit (``grid_fields.sweep``): a stored state is
-        not kept past it, an in-memory one stays."""
-        if isinstance(self.states, StoredStates):
-            return self.states.take(i)
-        return self.states[i]
-
-    def state_at(self, t: float) -> State:
-        """Snapshot closest to time t."""
-        i = int(np.argmin(np.abs(self.times - t)))
-        return self.states[i]
+    def nearest(self, t: float) -> int:
+        """The index of the snapshot closest to time t."""
+        return int(np.argmin(np.abs(self.times - t)))
 
 
 def _dyadic_exponent(rho0: float) -> int:

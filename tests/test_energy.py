@@ -20,7 +20,14 @@ from cnsflow import (
     simulate,
     smooth_bump,
 )
-from cnsflow.energy import LHS_TERM_NAMES, RHS_TERM_NAMES
+from cnsflow import state
+from cnsflow.energy import (
+    _LEI_STATE_FIELDS,
+    LEI_TERMS,
+    LHS_TERM_NAMES,
+    RHS_TERM_NAMES,
+    _LEIFields,
+)
 from cnsflow.grid_fields import _window_overlaps
 from cnsflow.state import EPS_FLOOR, StoredStates, guarded_log
 
@@ -172,7 +179,7 @@ def _lei_oracle(traj, tf, t, center_x, omega_radius):
     def ball_sum(arr):
         return float(np.sum(arr) * vol)
 
-    sf = traj.state_at(t)
+    sf = traj.states[traj.nearest(t)]
     psi_f = tf.value_rt(rho[mask], sf.time - t)
     n = np.maximum(sf.n[mask], 0.0)
     lhs["entropy_final"] = ball_sum(n * guarded_log(n, 1.0) * psi_f)
@@ -269,6 +276,25 @@ def test_lei_transforms_psi_once_per_interval(constant_state_traj, monkeypatch):
     assert calls == {"rfftn": intervals, "irfftn": 4 * intervals}
 
 
+def test_lei_interval_with_zero_psi_forms_no_derived_field(constant_state_traj, monkeypatch):
+    """A bump centred midway between grid points, and narrower than its
+    distance to each, is zero on every cell: no interval reads a derived
+    field of either end, and only the final snapshot forms the one its
+    final-time terms read."""
+    traj = Trajectory([State(s.grid, s.n, s.c, s.u, s.p, s.time)
+                       for s in constant_state_traj.states], constant_state_traj.params)
+    tf, h = smooth_bump(0.02, 0.05), traj.grid.h
+    centre = (0.5 + h / 2,) * 3
+    assert tf.support_radius < np.sqrt(3) / 2 * h
+    formed = []
+    for name, form in state.TRANSFORMED.items():
+        monkeypatch.setitem(state.TRANSFORMED, name,
+                            lambda s, _n=name, _f=form: formed.append((s.time, _n)) or _f(s))
+    rep = lei_residual(traj, tf, 0.0, centre, 0.25)
+    assert len(_window_overlaps(traj.times, -tf.support_time, 0.0)[0]) == 5
+    assert formed == [(0.0, "grad_sqrt_c")] and rep.max_abs_term == 0.0
+
+
 def test_lei_window_within_rounding_of_a_snapshot_reads_nothing_before_it(smooth_traj):
     """A window that starts within rounding of snapshot k's time, here just
     below it, overlaps the interval before t_k by less than eps: that is
@@ -296,3 +322,23 @@ def test_lei_window_within_rounding_of_a_snapshot_reads_nothing_before_it(smooth
     other = lei_residual(Trajectory(states, smooth_traj.params), tf, t, (0.5, 0.5, 0.5), 0.25)
     assert rep.lhs_terms == other.lhs_terms and rep.rhs_terms == other.rhs_terms
     assert rep.max_abs_term > 0
+
+
+def test_lei_state_fields_are_what_its_terms_read(smooth_traj):
+    """``_LEI_STATE_FIELDS``, what an LEI interval carries from its earlier
+    end to its later one, are exactly the state fields that the terms of
+    ``LEI_TERMS`` read, so a term reading another fails here, not in a run."""
+    cells = np.arange(0, smooth_traj.grid.n**3, 7)
+    at = smooth_traj.states[-1].on(cells)
+    asked = []
+
+    def read(name):
+        asked.append(name)
+        return at(name)
+
+    ones = np.ones(cells.size)
+    f = _LEIFields(read, smooth_traj.params, psi=ones, psi_final=ones, heat=ones,
+                   grad_psi=np.ones((3, cells.size)))
+    for _, _, _, integrand, factor in LEI_TERMS:
+        assert np.all(np.isfinite(f[integrand] * f[factor]))
+    assert sorted(asked) == sorted(_LEI_STATE_FIELDS)

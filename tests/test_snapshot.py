@@ -77,9 +77,9 @@ def test_trajectory_roundtrip(tmp_path):
         assert np.array_equal(a.u, b.u)
 
 
-def test_trajectory_reads_each_state_on_first_use(tmp_path, monkeypatch):
-    """An opened trajectory holds no state until one is indexed; each is
-    then read once, on the trajectory's own grid, and kept."""
+def test_trajectory_reads_a_state_on_every_index(tmp_path, monkeypatch):
+    """An opened trajectory holds no state: each index reads its snapshot
+    anew, on the trajectory's own grid, and keeps nothing."""
     states = [_random_state(seed=i, t=0.1 * i) for i in range(4)]
     write_trajectory(tmp_path / "run", Trajectory(states))
     reads = []
@@ -90,11 +90,14 @@ def test_trajectory_reads_each_state_on_first_use(tmp_path, monkeypatch):
     assert reads == [] and len(back.states) == 4
     assert back.grid == states[0].grid
     assert np.array_equal(back.times, [s.time for s in states])
-    last = back.states[-1]
-    assert back.states[3] is last and last.grid is back.grid
-    assert np.array_equal(last.u, states[3].u)
+    last, again = back.states[-1], back.states[3]
+    assert again is not last and last.grid is back.grid and again.grid is back.grid
+    for name in ("n", "c", "u", "p"):
+        assert np.array_equal(getattr(last, name), getattr(states[3], name)), name
+        assert np.array_equal(getattr(again, name), getattr(last, name)), name
     assert [s.time for s in back.states[1:3]] == [states[1].time, states[2].time]
-    assert reads == ["snap_000003.cns", "snap_000001.cns", "snap_000002.cns"]
+    assert reads == ["snap_000003.cns", "snap_000003.cns",
+                     "snap_000001.cns", "snap_000002.cns"]
     with pytest.raises(IndexError):
         back.states[4]
 

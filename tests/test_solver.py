@@ -3,6 +3,7 @@ independent time-integration oracles."""
 
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -391,12 +392,18 @@ def test_streamed_run_is_read_back(tmp_path):
     params = PhysParams(theta0=1.0, chi_coeffs=(0.5,), gravity=0.3, c0_max=1.0)
     mem = simulate(cfg, params)
     disk = simulate(cfg, params, out_dir=tmp_path)
-    assert isinstance(disk.states, StoredStates) and not disk.states._kept
+    assert isinstance(disk.states, StoredStates)
     assert disk.params == params and disk.run_log == mem.run_log
     assert np.array_equal(disk.times, mem.times)
     for a, b in zip(disk.states, mem.states):
         for name in ("n", "c", "u", "p"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    # iterating the stored states keeps no earlier one alive
+    seen = []
+    for s in disk.states:
+        seen.append(weakref.ref(s))
+        assert [r() for r in seen[:-1]] == [None] * (len(seen) - 1)
+    assert len(seen) == len(mem.states)
 
 
 def _smooth_32(params):

@@ -236,11 +236,11 @@ def test_trajectory_requires_increasing_times():
         Trajectory([a, b])
 
 
-def test_state_at_picks_nearest():
+def test_nearest_picks_nearest():
     states = [_state(t=t) for t in (0.0, 0.1, 0.2)]
     traj = Trajectory(states)
-    assert traj.state_at(0.12).time == 0.1
-    assert traj.state_at(0.19).time == 0.2
+    assert traj.states[traj.nearest(0.12)].time == 0.1
+    assert traj.states[traj.nearest(0.19)].time == 0.2
 
 
 def test_rescale_requires_dyadic():
